@@ -33,6 +33,7 @@ from .scattering import (
     emissivity,
     emissivity_pair,
     linear_polarization,
+    polarization_of,
     transition_amplitude,
     validate_far_field,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "model_for_temperature",
     "permittivity",
     "planck_radiance",
+    "polarization_of",
     "read_scan",
     "refraction_index",
     "simulate_scan",

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .polarimetry import (
     simulate_scan,
     write_scan,
 )
-from .scattering import emissivity_pair
+from .scattering import DEFAULT_TOL, emissivity_pair, polarization_of
 from .spectral import (
     BandFilter,
     COMPUTED_BAND,
@@ -94,20 +93,12 @@ def _read_config(path):
     return settings
 
 
-def _coerce_config_value(current, value: str):
-    """Give a config-file string the type the flag would have produced."""
+def _config_default(current, value: str):
+    """A config-file string as a subcommand default.  argparse converts
+    string defaults with the flag's type; a switch has none, so its
+    string is read as a boolean here."""
     if isinstance(current, bool):
         return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
-    if current is None:
-        for cast in (int, float):
-            try:
-                return cast(value)
-            except ValueError:
-                pass
     return value
 
 
@@ -117,15 +108,6 @@ def _parse_band(text) -> BandFilter:
         return BandFilter(float(lo), float(hi))
     except (ValueError, WirepolError) as exc:
         raise _UsageError(f"bad band {text!r} (expected lo:hi in microns): {exc}")
-
-
-def _resolve_model(args):
-    material = getattr(args, "material", "tungsten")
-    if material == "vacuum":
-        return vacuum_model()
-    db = load_database(getattr(args, "material_db", None))
-    return model_for_temperature(db, float(args.temp_k),
-                                 include_tentative=bool(getattr(args, "include_tentative", False)))
 
 
 def _radius_from(args) -> float:
@@ -147,37 +129,74 @@ def _warn_outside_fit(lambdas):
               file=sys.stderr)
 
 
+# ------------------------------------------------------------ evaluation
+
+# Output columns of one wire at a single wavelength and over a band, in
+# the order ``point`` prints them.
+LINE_COLUMNS = ("p", "e_te", "e_tm", "terms_used", "truncation_error")
+BAND_COLUMNS = ("p_avg", "e_te_bar", "e_tm_bar", "quadrature_nodes",
+                "quadrature_error")
+
+
+class _Evaluator:
+    """The one evaluation path of every command.
+
+    ``evaluate(radius_um, spectrum, temp_k)`` evaluates one wire at a
+    wavelength (``spectrum`` in micron) or Planck-averaged over a band
+    (``spectrum`` a BandFilter) and returns its output columns by name,
+    plus ``radius_um`` and ``model_temperature_K``.  The temperature picks
+    the material model and, for a band, the Planck weight.  The material
+    database is loaded once, when the evaluator is made.
+    """
+
+    def __init__(self, args):
+        vacuum = getattr(args, "material", "tungsten") == "vacuum"
+        self._db = None if vacuum else load_database(args.material_db)
+        self._tentative = args.include_tentative
+        self._tol = getattr(args, "tol", DEFAULT_TOL)
+        self._nodes = getattr(args, "nodes", 64)
+
+    def model(self, temp_k):
+        if self._db is None:
+            return vacuum_model()
+        return model_for_temperature(self._db, float(temp_k), self._tentative)
+
+    def __call__(self, radius, spectrum, temp_k) -> dict:
+        model = self.model(temp_k)
+        values = {"radius_um": float(radius),
+                  "model_temperature_K": model.temperature_k}
+        if isinstance(spectrum, BandFilter):
+            res = band_averaged_polarization(
+                radius, float(temp_k), spectrum, model,
+                QuadratureConfig(nodes=self._nodes, check_nodes=2 * self._nodes))
+            return {**values, "p_avg": res.p_avg, "e_te_bar": res.e_te_bar,
+                    "e_tm_bar": res.e_tm_bar,
+                    "quadrature_nodes": res.quadrature_nodes,
+                    "quadrature_error": res.est_quadrature_error}
+        n = refraction_index(permittivity(model, spectrum))
+        pair = emissivity_pair(2.0 * math.pi / spectrum, radius, n, tol=self._tol)
+        return {**values, "p": polarization_of(pair.e_te, pair.e_tm),
+                "e_te": pair.e_te, "e_tm": pair.e_tm,
+                "terms_used": pair.terms_used,
+                "truncation_error": pair.truncation_error_estimate}
+
+
 # ----------------------------------------------------------------- point
 
 def _cmd_point(args) -> int:
     radius = _radius_from(args)
-    model = _resolve_model(args)
+    evaluate = _Evaluator(args)
     if (args.wavelength_um is None) == (args.band is None):
         raise _UsageError("give exactly one of --wavelength-um or --band")
     if args.wavelength_um is not None:
-        lam = float(args.wavelength_um)
-        _warn_outside_fit([lam])
-        n = refraction_index(permittivity(model, lam))
-        pair = emissivity_pair(2.0 * math.pi / lam, radius, n, tol=args.tol)
-        total = pair.e_te + pair.e_tm
-        if total < 1e-15:
-            raise WirepolError("both emissivities vanish; polarization undefined")
-        print(f"p = {_fmt((pair.e_te - pair.e_tm) / total)}")
-        print(f"e_te = {_fmt(pair.e_te)}")
-        print(f"e_tm = {_fmt(pair.e_tm)}")
-        print(f"terms_used = {pair.terms_used}")
-        print(f"truncation_error = {_fmt(pair.truncation_error_estimate)}")
+        spectrum, columns = float(args.wavelength_um), LINE_COLUMNS
+        _warn_outside_fit([spectrum])
     else:
-        band = _parse_band(args.band)
-        _warn_outside_fit([band.lambda_lo_um, band.lambda_hi_um])
-        result = band_averaged_polarization(
-            radius, float(args.temp_k), band, model,
-            QuadratureConfig(nodes=args.nodes, check_nodes=2 * args.nodes))
-        print(f"p_avg = {_fmt(result.p_avg)}")
-        print(f"e_te_bar = {_fmt(result.e_te_bar)}")
-        print(f"e_tm_bar = {_fmt(result.e_tm_bar)}")
-        print(f"quadrature_nodes = {result.quadrature_nodes}")
-        print(f"quadrature_error = {_fmt(result.est_quadrature_error)}")
+        spectrum, columns = _parse_band(args.band), BAND_COLUMNS
+        _warn_outside_fit([spectrum.lambda_lo_um, spectrum.lambda_hi_um])
+    values = evaluate(radius, spectrum, args.temp_k)
+    for key in columns:
+        print(f"{key} = {_fmt(values[key])}")
     return 0
 
 
@@ -194,143 +213,80 @@ def _grid(lo: float, hi: float, points: int, spacing: str) -> np.ndarray:
 
 
 def _write_csv(path, meta_lines, header, rows):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in meta_lines:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError:
-        raise
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for line in meta_lines:
+            fh.write(f"# {line}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _sweep_rows(points, evaluate, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(evaluate, points))
-    return [evaluate(p) for p in points]
+def _sweep_table(args, evaluate: _Evaluator):
+    """The preset or ``--variable`` sweep that ``args`` asks for, as (a
+    metadata line, the CSV header, the abscissa grid of the first column,
+    abscissa -> values of the other columns).  Each kind of sweep maps its
+    abscissa to (radius, wavelength or band, temperature)."""
+    if args.preset == "figure1":
+        lam, model = 0.5, evaluate.model(2400.0)
+        return (
+            f"material: {model.element} {model.temperature_k:g} K, lambda = {lam} um",
+            ("log10_2pi_a_over_lambda", "radius_um", "p", "e_te", "e_tm"),
+            _grid(-2.0, 3.0, args.points or 200, "linear"),
+            lambda size: evaluate(lam * 10.0 ** size / (2.0 * math.pi), lam, 2400.0))
+    band = COMPUTED_BAND
+    if args.preset == "figure4":
+        temps = (298.0, 1600.0, 2400.0)
+        return (
+            f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
+            f"temperatures: {', '.join(f'{t:g} K' for t in temps)}",
+            ("diameter_um", *(f"p_avg_{t:g}K" for t in temps)),
+            _grid(0.5, 120.0, args.points or 61, "log"),
+            lambda d: {f"p_avg_{t:g}K": evaluate(d / 2.0, band, t)["p_avg"]
+                       for t in temps})
+    if args.preset == "table2":
+        model = evaluate.model(2400.0)
+        return (
+            f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
+            f"material: {model.element} {model.temperature_k:g} K",
+            ("diameter_um", "p_avg", "e_te_bar", "e_tm_bar", "quadrature_error"),
+            [m[0] for m in DEFAULT_MEASUREMENTS],
+            lambda d: evaluate(d / 2.0, band, 2400.0))
+
+    if args.variable is None:
+        raise _UsageError("either --preset or --variable is required")
+    model = evaluate.model(args.temp_k)
+    meta = f"material: {model.element}, model T = {model.temperature_k:g} K"
+    grid = _grid(args.lo, args.hi, args.points or 50, args.spacing)
+    band = _parse_band(args.band) if args.band else None
+    if args.variable == "radius":
+        if band is None and args.wavelength_um is None:
+            raise _UsageError("radius sweep needs --wavelength-um or --band")
+        spectrum = band or float(args.wavelength_um)
+        columns = (("p_avg", "e_te_bar", "e_tm_bar", "quadrature_error")
+                   if band else LINE_COLUMNS)
+        return (meta, ("radius_um", *columns), grid,
+                lambda r: evaluate(r, spectrum, args.temp_k))
+    radius = _radius_from(args)
+    if args.variable == "wavelength":
+        return (meta, ("wavelength_um", *LINE_COLUMNS), grid,
+                lambda lam: evaluate(radius, float(lam), args.temp_k))
+    if band is None:
+        raise _UsageError("temperature sweep needs --band")
+    return (meta, ("temperature_K", "model_temperature_K", "p_avg",
+                   "e_te_bar", "e_tm_bar"), grid,
+            lambda t: evaluate(radius, band, t))
 
 
 def _cmd_sweep(args) -> int:
     if not args.output:
         raise _UsageError("sweep needs an output path (-o/--output)")
-    meta = [f"command: {' '.join(args._argv)}", f"wirepol {__version__}"]
-    threads = args.threads
-
-    if args.preset == "figure1":
-        lam = 0.5
-        db = load_database(args.material_db)
-        model = model_for_temperature(db, 2400.0, args.include_tentative)
-        n = refraction_index(permittivity(model, lam))
-        logs = np.linspace(-2.0, 3.0, args.points or 200)
-        meta.append(f"material: {model.element} {model.temperature_k:g} K, lambda = {lam} um")
-
-        def evaluate(log_size):
-            radius = float(lam * 10.0 ** log_size / (2.0 * math.pi))
-            pair = emissivity_pair(2.0 * math.pi / lam, radius, n, tol=args.tol)
-            p = (pair.e_te - pair.e_tm) / (pair.e_te + pair.e_tm)
-            return (float(log_size), radius, p, pair.e_te, pair.e_tm)
-
-        rows = _sweep_rows(logs, evaluate, threads)
-        _write_csv(args.output, meta,
-                   ["log10_2pi_a_over_lambda", "radius_um", "p", "e_te", "e_tm"], rows)
-        return 0
-
-    if args.preset == "figure4":
-        band = COMPUTED_BAND
-        db = load_database(args.material_db)
-        temps = (298.0, 1600.0, 2400.0)
-        models = [model_for_temperature(db, t, args.include_tentative) for t in temps]
-        diameters = np.geomspace(0.5, 120.0, args.points or 61)
-        meta.append(f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
-                    f"temperatures: {', '.join(f'{t:g} K' for t in temps)}")
-
-        def evaluate(diameter):
-            values = [band_averaged_polarization(diameter / 2.0, t, band, m).p_avg
-                      for t, m in zip(temps, models)]
-            return (float(diameter), *values)
-
-        rows = _sweep_rows(diameters, evaluate, threads)
-        _write_csv(args.output, meta,
-                   ["diameter_um"] + [f"p_avg_{t:g}K" for t in temps], rows)
-        return 0
-
-    if args.preset == "table2":
-        band = COMPUTED_BAND
-        db = load_database(args.material_db)
-        model = model_for_temperature(db, 2400.0, args.include_tentative)
-        meta.append(f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
-                    f"material: {model.element} {model.temperature_k:g} K")
-        diameters = [m[0] for m in DEFAULT_MEASUREMENTS]
-
-        def evaluate(diameter):
-            res = band_averaged_polarization(diameter / 2.0, 2400.0, band, model)
-            return (float(diameter), res.p_avg, res.e_te_bar, res.e_tm_bar,
-                    res.est_quadrature_error)
-
-        rows = _sweep_rows(diameters, evaluate, threads)
-        _write_csv(args.output, meta,
-                   ["diameter_um", "p_avg", "e_te_bar", "e_tm_bar",
-                    "quadrature_error"], rows)
-        return 0
-
-    if args.variable is None:
-        raise _UsageError("either --preset or --variable is required")
-    model = _resolve_model(args)
-    grid = _grid(args.lo, args.hi, args.points or 50, args.spacing)
-    band = _parse_band(args.band) if args.band else None
-
-    if args.variable == "radius":
-        if band is None and args.wavelength_um is None:
-            raise _UsageError("radius sweep needs --wavelength-um or --band")
-        if band is None:
-            lam = float(args.wavelength_um)
-            n = refraction_index(permittivity(model, lam))
-
-            def evaluate(radius):
-                pair = emissivity_pair(2.0 * math.pi / lam, radius, n, tol=args.tol)
-                p = (pair.e_te - pair.e_tm) / (pair.e_te + pair.e_tm)
-                return (float(radius), p, pair.e_te, pair.e_tm,
-                        pair.terms_used, pair.truncation_error_estimate)
-
-            header = ["radius_um", "p", "e_te", "e_tm", "terms_used", "truncation_error"]
-        else:
-            def evaluate(radius):
-                res = band_averaged_polarization(float(radius), float(args.temp_k),
-                                                 band, model)
-                return (float(radius), res.p_avg, res.e_te_bar, res.e_tm_bar,
-                        res.est_quadrature_error)
-
-            header = ["radius_um", "p_avg", "e_te_bar", "e_tm_bar", "quadrature_error"]
-    elif args.variable == "wavelength":
-        radius = _radius_from(args)
-
-        def evaluate(lam):
-            n = refraction_index(permittivity(model, float(lam)))
-            pair = emissivity_pair(2.0 * math.pi / float(lam), radius, n, tol=args.tol)
-            p = (pair.e_te - pair.e_tm) / (pair.e_te + pair.e_tm)
-            return (float(lam), p, pair.e_te, pair.e_tm,
-                    pair.terms_used, pair.truncation_error_estimate)
-
-        header = ["wavelength_um", "p", "e_te", "e_tm", "terms_used", "truncation_error"]
-    else:  # temperature
-        radius = _radius_from(args)
-        if band is None:
-            raise _UsageError("temperature sweep needs --band")
-        db = load_database(args.material_db)
-
-        def evaluate(temp):
-            mdl = model_for_temperature(db, float(temp), args.include_tentative)
-            res = band_averaged_polarization(radius, float(temp), band, mdl)
-            return (float(temp), mdl.temperature_k, res.p_avg,
-                    res.e_te_bar, res.e_tm_bar)
-
-        header = ["temperature_K", "model_temperature_K", "p_avg", "e_te_bar", "e_tm_bar"]
-
-    meta.append(f"material: {model.element}, model T = {model.temperature_k:g} K")
-    rows = _sweep_rows(grid, evaluate, threads)
-    _write_csv(args.output, meta, header, rows)
+    meta, header, grid, values_at = _sweep_table(args, _Evaluator(args))
+    rows = []
+    for x in grid:
+        values = values_at(x)
+        rows.append((float(x), *(values[h] for h in header[1:])))
+    _write_csv(args.output, [f"command: {' '.join(args._argv)}",
+                             f"wirepol {__version__}", meta], header, rows)
     return 0
 
 
@@ -348,25 +304,28 @@ def _read_measurements(path):
                 raise _UsageError(
                     f"{path}:{lineno}: expected 'diameter_um p error', got {len(parts)} fields")
             try:
-                rows.append(tuple(float(p) for p in parts))
+                row = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise _UsageError(f"{path}:{lineno}: {exc}")
+            if not 0.0 < row[2] < math.inf:
+                raise _UsageError(
+                    f"{path}:{lineno}: error must be finite and > 0, got {parts[2]}")
+            rows.append(row)
     return rows
 
 
 def _cmd_compare(args) -> int:
     measurements = (_read_measurements(args.measurements)
                     if args.measurements else list(DEFAULT_MEASUREMENTS))
-    db = load_database(args.material_db)
-    model = model_for_temperature(db, float(args.temp_k), args.include_tentative)
+    evaluate = _Evaluator(args)
+    model = evaluate.model(args.temp_k)
     band = _parse_band(args.band) if args.band else COMPUTED_BAND
     header = ["diameter_um", "p_measured", "error", "p_computed", "deviation_sigma"]
     print(",".join(header))
     rows = []
     for diameter, p_meas, err in measurements:
-        res = band_averaged_polarization(diameter / 2.0, float(args.temp_k), band, model)
-        dev = abs(p_meas - res.p_avg) / err
-        row = (diameter, p_meas, err, res.p_avg, dev)
+        p_avg = evaluate(diameter / 2.0, band, args.temp_k)["p_avg"]
+        row = (diameter, p_meas, err, p_avg, abs(p_meas - p_avg) / err)
         rows.append(row)
         print(",".join(_fmt(v) for v in row))
     if args.output:
@@ -453,20 +412,26 @@ def _add_common(parser):
                         help="key = value file mirroring the flags; flags override")
 
 
+def _add_wire(parser):
+    # the wire, its material and the spectrum, shared by point and sweep
+    parser.add_argument("--radius-um", type=float)
+    parser.add_argument("--diameter-um", type=float)
+    parser.add_argument("--wavelength-um", type=float)
+    parser.add_argument("--band", help="lo:hi in microns")
+    parser.add_argument("--temp-k", type=float, default=2400.0)
+    parser.add_argument("--material", choices=("tungsten", "vacuum"), default="tungsten")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="wirepol",
                      description="Polarized thermal emission of thin metal wires")
     parser.add_argument("--version", action="version", version=f"wirepol {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("point", help="P at a point (single wavelength or band)")
-    p.add_argument("--radius-um", type=float)
-    p.add_argument("--diameter-um", type=float)
-    p.add_argument("--wavelength-um", type=float)
-    p.add_argument("--band", help="lo:hi in microns")
-    p.add_argument("--temp-k", type=float, default=2400.0)
-    p.add_argument("--material", choices=("tungsten", "vacuum"), default="tungsten")
-    p.add_argument("--tol", type=float, default=1e-10)
+    _add_wire(p)
     p.add_argument("--nodes", type=int, default=64)
     _add_common(p)
     p.set_defaults(func=_cmd_point)
@@ -478,15 +443,9 @@ def build_parser() -> _Parser:
     p.add_argument("--hi", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p.add_argument("--radius-um", type=float)
-    p.add_argument("--diameter-um", type=float)
-    p.add_argument("--wavelength-um", type=float)
-    p.add_argument("--band", help="lo:hi in microns")
-    p.add_argument("--temp-k", type=float, default=2400.0)
-    p.add_argument("--material", choices=("tungsten", "vacuum"), default="tungsten")
-    p.add_argument("--tol", type=float, default=1e-10)
+    _add_wire(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="parallel evaluation; output is independent of N")
+                   help="accepted and ignored: evaluation is serial")
     p.add_argument("-o", "--output", default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
@@ -529,29 +488,20 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            settings = _read_config(args.config)
-            # flags given on the command line win over the config file
-            given = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                     for a in argv if a.startswith("--")}
-            for key, value in settings.items():
-                if key in given or not hasattr(args, key):
-                    continue
-                setattr(args, key, _coerce_config_value(getattr(args, key), value))
-        # --threads changes scheduling only, never results, so keep it out
-        # of the recorded command line: outputs stay byte-identical
-        recorded = []
-        skip = False
-        for token in argv:
-            if skip:
-                skip = False
-                continue
-            if token == "--threads":
-                skip = True
-                continue
-            if token.startswith("--threads="):
-                continue
-            recorded.append(token)
-        args._argv = ["wirepol"] + recorded
+            # the config file's values become the subcommand's defaults, so
+            # every flag argparse takes from the command line wins over it
+            command = parser.commands[args.command]
+            command.set_defaults(**{
+                key: _config_default(command.get_default(key), value)
+                for key, value in _read_config(args.config).items()
+                if hasattr(args, key)})
+            args = parser.parse_args(argv)
+        # --threads is accepted and ignored; keep it out of the recorded
+        # command line so that outputs never depend on it
+        args._argv = ["wirepol"] + [
+            token for i, token in enumerate(argv)
+            if not (token == "--threads" or token.startswith("--threads=")
+                    or (i and argv[i - 1] == "--threads"))]
         return args.func(args)
     except _UsageError as exc:
         print(f"wirepol: error: {exc}", file=sys.stderr)

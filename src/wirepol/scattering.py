@@ -17,12 +17,16 @@ code divides numerator and denominator by J_m(nx) and works with the
 logarithmic derivative D_m = J'_m/J_m, which stays O(1) where J_m(nx)
 itself would overflow (thick absorbing wires).
 
-The per-polarization emissivity is the folded sum
+What the code calls the per-polarization emissivity is the folded sum
 
-    e = 4 * sum_m [Re(T_m) - |T_m|^2],   T_{-m} = T_m,
+    e = 4 * sum_m [Re(T_m) - |T_m|^2] = 2x * Q_abs,   T_{-m} = T_m,
 
-and the linear polarization is P = (e_TE - e_TM) / (e_TE + e_TM),
+that is 2x times the absorption efficiency Q_abs, which Kirchhoff's law
+equates with the emissivity.  The factor 2x cancels in the linear
+polarization P = (e_TE - e_TM) / (e_TE + e_TM) (``polarization_of``),
 positive when the emitted field is polarized orthogonally to the wire.
+The band average in ``spectral`` weights by this sum, not by Q_abs;
+which of the two weights is intended is an open question (CHANGES.md).
 
 All functions are pure; sweeps over (k, a) may be parallelized freely.
 """
@@ -85,7 +89,8 @@ class TransitionAmplitude:
 
 @dataclass(frozen=True)
 class PolarizedEmissivity:
-    """Emissivity sum for one or both polarizations.
+    """Emissivity sum e = 4 sum_m (Re T_m - |T_m|^2) = 2x * Q_abs (x = ka)
+    for one or both polarizations; divide by 2x for Q_abs.
 
     truncation_error_estimate is relative to the emissivity magnitude and
     is bounded by the tolerance the sum was requested with.
@@ -217,8 +222,14 @@ def _fold(terms: np.ndarray) -> float:
 
 def emissivity_pair(k: float, a: float, n: complex,
                     tol: float = DEFAULT_TOL) -> PolarizedEmissivity:
-    """Both polarized emissivities at wavenumber k (inverse micron) for a
-    wire of radius a (micron) and refraction index n."""
+    """Both polarized emissivity sums e = 4 sum_m (Re T_m - |T_m|^2) at
+    wavenumber k (inverse micron) for a wire of radius a (micron) and
+    refraction index n.
+
+    Each sum is 2x * Q_abs with x = ka, not the absorption efficiency
+    Q_abs itself.  The band average weights by these sums; whether it
+    should weight by Q_abs is an open question (CHANGES.md).
+    """
     if tol <= 0:
         raise DomainError(f"tolerance must be > 0, got {tol}")
     _check_inputs(k, a, n)
@@ -241,15 +252,25 @@ def emissivity(polarization, k: float, a: float, n: complex,
                                pair.truncation_error_estimate)
 
 
+def polarization_of(e_te: float, e_tm: float) -> float:
+    """P = (e_TE - e_TM) / (e_TE + e_TM), for one wavelength or for
+    band-averaged emissivities alike.
+
+    Raises DegenerateInputError unless e_TE + e_TM > 0: a vacuum wire
+    emits nothing, and P is then undefined.
+    """
+    total = e_te + e_tm
+    if not total > 0:
+        raise DegenerateInputError(
+            "both emissivities vanish (vacuum wire?); polarization undefined")
+    return (e_te - e_tm) / total
+
+
 def linear_polarization(k: float, a: float, n: complex,
                         tol: float = DEFAULT_TOL) -> float:
     """P = (e_TE - e_TM) / (e_TE + e_TM) at a single wavenumber."""
     pair = emissivity_pair(k, a, n, tol)
-    total = pair.e_te + pair.e_tm
-    if total < 1e-15:
-        raise DegenerateInputError(
-            "both emissivities vanish (vacuum wire?); polarization undefined")
-    return (pair.e_te - pair.e_tm) / total
+    return polarization_of(pair.e_te, pair.e_tm)
 
 
 def validate_far_field(geom: WireGeometry, wavelength_um: float,

@@ -10,7 +10,11 @@ spectrum:
 with chi a stepwise-constant filter transmission and E the Planck
 spectral emittance.  The overall normalization of the weight (including
 the constant transmission value) cancels in the ratio and is never
-computed.
+computed.  e_alpha is the sum that ``scattering.emissivity_pair``
+returns, 2x * Q_abs with x = 2 pi a / lambda, so the band is weighted by
+an extra 1/lambda compared with Q_abs; which weight is intended is an
+open question (CHANGES.md).  P itself comes from
+``scattering.polarization_of``.
 
 Quadrature is fixed-order Gauss-Legendre on the band (the integrand is
 smooth and the band narrow); the error estimate comes from re-evaluating
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants as _const
 
-from .errors import ConvergenceError, DegenerateInputError, DomainError
+from .errors import ConvergenceError, DomainError
 from .materials import DrudePermittivityModel, permittivity, refraction_index
-from .scattering import emissivity_pair
+from .scattering import emissivity_pair, polarization_of
 
 
 @dataclass(frozen=True)
@@ -133,14 +137,11 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     quadrature = quadrature or QuadratureConfig()
     e_te, e_tm = _band_integrals(a_um, temperature_k, band, model,
                                  quadrature.nodes, emissivity_fn, emissivity_tol)
-    total = e_te + e_tm
-    if abs(total) < 1e-300:
-        raise DegenerateInputError("band-averaged emissivities vanish")
-    p = (e_te - e_tm) / total
+    p = polarization_of(e_te, e_tm)
     e_te2, e_tm2 = _band_integrals(a_um, temperature_k, band, model,
                                    quadrature.check_nodes, emissivity_fn,
                                    emissivity_tol)
-    p2 = (e_te2 - e_tm2) / (e_te2 + e_tm2)
+    p2 = polarization_of(e_te2, e_tm2)
     est = abs(p - p2)
     if est > quadrature.tolerance:
         raise ConvergenceError(

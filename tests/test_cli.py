@@ -258,3 +258,105 @@ def test_extrapolation_warning(capsys):
                      "--wavelength-um", "0.30")
     assert rc == 0
     assert "outside the fitted optical range" in err
+
+
+@pytest.mark.parametrize("sweep", [
+    ("--variable", "radius", "--wavelength-um", "0.5", "--lo", "0.1",
+     "--hi", "1", "--points", "3"),
+    ("--variable", "wavelength", "--radius-um", "1", "--lo", "0.5",
+     "--hi", "0.7", "--points", "3"),
+])
+def test_vacuum_sweep_is_numerical_failure(capsys, tmp_path, sweep):
+    path = tmp_path / "vacuum.csv"
+    rc, _, err = run(capsys, "sweep", "--material", "vacuum", *sweep,
+                     "-o", str(path))
+    assert rc == 2
+    assert "polarization undefined" in err
+    assert "Traceback" not in err
+    assert not path.exists()
+
+
+def test_config_loses_to_short_output_flag(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    from_config, from_flag = tmp_path / "X.csv", tmp_path / "Y.csv"
+    cfg.write_text("variable = radius\nlo = 0.1\nhi = 0.5\npoints = 3\n"
+                   f"wavelength-um = 0.5\noutput = {from_config}\n")
+    rc, _, _ = run(capsys, "sweep", "--config", str(cfg), "-o", str(from_flag))
+    assert rc == 0
+    assert from_flag.exists()
+    assert not from_config.exists()
+
+
+def test_config_switch_is_boolean(capsys, tmp_path):
+    point = ("point", "--diameter-um", "5", "--wavelength-um", "0.6")
+    rc, with_flag, _ = run(capsys, *point, "--include-tentative")
+    assert rc == 0
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("include-tentative = true\n")
+    rc, with_config, _ = run(capsys, *point, "--config", str(cfg))
+    assert rc == 0
+    assert with_config == with_flag
+    cfg.write_text("include-tentative = false\n")
+    rc, without, _ = run(capsys, *point, "--config", str(cfg))
+    assert rc == 0
+    assert without != with_flag
+    assert without == run(capsys, *point)[1]
+
+
+@pytest.mark.parametrize("error", ["0", "-0.003", "nan", "inf"])
+def test_compare_rejects_bad_error(capsys, tmp_path, error):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# diameter p err\n17, 0.221, {error}\n")
+    rc, out, err = run(capsys, "compare", "--measurements", str(path))
+    assert rc == 1
+    assert "bad.csv:2" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("preset, points", [("figure1", "-3"), ("figure1", "1"),
+                                            ("figure4", "-3")])
+def test_preset_points_validated(capsys, tmp_path, preset, points):
+    path = tmp_path / "preset.csv"
+    rc, _, err = run(capsys, "sweep", "--preset", preset, "--points", points,
+                     "-o", str(path))
+    assert rc == 1
+    assert "points >= 2" in err
+    assert not path.exists()
+
+
+def test_sweep_wavelength_columns(capsys, tmp_path):
+    path = tmp_path / "wavelength.csv"
+    rc, _, _ = run(capsys, "sweep", "--variable", "wavelength", "--lo", "0.4",
+                   "--hi", "0.8", "--points", "3", "--radius-um", "0.3",
+                   "-o", str(path))
+    assert rc == 0
+    _, header, rows = read_csv(path)
+    assert header == ["wavelength_um", "p", "e_te", "e_tm", "terms_used",
+                      "truncation_error"]
+    from wirepol.materials import load_database, model_for_temperature, \
+        permittivity, refraction_index
+    from wirepol.scattering import emissivity_pair, polarization_of
+    lam = rows[1][0]
+    assert lam == 0.6000000000000001  # np.linspace(0.4, 0.8, 3)[1]
+    n = refraction_index(permittivity(model_for_temperature(load_database(), 2400.0), lam))
+    pair = emissivity_pair(2 * math.pi / lam, 0.3, n)
+    assert rows[1] == [lam, polarization_of(pair.e_te, pair.e_tm), pair.e_te,
+                       pair.e_tm, pair.terms_used, pair.truncation_error_estimate]
+
+
+def test_sweep_temperature_columns(capsys, tmp_path):
+    path = tmp_path / "temperature.csv"
+    rc, _, _ = run(capsys, "sweep", "--variable", "temperature", "--lo", "1600",
+                   "--hi", "2400", "--points", "2", "--diameter-um", "2",
+                   "--band", "0.5:0.75", "-o", str(path))
+    assert rc == 0
+    _, header, rows = read_csv(path)
+    assert header == ["temperature_K", "model_temperature_K", "p_avg",
+                      "e_te_bar", "e_tm_bar"]
+    assert [r[0] for r in rows] == [1600.0, 2400.0]
+    from wirepol.materials import load_database, model_for_temperature
+    from wirepol.spectral import BandFilter, band_averaged_polarization
+    model = model_for_temperature(load_database(), 1600.0)
+    res = band_averaged_polarization(1.0, 1600.0, BandFilter(0.5, 0.75), model)
+    assert rows[0] == [1600.0, model.temperature_k, res.p_avg, res.e_te_bar,
+                       res.e_tm_bar]
