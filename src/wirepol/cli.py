@@ -482,6 +482,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _spells_threads(token: str) -> bool:
+    """True for ``--threads``, ``--threads=N`` and the abbreviations
+    argparse resolves to it (``--thr 2``, ``--th=2``).  Only tokens of a
+    command line that parsed are tested: an abbreviation that other
+    options share would have been rejected as ambiguous."""
+    flag = token.partition("=")[0]
+    return len(flag) > 2 and "--threads".startswith(flag)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -489,25 +498,36 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             # the config file's values become the subcommand's defaults, so
-            # every flag argparse takes from the command line wins over it
+            # every flag argparse takes from the command line wins over it;
+            # keys that name no option of the subcommand are ignored
             command = parser.commands[args.command]
+            options = {action.dest for action in command._actions
+                       if action.option_strings
+                       and action.default is not argparse.SUPPRESS}
             command.set_defaults(**{
                 key: _config_default(command.get_default(key), value)
                 for key, value in _read_config(args.config).items()
-                if hasattr(args, key)})
+                if key in options})
             args = parser.parse_args(argv)
         # --threads is accepted and ignored; keep it out of the recorded
-        # command line so that outputs never depend on it
+        # command line, in any spelling argparse accepts, so that outputs
+        # never depend on it
         args._argv = ["wirepol"] + [
             token for i, token in enumerate(argv)
-            if not (token == "--threads" or token.startswith("--threads=")
-                    or (i and argv[i - 1] == "--threads"))]
+            if not (_spells_threads(token)
+                    or (i and "=" not in argv[i - 1]
+                        and _spells_threads(argv[i - 1])))]
         return args.func(args)
     except _UsageError as exc:
         print(f"wirepol: error: {exc}", file=sys.stderr)
         return 1
     except WirepolError as exc:
-        print(f"wirepol: {exc}", file=sys.stderr)
+        # a ConvergenceError carries the geometry or node count it failed at
+        context = ", ".join(f"{name}={getattr(exc, name)}"
+                            for name in ("order", "ka", "nka", "nodes")
+                            if getattr(exc, name, None) is not None)
+        print(f"wirepol: {exc}" + (f" ({context})" if context else ""),
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"wirepol: i/o error: {exc}", file=sys.stderr)

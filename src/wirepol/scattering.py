@@ -28,6 +28,17 @@ positive when the emitted field is polarized orthogonally to the wire.
 The band average in ``spectral`` weights by this sum, not by Q_abs;
 which of the two weights is intended is an open question (CHANGES.md).
 
+Re(T) - |T|^2 cancels where a partial wave is barely absorbed
+(Re T ~ |T|^2), so the sum is taken in the equivalent Wronskian form,
+with W = J Y' - J' Y = 2/(pi x), which needs only D_m, H_m and H'_m:
+
+    TE:  4 [Re T_m - |T_m|^2] = -4W Im(D_m conj(n)) / |D_m H_m - n H'_m|^2
+    TM:  4 [Re T_m - |T_m|^2] = -4W Im(n D_m)       / |H'_m - n D_m H_m|^2
+
+Each term is >= 0 for Im n >= 0 (a rounding-level negative is clipped to
+0) and exactly 0 for a lossless (real) n.  H'_m comes from the order
+recurrence (``special_functions``): one AMOS call per block of orders.
+
 All functions are pure; sweeps over (k, a) may be parallelized freely.
 """
 
@@ -47,12 +58,6 @@ from .special_functions import (
 )
 
 DEFAULT_TOL = 1e-10
-
-# Orders are evaluated in blocks of this size until the truncation rule
-# fires; keeps the scipy calls vectorized without computing far past the
-# convergence point (where H_m(x) would eventually overflow).
-_BLOCK = 64
-
 
 class Polarization(enum.Enum):
     TE = "TE"
@@ -109,9 +114,9 @@ class FarFieldCheck:
 
 
 def order_ceiling(x: float, n: complex) -> int:
-    """Hard ceiling on the partial-wave order, m ~ |n| x plus an Airy
-    transition margin."""
-    nx = abs(n) * x
+    """Hard ceiling on the partial-wave order, m ~ max(|n|, 1) x plus an
+    Airy transition margin: the sum runs to m ~ x even where |n| < 1."""
+    nx = max(abs(n), 1.0) * x
     return max(int(math.ceil(nx)) + int(math.ceil(10.0 * nx ** (1.0 / 3.0))) + 20, 5)
 
 
@@ -165,53 +170,60 @@ def transition_amplitude(m: int, polarization, k: float, a: float,
 def _emissivity_terms(k: float, a: float, n: complex,
                       tol: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Per-order emissivity terms 4(Re T - |T|^2) for both polarizations,
-    truncated adaptively.
+    in the Wronskian form of the module docstring, truncated adaptively.
 
     Returns (terms_te, terms_tm, relative_truncation_estimate) where the
     arrays run over m = 0..M.  Truncation: stop once three consecutive
     orders have both polarization terms below tol * (|partial| + 1e-300).
+    The Hankel functions come in blocks: the first ends at Wiscombe's
+    bound x + 4x^(1/3) plus a margin of 8, which the sum rarely passes;
+    only while the rule has not fired is a block of 4x^(1/3) + 8 more
+    orders added, and the rule is applied again to orders 0..m_hi.
     """
     x = k * a
     n = complex(n)
     m_ceil = order_ceiling(x, n)
     d = bessel_j_log_derivative(n * x, m_ceil)
-    terms_te: list[float] = []
-    terms_tm: list[float] = []
-    sum_te = 0.0
-    sum_tm = 0.0
-    consecutive = 0
-    m_lo = 0
-    while m_lo <= m_ceil:
-        m_hi = min(m_lo + _BLOCK - 1, m_ceil)
-        t_te, t_tm = _amplitude_block(x, n, d, m_lo, m_hi)
-        blk_te = 4.0 * (t_te.real - np.abs(t_te) ** 2)
-        blk_tm = 4.0 * (t_tm.real - np.abs(t_tm) ** 2)
-        if not (np.all(np.isfinite(blk_te)) and np.all(np.isfinite(blk_tm))):
-            bad = int(np.argmax(~(np.isfinite(blk_te) & np.isfinite(blk_tm))))
+    w4 = 8.0 / (math.pi * x)            # 4W, W = J Y' - J' Y = 2 / (pi x)
+    airy = 4.0 * x ** (1.0 / 3.0)
+    h = hp = np.empty(0, dtype=complex)
+    m_lo, m_hi = 0, int(x + airy) + 8
+    while True:
+        m_hi = min(m_hi, m_ceil)
+        h_blk, hp_blk = hankel1_all_orders(m_hi, x, m_lo)
+        h, hp = np.concatenate((h, h_blk)), np.concatenate((hp, hp_blk))
+        db = d[:m_hi + 1]
+        den_te = db * h - n * hp
+        den_tm = hp - n * db * h
+        # >= 0 in exact arithmetic for Im n >= 0; rounding in D_m can give
+        # a term far below the sum's resolution the wrong sign, so clip
+        terms_te = np.maximum(-w4 * (db * n.conjugate()).imag
+                              / (den_te.real ** 2 + den_te.imag ** 2), 0.0)
+        terms_tm = np.maximum(-w4 * (n * db).imag
+                              / (den_tm.real ** 2 + den_tm.imag ** 2), 0.0)
+        finite = np.isfinite(terms_te) & np.isfinite(terms_tm)
+        if not finite.all():
             raise ConvergenceError("non-finite partial-wave term",
-                                   order=m_lo + bad, ka=x, nka=n * x)
-        for i in range(len(blk_te)):
-            m = m_lo + i
-            w = 1.0 if m == 0 else 2.0
-            terms_te.append(float(blk_te[i]))
-            terms_tm.append(float(blk_tm[i]))
-            sum_te += w * blk_te[i]
-            sum_tm += w * blk_tm[i]
-            scale = tol * (abs(sum_te) + abs(sum_tm) + 1e-300)
-            if abs(blk_te[i]) < scale and abs(blk_tm[i]) < scale:
-                consecutive += 1
-                if consecutive >= 3:
-                    tail = max(max(abs(t) for t in terms_te[-3:]),
-                               max(abs(t) for t in terms_tm[-3:]))
-                    est = float(tail / (abs(sum_te) + abs(sum_tm) + 1e-300))
-                    return np.array(terms_te), np.array(terms_tm), est
-            else:
-                consecutive = 0
-        m_lo = m_hi + 1
-    last = max(abs(terms_te[-1]), abs(terms_tm[-1]))
-    raise ConvergenceError(
-        f"partial-wave sum did not converge within m_max = {m_ceil}",
-        order=m_ceil, ka=x, nka=n * x, last_term=last)
+                                   order=int(np.argmax(~finite)), ka=x, nka=n * x)
+        # np.cumsum adds in order, as a running += over the terms would;
+        # terms and partial sums are >= 0, so |.| of the rule is the value
+        weight = np.full(m_hi + 1, 2.0)
+        weight[0] = 1.0
+        total = np.cumsum(weight * terms_te) + np.cumsum(weight * terms_tm) + 1e-300
+        scale = tol * total
+        small = (terms_te < scale) & (terms_tm < scale)
+        hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+        if hits.size:
+            m = hits[0] + 2
+            tail = max(terms_te[m - 2:m + 1].max(), terms_tm[m - 2:m + 1].max())
+            est = float(tail / total[m])
+            return terms_te[:m + 1], terms_tm[:m + 1], est
+        if m_hi == m_ceil:
+            raise ConvergenceError(
+                f"partial-wave sum did not converge within m_max = {m_ceil}",
+                order=m_ceil, ka=x, nka=n * x,
+                last_term=max(terms_te[-1], terms_tm[-1]))
+        m_lo, m_hi = m_hi + 1, m_hi + int(airy) + 8
 
 
 def _fold(terms: np.ndarray) -> float:

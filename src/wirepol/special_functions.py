@@ -8,6 +8,10 @@ scipy.special wraps; this module adds the domain guards, the negative
 order symmetry mapping and the logarithmic derivative needed to evaluate
 partial-wave amplitudes without overflowing at large |Im(n*k*a)|.
 
+Derivatives are never asked of AMOS: they follow from the order
+recurrence C'_m = (C_{m-1} - C_{m+1}) / 2, so the block functions make
+one AMOS call over orders m_min-1..m_max+1 and difference the result.
+
 All functions are pure and thread-safe.
 """
 
@@ -89,24 +93,30 @@ def hankel1_derivative(order: int, x: float) -> complex:
 
 def bessel_j_all_orders(m_max: int, x: float,
                         m_min: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """J_m(x) and J'_m(x) for m = m_min..m_max at real x > 0, as arrays."""
+    """J_m(x) and J'_m(x) for m = m_min..m_max at real x > 0, as arrays.
+
+    One jv call over orders m_min-1..m_max+1; the derivatives follow
+    from the order recurrence J'_m = (J_{m-1} - J_{m+1}) / 2.
+    """
     if x <= 0.0 or not np.isfinite(x):
         raise DomainError(f"bessel_j_all_orders: need x > 0, got {x}")
     _check_order(m_max)
-    m = np.arange(m_min, m_max + 1)
-    return _sp.jv(m, x), _sp.jvp(m, x)
+    j = _sp.jv(np.arange(m_min - 1, m_max + 2), x)
+    return j[1:-1], 0.5 * (j[:-2] - j[2:])
 
 
 def hankel1_all_orders(m_max: int, x: float,
                        m_min: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """H^(1)_m(x) and H^(1)'_m(x) for m = m_min..m_max at real x > 0."""
+    """H^(1)_m(x) and H^(1)'_m(x) for m = m_min..m_max at real x > 0.
+
+    One hankel1 call over orders m_min-1..m_max+1; the derivatives follow
+    from H'_m = (H_{m-1} - H_{m+1}) / 2.
+    """
     if x <= 0.0 or not np.isfinite(x):
         raise DomainError(f"hankel1_all_orders: need x > 0, got {x}")
     _check_order(m_max)
-    m = np.arange(m_min, m_max + 1)
-    h = _sp.hankel1(m, x)
-    hp = _sp.h1vp(m, x)
-    return h, hp
+    h = _sp.hankel1(np.arange(m_min - 1, m_max + 2), x)
+    return h[1:-1], 0.5 * (h[:-2] - h[2:])
 
 
 def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
@@ -128,10 +138,11 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise DomainError("bessel_j_log_derivative: non-finite argument")
     n_start = max(m_max, int(abs(z))) + 16
-    out = np.empty(m_max + 1, dtype=complex)
+    # values[i] is D_{n_start-1-i}; a list append is cheaper per step
+    # than numpy item assignment
+    values = []
     d = 0.0 + 0.0j
     for m in range(n_start, 0, -1):
         d = (m - 1) / z - 1.0 / (d + m / z)
-        if m - 1 <= m_max:
-            out[m - 1] = d
-    return out
+        values.append(d)
+    return np.array(values[:-m_max - 2:-1])

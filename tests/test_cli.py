@@ -360,3 +360,63 @@ def test_sweep_temperature_columns(capsys, tmp_path):
     res = band_averaged_polarization(1.0, 1600.0, BandFilter(0.5, 0.75), model)
     assert rows[0] == [1600.0, model.temperature_k, res.p_avg, res.e_te_bar,
                        res.e_tm_bar]
+
+
+@pytest.mark.parametrize("spelling", [["--threads", "2"], ["--thread", "2"],
+                                      ["--thr=2"], ["--th", "3"],
+                                      ["--threads=4"]])
+def test_threads_spellings_leave_output_unchanged(capsys, tmp_path, spelling):
+    # every spelling argparse resolves to --threads stays out of the
+    # recorded command line, so the bytes equal those without the flag
+    sweep = ["sweep", "--variable", "radius", "--lo", "0.1", "--hi", "0.2",
+             "--points", "2", "--wavelength-um", "0.5", "-o"]
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    assert run(capsys, *sweep, str(plain))[0] == 0
+    assert run(capsys, *sweep[:-1], *spelling, "-o", str(flagged))[0] == 0
+    assert plain.read_bytes().replace(b"plain.csv", b"flagged.csv") \
+        == flagged.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["func", "command", "help", "no_such_option"])
+def test_config_key_that_is_no_option(capsys, tmp_path, key):
+    cfg = tmp_path / "cfg"
+    cfg.write_text(f"{key} = x\n")
+    point = ["point", "--radius-um", "0.02", "--wavelength-um", "0.5"]
+    rc, out, err = run(capsys, *point, "--config", str(cfg))
+    assert rc in (0, 1)
+    assert "Traceback" not in err
+    if rc == 0:
+        assert out == run(capsys, *point)[1]
+
+
+def test_convergence_error_context_in_message(capsys, monkeypatch):
+    from wirepol import cli
+    from wirepol.errors import ConvergenceError
+
+    def diverge(k, a, n, tol):
+        raise ConvergenceError("partial-wave sum did not converge",
+                               order=601, ka=12.5, nka=(40 + 3j))
+
+    monkeypatch.setattr(cli, "emissivity_pair", diverge)
+    rc, out, err = run(capsys, "point", "--radius-um", "1",
+                       "--wavelength-um", "0.5")
+    assert rc == 2
+    assert out == ""
+    assert "partial-wave sum did not converge" in err
+    assert "(order=601, ka=12.5, nka=(40+3j))" in err
+    assert "nodes" not in err
+
+
+def test_band_convergence_error_reports_nodes(capsys, monkeypatch):
+    from wirepol import cli
+    from wirepol.errors import ConvergenceError
+
+    def unsettled(*args, **kwargs):
+        raise ConvergenceError("band quadrature error estimate too large",
+                               nodes=64)
+
+    monkeypatch.setattr(cli, "band_averaged_polarization", unsettled)
+    rc, _, err = run(capsys, "point", "--diameter-um", "17", "--band",
+                     "0.5:0.75")
+    assert rc == 2
+    assert "(nodes=64)" in err

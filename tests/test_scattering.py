@@ -189,3 +189,96 @@ def test_far_field_validation():
     # and from very far away the finite length becomes visible
     far = WireGeometry(radius_um=2.5, length_mm=7.0, observation_distance_m=100.0)
     assert not validate_far_field(far, 0.6).valid
+
+
+def _tungsten_2400k(lam):
+    from wirepol.materials import (load_database, model_for_temperature,
+                                   permittivity, refraction_index)
+    model = model_for_temperature(load_database(), 2400.0)
+    return refraction_index(permittivity(model, lam))
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.625, 0.75])
+@pytest.mark.parametrize("a", [0.01, 0.1, 1.0, 5.0])
+def test_wronskian_terms_match_amplitudes(lam, a):
+    # the Wronskian form equals 4(Re T - |T|^2) built from the amplitudes
+    from wirepol.scattering import _emissivity_terms
+    k, n = 2 * math.pi / lam, _tungsten_2400k(lam)
+    terms_te, terms_tm = _emissivity_terms(k, a, n, 1e-10)[:2]
+    for m in range(len(terms_te)):
+        for pol, got in (("te", terms_te[m]), ("tm", terms_tm[m])):
+            t = transition_amplitude(m, pol, k, a, n).value
+            assert got == pytest.approx(4.0 * (t.real - abs(t) ** 2), rel=1e-12)
+
+
+def test_wronskian_terms_match_oracle_near_turning_point():
+    # at m ~ x the amplitude form loses digits to cancellation; the
+    # Wronskian form keeps them
+    from wirepol.scattering import _emissivity_terms
+    lam, a = 0.5, 5.0
+    k, n = 2 * math.pi / lam, _tungsten_2400k(lam)
+    terms_te, terms_tm = _emissivity_terms(k, a, n, 1e-10)[:2]
+    for m in (61, 63, 70):
+        for pol, got in (("te", terms_te[m]), ("tm", terms_tm[m])):
+            t = oracle_amplitude(m, pol, k * a, n)
+            assert got == pytest.approx(4.0 * (t.real - abs(t) ** 2), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1.5, 1.5 + 0j, 0.3])
+def test_lossless_wire_emits_exactly_nothing(n):
+    k = 2 * math.pi / 0.5
+    for a in (0.02, 1.0, 30.0):
+        pair = emissivity_pair(k, a, n)
+        assert pair.e_te == 0.0 and pair.e_tm == 0.0
+        assert math.copysign(1.0, pair.e_te) == 1.0
+        assert math.copysign(1.0, pair.e_tm) == 1.0
+        with pytest.raises(DegenerateInputError):
+            linear_polarization(k, a, n)
+
+
+@given(st.floats(1e-3, 5.0), st.floats(0.05, 10.0),
+       st.one_of(st.just(0.0), st.floats(1e-12, 20.0)))
+@settings(max_examples=80, deadline=None)
+def test_emissivities_never_negative(a, n_re, n_im):
+    pair = emissivity_pair(2 * math.pi / 0.5, a, complex(n_re, n_im))
+    assert pair.e_te >= 0.0 and pair.e_tm >= 0.0
+
+
+@pytest.mark.parametrize("a, tol", [(0.01, 1e-10), (1.0, 1e-10), (30.0, 1e-10),
+                                    (1.0, 1e-15), (30.0, 1e-13)])
+def test_truncation_matches_running_sum_loop(a, tol):
+    # reference: the per-order loop of running sums and a counter of
+    # consecutive small orders, over the same Wronskian terms; the
+    # tighter tolerances need more than the first block of orders
+    from wirepol.scattering import _emissivity_terms
+    from wirepol.special_functions import (bessel_j_log_derivative,
+                                           hankel1_all_orders)
+    k, n = 2 * math.pi / 0.5, N_TUNGSTEN
+    x = k * a
+    m_max = order_ceiling(x, n)
+    d = bessel_j_log_derivative(n * x, m_max)
+    h, hp = hankel1_all_orders(m_max, x)
+    w4 = 8.0 / (math.pi * x)
+    sum_te = sum_tm = 0.0
+    consecutive = 0
+    ref_te, ref_tm = [], []
+    for m in range(m_max + 1):
+        den_te = d[m] * h[m] - n * hp[m]
+        den_tm = hp[m] - n * d[m] * h[m]
+        te = max(-w4 * (d[m] * n.conjugate()).imag / abs(den_te) ** 2, 0.0)
+        tm = max(-w4 * (n * d[m]).imag / abs(den_tm) ** 2, 0.0)
+        ref_te.append(te)
+        ref_tm.append(tm)
+        w = 1.0 if m == 0 else 2.0
+        sum_te += w * te
+        sum_tm += w * tm
+        scale = tol * (sum_te + sum_tm + 1e-300)
+        consecutive = consecutive + 1 if (te < scale and tm < scale) else 0
+        if consecutive == 3:
+            break
+    terms_te, terms_tm, est = _emissivity_terms(k, a, n, tol)
+    assert len(terms_te) == len(terms_tm) == len(ref_te)
+    assert list(terms_te) == pytest.approx(ref_te, rel=1e-13, abs=0.0)
+    assert list(terms_tm) == pytest.approx(ref_tm, rel=1e-13, abs=0.0)
+    tail = max(*ref_te[-3:], *ref_tm[-3:])
+    assert est == pytest.approx(tail / (sum_te + sum_tm), rel=1e-12)

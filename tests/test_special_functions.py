@@ -127,3 +127,39 @@ def test_log_derivative_survives_huge_imaginary_part():
     assert np.all(np.isfinite(d))
     # the growing exp(-iz) branch dominates, so J'm/Jm -> -i
     assert d[0] == pytest.approx(-1j, abs=0.05)
+
+
+@pytest.mark.parametrize("x, m_min, m_max, checked", [
+    (5.0, 2, 9, range(2, 10)),
+    (5.0, 0, 3, range(0, 4)),
+    (50.0, 40, 60, range(40, 61, 2)),
+    (500.0, 480, 520, (480, 485, 493, 499, 500, 501, 510, 520)),
+])
+def test_block_values_and_recurrence_derivatives_match_oracle(x, m_min, m_max,
+                                                             checked):
+    # blocks with m_min > 0 that straddle the turning point m ~ x; the
+    # derivatives come from (C_{m-1} - C_{m+1}) / 2 of the same AMOS call
+    j, jp = bessel_j_all_orders(m_max, x, m_min)
+    h, hp = hankel1_all_orders(m_max, x, m_min)
+    assert len(j) == len(jp) == len(h) == len(hp) == m_max - m_min + 1
+    for m in checked:
+        i = m - m_min
+        want_h = complex(mpmath.hankel1(m, x))
+        want_hp = complex(0.5 * (mpmath.hankel1(m - 1, x) - mpmath.hankel1(m + 1, x)))
+        assert j[i] == pytest.approx(oracle_j(m, x).real, rel=1e-12)
+        assert jp[i] == pytest.approx(oracle_jp(m, x).real, rel=1e-12)
+        assert h[i] == pytest.approx(want_h, rel=1e-12)
+        assert hp[i] == pytest.approx(want_hp, rel=1e-12)
+
+
+def test_log_derivative_values_unchanged_by_storage():
+    # the values are those of the plain recurrence, order by order
+    z, m_max = 30 + 18j, 25
+    d = bessel_j_log_derivative(z, m_max)
+    ref = {}
+    dm = 0.0 + 0.0j
+    for m in range(max(m_max, int(abs(z))) + 16, 0, -1):
+        dm = (m - 1) / z - 1.0 / (dm + m / z)
+        ref[m - 1] = dm
+    assert d.shape == (m_max + 1,)
+    assert list(d) == [ref[m] for m in range(m_max + 1)]
