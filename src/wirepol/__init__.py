@@ -30,7 +30,6 @@ from .scattering import (
     Polarization,
     PolarizedEmissivity,
     WireGeometry,
-    emissivity,
     emissivity_pair,
     linear_polarization,
     polarization_of,
@@ -91,7 +90,6 @@ __all__ = [
     "WireGeometry",
     "WirepolError",
     "band_averaged_polarization",
-    "emissivity",
     "emissivity_pair",
     "extract_polarization",
     "fit_cos_squared",

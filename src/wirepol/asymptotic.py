@@ -21,7 +21,6 @@ index convention used elsewhere in the package.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,26 +31,23 @@ from .errors import DegenerateInputError, DomainError
 
 @dataclass(frozen=True)
 class FresnelPair:
-    r_te: complex
-    r_tm: complex
-    angle_rad: float
+    r_te: complex | np.ndarray
+    r_tm: complex | np.ndarray
+    angle_rad: float | np.ndarray
 
 
-def _branch_sqrt(value: complex) -> complex:
-    s = cmath.sqrt(value)
-    if s.imag < 0:
-        s = -s
-    return s
-
-
-def fresnel_coefficients(eps: complex, phi: float) -> FresnelPair:
+def fresnel_coefficients(eps: complex, phi) -> FresnelPair:
     """Amplitude reflection coefficients at incidence angle phi (radians,
-    |phi| < pi/2) off a half-space of permittivity eps."""
-    if not abs(phi) < math.pi / 2:
+    |phi| < pi/2) off a half-space of permittivity eps.
+
+    phi may be an array of angles; r_te and r_tm then have its shape.
+    """
+    if not np.all(np.abs(phi) < math.pi / 2):
         raise DomainError(f"incidence angle must satisfy |phi| < pi/2, got {phi}")
     eps = complex(eps)
-    c = math.cos(phi)
-    s = _branch_sqrt(eps - 1.0 + c * c)
+    c = np.cos(phi)
+    s = np.sqrt(eps - 1.0 + c * c)
+    s = np.where(s.imag < 0, -s, s)
     r_te = (eps * c - s) / (eps * c + s)
     r_tm = (c - s) / (c + s)
     return FresnelPair(r_te=r_te, r_tm=r_tm, angle_rad=phi)
@@ -69,10 +65,9 @@ def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
     phi = (xg + 1.0) * (math.pi / 4.0)
     w = wg * (math.pi / 4.0)
     c = np.cos(phi)
-    s = np.sqrt(complex(eps) - 1.0 + c * c)
-    s = np.where(s.imag < 0, -s, s)
-    r_te2 = np.abs((eps * c - s) / (eps * c + s)) ** 2
-    r_tm2 = np.abs((c - s) / (c + s)) ** 2
+    pair = fresnel_coefficients(eps, phi)
+    r_te2 = np.abs(pair.r_te) ** 2
+    r_tm2 = np.abs(pair.r_tm) ** 2
     num = math.fsum(w * c * (r_tm2 - r_te2))
     den = math.fsum(w * c * (2.0 - r_te2 - r_tm2))
     if abs(den) < 1e-15:

@@ -307,6 +307,11 @@ def _read_measurements(path):
                 row = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise _UsageError(f"{path}:{lineno}: {exc}")
+            if not 0.0 < row[0] < math.inf:
+                raise _UsageError(
+                    f"{path}:{lineno}: diameter must be finite and > 0, got {parts[0]}")
+            if not math.isfinite(row[1]):
+                raise _UsageError(f"{path}:{lineno}: p must be finite, got {parts[1]}")
             if not 0.0 < row[2] < math.inf:
                 raise _UsageError(
                     f"{path}:{lineno}: error must be finite and > 0, got {parts[2]}")

@@ -145,9 +145,6 @@ class MaterialDatabase:
     provenance: str = ""
     version: int = 0
 
-    def temperatures(self) -> tuple[float, ...]:
-        return tuple(r.temperature_k for r in self.records)
-
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed

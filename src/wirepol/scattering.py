@@ -39,7 +39,7 @@ Each term is >= 0 for Im n >= 0 (a rounding-level negative is clipped to
 0) and exactly 0 for a lossless (real) n.  H'_m comes from the order
 recurrence (``special_functions``): one AMOS call per block of orders.
 
-All functions are pure; sweeps over (k, a) may be parallelized freely.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -94,14 +94,14 @@ class TransitionAmplitude:
 
 @dataclass(frozen=True)
 class PolarizedEmissivity:
-    """Emissivity sum e = 4 sum_m (Re T_m - |T_m|^2) = 2x * Q_abs (x = ka)
-    for one or both polarizations; divide by 2x for Q_abs.
+    """Emissivity sums e = 4 sum_m (Re T_m - |T_m|^2) = 2x * Q_abs (x = ka)
+    for both polarizations; divide by 2x for Q_abs.
 
     truncation_error_estimate is relative to the emissivity magnitude and
     is bounded by the tolerance the sum was requested with.
     """
-    e_te: float | None
-    e_tm: float | None
+    e_te: float
+    e_tm: float
     terms_used: int
     truncation_error_estimate: float
 
@@ -227,8 +227,8 @@ def _emissivity_terms(k: float, a: float, n: complex,
 
 
 def _fold(terms: np.ndarray) -> float:
-    # fixed-order compensated reduction: deterministic regardless of how
-    # callers parallelize around this
+    # math.fsum rounds the exact sum once, so the result does not depend
+    # on the order or grouping of the terms
     return math.fsum([terms[0], *(2.0 * terms[1:])])
 
 
@@ -250,18 +250,6 @@ def emissivity_pair(k: float, a: float, n: complex,
     terms_te, terms_tm, est = _emissivity_terms(k, a, n, tol)
     return PolarizedEmissivity(_fold(terms_te), _fold(terms_tm),
                                len(terms_te), est)
-
-
-def emissivity(polarization, k: float, a: float, n: complex,
-               tol: float = DEFAULT_TOL) -> PolarizedEmissivity:
-    """Emissivity for a single polarization; the other side is None."""
-    polarization = Polarization.coerce(polarization)
-    pair = emissivity_pair(k, a, n, tol)
-    if polarization is Polarization.TE:
-        return PolarizedEmissivity(pair.e_te, None, pair.terms_used,
-                                   pair.truncation_error_estimate)
-    return PolarizedEmissivity(None, pair.e_tm, pair.terms_used,
-                               pair.truncation_error_estimate)
 
 
 def polarization_of(e_te: float, e_tm: float) -> float:

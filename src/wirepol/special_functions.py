@@ -1,12 +1,11 @@
 """Cylinder Bessel and Hankel functions for the scattering code.
 
-Only integer orders are needed.  J_m must accept complex argument (the
-interior argument n*k*a is complex for an absorbing wire), while the
-Hankel functions of the first kind are only ever evaluated at real
-positive argument k*a.  Everything is backed by the AMOS routines that
-scipy.special wraps; this module adds the domain guards, the negative
-order symmetry mapping and the logarithmic derivative needed to evaluate
-partial-wave amplitudes without overflowing at large |Im(n*k*a)|.
+Only integer orders m >= 0 are needed.  J_m and the Hankel functions of
+the first kind are evaluated in blocks of orders at the real positive
+exterior argument x = k*a, backed by the AMOS routines that
+scipy.special wraps.  At the complex interior argument n*k*a only the
+logarithmic derivative D_m = J'_m / J_m is computed, by a recurrence
+that stays O(1) where J_m(n*k*a) itself overflows at large |Im(n*k*a)|.
 
 Derivatives are never asked of AMOS: they follow from the order
 recurrence C'_m = (C_{m-1} - C_{m+1}) / 2, so the block functions make
@@ -26,69 +25,10 @@ from .errors import DomainError, RangeError
 # interest truncate near m ~ k*a, so this is far above any physical need.
 ORDER_CEILING = 50_000
 
-# exp(|Im z|) overflows double precision near 709; reject explicitly
-# rather than returning Inf.
-IMAG_GUARD = 700.0
 
-
-def _check_order(order: int) -> int:
-    order = int(order)
+def _check_order(order: int) -> None:
     if abs(order) > ORDER_CEILING:
         raise RangeError(f"order |m|={abs(order)} exceeds ceiling {ORDER_CEILING}")
-    return order
-
-
-def bessel_j(order: int, z: complex) -> complex:
-    """Bessel function of the first kind J_m(z) for complex z.
-
-    Negative orders are mapped through J_{-m}(z) = (-1)^m J_m(z), so the
-    symmetry is exact by construction.
-
-    Raises RangeError when |Im z| exceeds the overflow guard or the
-    result is not finite, DomainError for non-finite input.
-    """
-    order = _check_order(order)
-    z = complex(z)
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise DomainError("bessel_j: non-finite argument")
-    if abs(z.imag) > IMAG_GUARD:
-        raise RangeError(
-            f"bessel_j: |Im z| = {abs(z.imag):g} exceeds overflow guard {IMAG_GUARD:g}")
-    sign = -1.0 if (order < 0 and order % 2) else 1.0
-    value = sign * complex(_sp.jv(abs(order), z))
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise RangeError(f"bessel_j: overflow at m={order}, z={z}")
-    return value
-
-
-def bessel_j_derivative(order: int, z: complex) -> complex:
-    """J'_m(z) via the recurrence J'_m = (J_{m-1} - J_{m+1}) / 2."""
-    order = _check_order(order)
-    return 0.5 * (bessel_j(order - 1, z) - bessel_j(order + 1, z))
-
-
-def hankel1(order: int, x: float) -> complex:
-    """Hankel function of the first kind H^(1)_m(x) = J_m(x) + i Y_m(x).
-
-    Only defined for real x > 0 (Y_m is singular at the origin).
-    """
-    order = _check_order(order)
-    x = float(x)
-    if not np.isfinite(x):
-        raise DomainError("hankel1: non-finite argument")
-    if x <= 0.0:
-        raise DomainError(f"hankel1: argument must be > 0, got {x}")
-    sign = -1.0 if (order < 0 and order % 2) else 1.0
-    value = sign * complex(_sp.hankel1(abs(order), x))
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
-        raise RangeError(f"hankel1: overflow at m={order}, x={x}")
-    return value
-
-
-def hankel1_derivative(order: int, x: float) -> complex:
-    """H^(1)'_m(x) via (H_{m-1} - H_{m+1}) / 2."""
-    order = _check_order(order)
-    return 0.5 * (hankel1(order - 1, x) - hankel1(order + 1, x))
 
 
 def bessel_j_all_orders(m_max: int, x: float,

@@ -18,8 +18,8 @@ open question (CHANGES.md).  P itself comes from
 
 Quadrature is fixed-order Gauss-Legendre on the band (the integrand is
 smooth and the band narrow); the error estimate comes from re-evaluating
-at double the node count.  Node sums are reduced with math.fsum in a
-fixed order, so results are deterministic however callers parallelize.
+at double the node count.  Node sums are reduced with math.fsum, which
+rounds the exact sum once.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ class BandFilter:
     transmission: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.lambda_lo_um < self.lambda_hi_um):
-            raise DomainError(f"band requires 0 < lo < hi, got {self}")
+        if not (0.0 < self.lambda_lo_um < self.lambda_hi_um < math.inf):
+            raise DomainError(f"band requires 0 < lo < hi < inf, got {self}")
         if not (0.0 < self.transmission <= 1.0):
             raise DomainError(f"transmission must be in (0, 1], got {self.transmission}")
 
@@ -54,8 +54,6 @@ class BandFilter:
 COMPUTED_BAND = BandFilter(0.5, 0.75)
 # Nominal passband of the physical filter stack (450-750 nm).
 MEASURED_BAND = BandFilter(0.45, 0.75)
-
-BAND_PRESETS = {"computed": COMPUTED_BAND, "measured": MEASURED_BAND}
 
 
 @dataclass(frozen=True)
@@ -67,6 +65,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.nodes < 2 or self.check_nodes < 2:
             raise DomainError("quadrature needs at least 2 nodes")
+        if not self.tolerance > 0:
+            raise DomainError(f"quadrature tolerance must be > 0, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -42,12 +42,7 @@ from wirepol.scattering import (
     linear_polarization,
     transition_amplitude,
 )
-from wirepol.special_functions import (
-    bessel_j,
-    bessel_j_derivative,
-    hankel1,
-    hankel1_derivative,
-)
+from wirepol.special_functions import bessel_j_all_orders, hankel1_all_orders
 from wirepol.spectral import COMPUTED_BAND, band_averaged_polarization, planck_radiance
 
 DB = load_database()
@@ -165,8 +160,9 @@ def test_criterion_6_property_suite(report):
     for _ in range(200):
         x = float(rng.uniform(0.1, 400.0))
         m = int(rng.integers(0, 50))
-        w = (bessel_j(m, x) * hankel1_derivative(m, x)
-             - bessel_j_derivative(m, x) * hankel1(m, x))
+        j, jp = bessel_j_all_orders(m, x, m)
+        h, hp = hankel1_all_orders(m, x, m)
+        w = j[0] * hp[0] - jp[0] * h[0]
         checks.append(abs(w - 2j / (math.pi * x)) <= 1e-10 * abs(2 / (math.pi * x)))
 
     # passivity and m-fold symmetry of the transition amplitudes

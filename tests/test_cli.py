@@ -71,6 +71,9 @@ def test_usage_errors(capsys):
     rc, _, _ = run(capsys, "sweep", "--variable", "radius", "--lo", "1",
                    "--hi", "2", "-o", "/tmp/x.csv")
     assert rc == 1  # no wavelength or band
+    rc, _, err = run(capsys, "point", "--diameter-um", "17", "--band", "0.5:inf")
+    assert rc == 1
+    assert "bad band" in err
 
 
 def test_io_error_exit_code(capsys):
@@ -303,10 +306,20 @@ def test_config_switch_is_boolean(capsys, tmp_path):
     assert without == run(capsys, *point)[1]
 
 
-@pytest.mark.parametrize("error", ["0", "-0.003", "nan", "inf"])
-def test_compare_rejects_bad_error(capsys, tmp_path, error):
+@pytest.mark.parametrize("row", [
+    pytest.param("17, 0.221, 0", id="0"),
+    pytest.param("17, 0.221, -0.003", id="-0.003"),
+    pytest.param("17, 0.221, nan", id="nan"),
+    pytest.param("17, 0.221, inf", id="inf"),
+    pytest.param("0 0.2 0.003", id="diameter=0"),
+    pytest.param("-5, 0.2, 0.003", id="diameter=-5"),
+    pytest.param("inf, 0.2, 0.003", id="diameter=inf"),
+    pytest.param("5 nan 0.005", id="p=nan"),
+    pytest.param("5, -inf, 0.005", id="p=-inf"),
+])
+def test_compare_rejects_bad_error(capsys, tmp_path, row):
     path = tmp_path / "bad.csv"
-    path.write_text(f"# diameter p err\n17, 0.221, {error}\n")
+    path.write_text(f"# diameter p err\n{row}\n")
     rc, out, err = run(capsys, "compare", "--measurements", str(path))
     assert rc == 1
     assert "bad.csv:2" in err

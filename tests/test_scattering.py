@@ -15,9 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from wirepol.errors import ConvergenceError, DegenerateInputError, DomainError
 from wirepol.scattering import (
-    Polarization,
     WireGeometry,
-    emissivity,
     emissivity_pair,
     linear_polarization,
     order_ceiling,
@@ -111,19 +109,17 @@ def test_emissivity_fold_consistency():
 
 def test_perfect_conductor_limit():
     # |n| -> inf: T_TM -> J_m(x)/H_m(x), T_TE -> J'_m(x)/H'_m(x)
-    from wirepol.special_functions import (bessel_j, bessel_j_derivative,
-                                           hankel1, hankel1_derivative)
+    from wirepol.special_functions import bessel_j_all_orders, hankel1_all_orders
     k, a = 2 * math.pi / 0.5, 0.3
     x = k * a
     n = 1e5 + 1e5j
+    j, jp = bessel_j_all_orders(3, x)
+    h, hp = hankel1_all_orders(3, x)
     for m in (0, 1, 3):
         tm = transition_amplitude(m, "tm", k, a, n).value
         te = transition_amplitude(m, "te", k, a, n).value
-        assert tm == pytest.approx(bessel_j(m, x) / hankel1(m, x),
-                                   rel=1e-3, abs=1e-4)
-        assert te == pytest.approx(
-            bessel_j_derivative(m, x) / hankel1_derivative(m, x),
-            rel=1e-3, abs=1e-4)
+        assert tm == pytest.approx(j[m] / h[m], rel=1e-3, abs=1e-4)
+        assert te == pytest.approx(jp[m] / hp[m], rel=1e-3, abs=1e-4)
 
 
 def test_polarization_bounds_and_sign():
@@ -135,15 +131,6 @@ def test_polarization_bounds_and_sign():
     # thick wire: TE slightly ahead, P small and positive
     p_thick = linear_polarization(k, 25.0, N_TUNGSTEN)
     assert 0.0 < p_thick < 0.5
-
-
-def test_single_polarization_view():
-    k, a, n = 2 * math.pi / 0.5, 0.7, N_TUNGSTEN
-    pair = emissivity_pair(k, a, n)
-    te = emissivity(Polarization.TE, k, a, n)
-    tm = emissivity("tm", k, a, n)
-    assert te.e_te == pair.e_te and te.e_tm is None
-    assert tm.e_tm == pair.e_tm and tm.e_te is None
 
 
 def test_invalid_inputs_rejected():
@@ -196,6 +183,31 @@ def _tungsten_2400k(lam):
                                    permittivity, refraction_index)
     model = model_for_temperature(load_database(), 2400.0)
     return refraction_index(permittivity(model, lam))
+
+
+def test_thick_wire_absorption_approaches_fresnel():
+    # emissivity_pair returns e = 2x * Q_abs; for a >> lambda, Q_abs tends
+    # to the Fresnel absorption 1/2 integral cos(phi) (1 - |R|^2) dphi
+    from wirepol.asymptotic import fresnel_coefficients
+    from wirepol.materials import (load_database, model_for_temperature,
+                                   permittivity)
+    lam = 0.5
+    eps = permittivity(model_for_temperature(load_database(), 2400.0), lam)
+    xg, wg = np.polynomial.legendre.leggauss(64)
+    phi = (xg + 1.0) * (math.pi / 4.0)   # the integrand is even in phi
+    w = wg * (math.pi / 4.0) * np.cos(phi)
+    pair = fresnel_coefficients(eps, phi)
+    q_te = np.sum(w * (1.0 - np.abs(pair.r_te) ** 2))
+    q_tm = np.sum(w * (1.0 - np.abs(pair.r_tm) ** 2))
+    k = 2 * math.pi / lam
+    gaps_te, gaps_tm = [], []
+    for a in (50.0, 200.0, 500.0):
+        e = emissivity_pair(k, a, _tungsten_2400k(lam))
+        gaps_te.append(abs(e.e_te / (2 * k * a) / q_te - 1.0))
+        gaps_tm.append(abs(e.e_tm / (2 * k * a) / q_tm - 1.0))
+    for gaps in (gaps_te, gaps_tm):
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 5e-3
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.625, 0.75])

@@ -9,7 +9,6 @@ from scipy import constants, integrate, optimize
 from wirepol.errors import ConvergenceError, DegenerateInputError, DomainError
 from wirepol.materials import load_database, model_for_temperature
 from wirepol.spectral import (
-    BAND_PRESETS,
     BandFilter,
     COMPUTED_BAND,
     MEASURED_BAND,
@@ -63,8 +62,17 @@ def test_band_filter_validation():
         BandFilter(0.75, 0.5)
     with pytest.raises(DomainError):
         BandFilter(0.5, 0.75, transmission=-0.1)
-    assert BAND_PRESETS["computed"] is COMPUTED_BAND
+    for lo, hi in ((0.5, math.inf), (math.nan, 0.75), (0.5, math.nan)):
+        with pytest.raises(DomainError):
+            BandFilter(lo, hi)
     assert MEASURED_BAND.lambda_lo_um == 0.45
+
+
+@pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1e-6])
+def test_quadrature_tolerance_must_be_positive(tolerance):
+    # est > nan is False, so a nan tolerance would accept any band
+    with pytest.raises(DomainError):
+        QuadratureConfig(nodes=2, check_nodes=3, tolerance=tolerance)
 
 
 @pytest.fixture(scope="module")
