@@ -27,7 +27,6 @@ from .materials import (
 )
 from .scattering import (
     FarFieldCheck,
-    Polarization,
     PolarizedEmissivity,
     WireGeometry,
     emissivity_pair,
@@ -41,7 +40,6 @@ from .spectral import (
     BandFilter,
     COMPUTED_BAND,
     MEASURED_BAND,
-    QuadratureConfig,
     band_averaged_polarization,
     planck_radiance,
 )
@@ -81,10 +79,8 @@ __all__ = [
     "MEASURED_BAND",
     "MaterialDataError",
     "PolarimeterScan",
-    "Polarization",
     "PolarizationExtraction",
     "PolarizedEmissivity",
-    "QuadratureConfig",
     "RangeError",
     "SourceModel",
     "WireGeometry",

@@ -33,7 +33,6 @@ from .errors import DegenerateInputError, DomainError
 class FresnelPair:
     r_te: complex | np.ndarray
     r_tm: complex | np.ndarray
-    angle_rad: float | np.ndarray
 
 
 def fresnel_coefficients(eps: complex, phi) -> FresnelPair:
@@ -50,7 +49,7 @@ def fresnel_coefficients(eps: complex, phi) -> FresnelPair:
     s = np.where(s.imag < 0, -s, s)
     r_te = (eps * c - s) / (eps * c + s)
     r_tm = (c - s) / (c + s)
-    return FresnelPair(r_te=r_te, r_tm=r_tm, angle_rad=phi)
+    return FresnelPair(r_te=r_te, r_tm=r_tm)
 
 
 def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:

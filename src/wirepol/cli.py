@@ -34,7 +34,6 @@ from .materials import (
     model_for_temperature,
     permittivity,
     refraction_index,
-    vacuum_model,
 )
 from .polarimetry import (
     SourceModel,
@@ -44,12 +43,7 @@ from .polarimetry import (
     write_scan,
 )
 from .scattering import DEFAULT_TOL, emissivity_pair, polarization_of
-from .spectral import (
-    BandFilter,
-    COMPUTED_BAND,
-    QuadratureConfig,
-    band_averaged_polarization,
-)
+from .spectral import BandFilter, COMPUTED_BAND, band_averaged_polarization
 
 # Bundled reference measurements: (diameter_um, P_measured, standard error)
 # for incandescent tungsten wires observed through the 0.45-0.75 micron
@@ -150,15 +144,12 @@ class _Evaluator:
     """
 
     def __init__(self, args):
-        vacuum = getattr(args, "material", "tungsten") == "vacuum"
-        self._db = None if vacuum else load_database(args.material_db)
+        self._db = load_database(args.material_db)
         self._tentative = args.include_tentative
         self._tol = getattr(args, "tol", DEFAULT_TOL)
         self._nodes = getattr(args, "nodes", 64)
 
     def model(self, temp_k):
-        if self._db is None:
-            return vacuum_model()
         return model_for_temperature(self._db, float(temp_k), self._tentative)
 
     def __call__(self, radius, spectrum, temp_k) -> dict:
@@ -167,8 +158,8 @@ class _Evaluator:
                   "model_temperature_K": model.temperature_k}
         if isinstance(spectrum, BandFilter):
             res = band_averaged_polarization(
-                radius, float(temp_k), spectrum, model,
-                QuadratureConfig(nodes=self._nodes, check_nodes=2 * self._nodes))
+                radius, float(temp_k), spectrum, model, nodes=self._nodes,
+                emissivity_tol=self._tol)
             return {**values, "p_avg": res.p_avg, "e_te_bar": res.e_te_bar,
                     "e_tm_bar": res.e_tm_bar,
                     "quadrature_nodes": res.quadrature_nodes,
@@ -221,11 +212,24 @@ def _write_csv(path, meta_lines, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# Flags that set what a sweep preset fixes; all default to None.
+PRESET_FIXES = ("--variable", "--lo", "--hi", "--band", "--wavelength-um",
+                "--radius-um", "--diameter-um")
+
+
 def _sweep_table(args, evaluate: _Evaluator):
     """The preset or ``--variable`` sweep that ``args`` asks for, as (a
     metadata line, the CSV header, the abscissa grid of the first column,
     abscissa -> values of the other columns).  Each kind of sweep maps its
-    abscissa to (radius, wavelength or band, temperature)."""
+    abscissa to (radius, wavelength or band, temperature).  A preset fixes
+    the wire, the spectrum and the grid, so it rejects the flags that set
+    them."""
+    if args.preset:
+        fixed = [flag for flag in PRESET_FIXES
+                 if getattr(args, flag.lstrip("-").replace("-", "_")) is not None]
+        if fixed:
+            raise _UsageError(
+                f"--preset {args.preset} does not take {', '.join(fixed)}")
     if args.preset == "figure1":
         lam, model = 0.5, evaluate.model(2400.0)
         return (
@@ -326,12 +330,13 @@ def _cmd_compare(args) -> int:
     model = evaluate.model(args.temp_k)
     band = _parse_band(args.band) if args.band else COMPUTED_BAND
     header = ["diameter_um", "p_measured", "error", "p_computed", "deviation_sigma"]
-    print(",".join(header))
+    # every row is computed before anything is printed or written, so a
+    # numerical failure leaves no partial table behind
     rows = []
     for diameter, p_meas, err in measurements:
         p_avg = evaluate(diameter / 2.0, band, args.temp_k)["p_avg"]
-        row = (diameter, p_meas, err, p_avg, abs(p_meas - p_avg) / err)
-        rows.append(row)
+        rows.append((diameter, p_meas, err, p_avg, abs(p_meas - p_avg) / err))
+    for row in [header, *rows]:
         print(",".join(_fmt(v) for v in row))
     if args.output:
         _write_csv(args.output, [f"command: {' '.join(args._argv)}",
@@ -406,25 +411,23 @@ def _cmd_material(args) -> int:
 
 # ----------------------------------------------------------------- main
 
-def _add_common(parser):
+def _add_material(parser):
+    # the database flags, for the subcommands that load one
     parser.add_argument("--material-db", default=None,
                         help="material database path (default: bundled table, "
                              "or WIREPOL_MATERIAL_DB)")
     parser.add_argument("--include-tentative", action="store_true",
                         help="include conduction terms whose relaxation "
                              "wavelength is only an upper bound")
-    parser.add_argument("--config", default=None,
-                        help="key = value file mirroring the flags; flags override")
 
 
 def _add_wire(parser):
-    # the wire, its material and the spectrum, shared by point and sweep
+    # the wire and the spectrum, shared by point and sweep
     parser.add_argument("--radius-um", type=float)
     parser.add_argument("--diameter-um", type=float)
     parser.add_argument("--wavelength-um", type=float)
     parser.add_argument("--band", help="lo:hi in microns")
     parser.add_argument("--temp-k", type=float, default=2400.0)
-    parser.add_argument("--material", choices=("tungsten", "vacuum"), default="tungsten")
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
@@ -438,7 +441,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("point", help="P at a point (single wavelength or band)")
     _add_wire(p)
     p.add_argument("--nodes", type=int, default=64)
-    _add_common(p)
+    _add_material(p)
     p.set_defaults(func=_cmd_point)
 
     p = sub.add_parser("sweep", help="write a CSV sweep")
@@ -452,7 +455,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: evaluation is serial")
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
+    _add_material(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="computed vs measured band averages")
@@ -461,7 +464,7 @@ def build_parser() -> _Parser:
     p.add_argument("--temp-k", type=float, default=2400.0)
     p.add_argument("--band", help="lo:hi in microns (default 0.5:0.75)")
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
+    _add_material(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("polsim", help="simulate the two-step polarimeter protocol")
@@ -475,15 +478,17 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-deg", type=float, default=0.5)
     p.add_argument("-o", "--output-prefix", default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_polsim)
 
     p = sub.add_parser("material", help="inspect the material database")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("--temp-k", type=float, default=2400.0)
-    _add_common(p)
+    _add_material(p)
     p.set_defaults(func=_cmd_material)
 
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None,
+                       help="key = value file mirroring the flags; flags override")
     return parser
 
 

@@ -20,13 +20,11 @@ class ConvergenceError(WirepolError, RuntimeError):
     sweep drivers to report which geometry failed.
     """
 
-    def __init__(self, message, *, order=None, ka=None, nka=None,
-                 last_term=None, nodes=None):
+    def __init__(self, message, *, order=None, ka=None, nka=None, nodes=None):
         super().__init__(message)
         self.order = order
         self.ka = ka
         self.nka = nka
-        self.last_term = last_term
         self.nodes = nodes
 
 

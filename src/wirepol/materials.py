@@ -142,8 +142,6 @@ _TOP_KEYS = {"format", "version", "units", "provenance", "records"}
 @dataclass(frozen=True)
 class MaterialDatabase:
     records: tuple[DrudePermittivityModel, ...]
-    provenance: str = ""
-    version: int = 0
 
 
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
@@ -208,9 +206,7 @@ def load_database(path: str | None = None) -> MaterialDatabase:
     records = tuple(_parse_record(r, i) for i, r in enumerate(raw.get("records", [])))
     if not records:
         raise MaterialDataError("material database contains no records")
-    db = MaterialDatabase(records=records,
-                          provenance=str(raw.get("provenance", "")),
-                          version=int(raw.get("version", 0)))
+    db = MaterialDatabase(records=records)
     for rec in records:
         if rec.sigma0 is not None:
             total = rec.dc_conductivity()

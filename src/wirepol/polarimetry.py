@@ -6,7 +6,7 @@ detector regardless of the visible-band optics.  The protocol has two
 steps:
 
 Step 1 (analyzer only): I(theta) = I_P cos^2(theta - axis) + I_U/2 + bg.
-The fitted phase gives the transmission axis theta* of the source.
+The fitted phase gives the polarization axis theta* of the source.
 
 Step 2 (fixed polarizer + rotating analyzer): with the polarizer at psi
 the light reaching the analyzer is fully polarized along psi with

@@ -44,7 +44,6 @@ All functions are pure.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -59,20 +58,6 @@ from .special_functions import (
 
 DEFAULT_TOL = 1e-10
 
-class Polarization(enum.Enum):
-    TE = "TE"
-    TM = "TM"
-
-    @classmethod
-    def coerce(cls, value) -> "Polarization":
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(str(value).upper())
-        except ValueError:
-            raise DomainError(f"unknown polarization {value!r}") from None
-
-
 @dataclass(frozen=True)
 class WireGeometry:
     """Wire radius plus the optional lengths entering the far-field check."""
@@ -83,13 +68,6 @@ class WireGeometry:
     def __post_init__(self):
         if self.radius_um <= 0:
             raise DomainError(f"wire radius must be > 0, got {self.radius_um}")
-
-
-@dataclass(frozen=True)
-class TransitionAmplitude:
-    order: int
-    polarization: Polarization
-    value: complex
 
 
 @dataclass(frozen=True)
@@ -140,19 +118,18 @@ def _amplitude_block(x: float, n: complex, d: np.ndarray,
     return t_te, t_tm
 
 
-def transition_amplitude(m: int, polarization, k: float, a: float,
-                         n: complex) -> TransitionAmplitude:
-    """Transition amplitude T_m for one order and polarization.
+def transition_amplitude(m: int, k: float, a: float,
+                         n: complex) -> tuple[complex, complex]:
+    """Transition amplitudes (T_m(TE), T_m(TM)) of one order.
 
     T_{-m} = T_m by parity, so negative orders map to |m|.  A wire with
     n = 1 is indistinguishable from vacuum and yields exactly 0.
     """
-    polarization = Polarization.coerce(polarization)
     _check_inputs(k, a, n)
     n = complex(n)
     m = abs(int(m))
     if n == 1.0:
-        return TransitionAmplitude(m, polarization, 0.0j)
+        return 0.0j, 0.0j
     x = k * a
     try:
         d = bessel_j_log_derivative(n * x, m)
@@ -160,11 +137,10 @@ def transition_amplitude(m: int, polarization, k: float, a: float,
     except (OverflowError, FloatingPointError) as exc:
         raise ConvergenceError(f"transition amplitude failed: {exc}",
                                order=m, ka=x, nka=n * x) from exc
-    value = complex(t_te[0] if polarization is Polarization.TE else t_tm[0])
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+    if not (np.isfinite(t_te[0]) and np.isfinite(t_tm[0])):
         raise ConvergenceError("transition amplitude is not finite",
                                order=m, ka=x, nka=n * x)
-    return TransitionAmplitude(m, polarization, value)
+    return complex(t_te[0]), complex(t_tm[0])
 
 
 def _emissivity_terms(k: float, a: float, n: complex,
@@ -221,8 +197,7 @@ def _emissivity_terms(k: float, a: float, n: complex,
         if m_hi == m_ceil:
             raise ConvergenceError(
                 f"partial-wave sum did not converge within m_max = {m_ceil}",
-                order=m_ceil, ka=x, nka=n * x,
-                last_term=max(terms_te[-1], terms_tm[-1]))
+                order=m_ceil, ka=x, nka=n * x)
         m_lo, m_hi = m_hi + 1, m_hi + int(airy) + 8
 
 
@@ -242,11 +217,9 @@ def emissivity_pair(k: float, a: float, n: complex,
     Q_abs itself.  The band average weights by these sums; whether it
     should weight by Q_abs is an open question (CHANGES.md).
     """
-    if tol <= 0:
-        raise DomainError(f"tolerance must be > 0, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
     _check_inputs(k, a, n)
-    if complex(n) == 1.0:
-        return PolarizedEmissivity(0.0, 0.0, 0, 0.0)
     terms_te, terms_tm, est = _emissivity_terms(k, a, n, tol)
     return PolarizedEmissivity(_fold(terms_te), _fold(terms_tm),
                                len(terms_te), est)

@@ -55,13 +55,6 @@ def test_point_single_wavelength(capsys):
     assert float(values["e_tm"]) > float(values["e_te"])
 
 
-def test_point_vacuum_is_numerical_failure(capsys):
-    rc, _, err = run(capsys, "point", "--material", "vacuum",
-                     "--radius-um", "1", "--wavelength-um", "0.5")
-    assert rc == 2
-    assert err
-
-
 def test_usage_errors(capsys):
     rc, _, _ = run(capsys, "point", "--radius-um", "1")
     assert rc == 1
@@ -263,22 +256,6 @@ def test_extrapolation_warning(capsys):
     assert "outside the fitted optical range" in err
 
 
-@pytest.mark.parametrize("sweep", [
-    ("--variable", "radius", "--wavelength-um", "0.5", "--lo", "0.1",
-     "--hi", "1", "--points", "3"),
-    ("--variable", "wavelength", "--radius-um", "1", "--lo", "0.5",
-     "--hi", "0.7", "--points", "3"),
-])
-def test_vacuum_sweep_is_numerical_failure(capsys, tmp_path, sweep):
-    path = tmp_path / "vacuum.csv"
-    rc, _, err = run(capsys, "sweep", "--material", "vacuum", *sweep,
-                     "-o", str(path))
-    assert rc == 2
-    assert "polarization undefined" in err
-    assert "Traceback" not in err
-    assert not path.exists()
-
-
 def test_config_loses_to_short_output_flag(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     from_config, from_flag = tmp_path / "X.csv", tmp_path / "Y.csv"
@@ -433,3 +410,60 @@ def test_band_convergence_error_reports_nodes(capsys, monkeypatch):
                      "0.5:0.75")
     assert rc == 2
     assert "(nodes=64)" in err
+
+
+def test_tol_reaches_band_path(capsys):
+    from wirepol.materials import load_database, model_for_temperature
+    from wirepol.spectral import BandFilter, band_averaged_polarization
+    rc, out, _ = run(capsys, "point", "--radius-um", "1", "--band",
+                     "0.5:0.75", "--tol", "1e-3")
+    assert rc == 0
+    model = model_for_temperature(load_database(), 2400.0)
+    loose = band_averaged_polarization(1.0, 2400.0, BandFilter(0.5, 0.75),
+                                       model, emissivity_tol=1e-3)
+    default = band_averaged_polarization(1.0, 2400.0, BandFilter(0.5, 0.75),
+                                         model)
+    assert parse_kv(out)["p_avg"] == repr(loose.p_avg)
+    assert loose.p_avg != default.p_avg
+
+
+@pytest.mark.parametrize("tol", ["1", "inf", "nan", "-1"])
+def test_tol_outside_unit_interval_is_numerical_failure(capsys, tol):
+    rc, out, err = run(capsys, "point", "--radius-um", "1",
+                       "--wavelength-um", "0.5", "--tol", tol)
+    assert rc == 2
+    assert out == ""
+    assert "tolerance must be in (0, 1)" in err
+
+
+def test_compare_numerical_failure_prints_nothing(capsys, tmp_path):
+    # the 5 mm wire needs more orders than the ceiling allows
+    data, path = tmp_path / "m.csv", tmp_path / "c.csv"
+    data.write_text("17 0.221 0.003\n5000 0.2 0.003\n")
+    rc, out, err = run(capsys, "compare", "--measurements", str(data),
+                       "-o", str(path))
+    assert rc == 2
+    assert out == ""
+    assert "exceeds ceiling" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", [
+    ("--variable", "radius"), ("--lo", "1"), ("--hi", "2"),
+    ("--band", "0.45:0.75"), ("--wavelength-um", "0.5"),
+    ("--radius-um", "1"), ("--diameter-um", "2"),
+], ids=lambda flag: flag[0])
+def test_preset_rejects_flags_it_fixes(capsys, tmp_path, flag):
+    path = tmp_path / "t.csv"
+    rc, _, err = run(capsys, "sweep", "--preset", "table2", *flag,
+                     "-o", str(path))
+    assert rc == 1
+    assert flag[0] in err
+    assert not path.exists()
+
+
+def test_polsim_takes_no_material_flags(capsys):
+    for flag in (("--material-db", "db.json"), ("--include-tentative",)):
+        rc, out, _ = run(capsys, "polsim", "--p-true", "0.2", *flag)
+        assert rc == 1
+        assert out == ""
