@@ -26,14 +26,11 @@ from .materials import (
     vacuum_model,
 )
 from .scattering import (
-    FarFieldCheck,
     PolarizedEmissivity,
-    WireGeometry,
     emissivity_pair,
     linear_polarization,
     polarization_of,
     transition_amplitude,
-    validate_far_field,
 )
 from .spectral import (
     BandAveragedResult,
@@ -55,7 +52,6 @@ from .polarimetry import (
     SourceModel,
     extract_polarization,
     fit_cos_squared,
-    read_scan,
     simulate_scan,
     write_scan,
 )
@@ -72,7 +68,6 @@ __all__ = [
     "DegenerateInputError",
     "DomainError",
     "DrudePermittivityModel",
-    "FarFieldCheck",
     "FreeTerm",
     "FresnelPair",
     "IdentifiabilityError",
@@ -83,7 +78,6 @@ __all__ = [
     "PolarizedEmissivity",
     "RangeError",
     "SourceModel",
-    "WireGeometry",
     "WirepolError",
     "band_averaged_polarization",
     "emissivity_pair",
@@ -96,12 +90,10 @@ __all__ = [
     "permittivity",
     "planck_radiance",
     "polarization_of",
-    "read_scan",
     "refraction_index",
     "simulate_scan",
     "thick_wire_polarization",
     "transition_amplitude",
     "vacuum_model",
-    "validate_far_field",
     "write_scan",
 ]

@@ -61,6 +61,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags must be spelled in full: a prefix would silently resolve to
+    # whichever flag it happens to start (subparsers are _Parsers too)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with 2 on usage errors; this tool reserves 2 for
     # numerical failures
     def error(self, message):
@@ -493,12 +498,9 @@ def build_parser() -> _Parser:
 
 
 def _spells_threads(token: str) -> bool:
-    """True for ``--threads``, ``--threads=N`` and the abbreviations
-    argparse resolves to it (``--thr 2``, ``--th=2``).  Only tokens of a
-    command line that parsed are tested: an abbreviation that other
-    options share would have been rejected as ambiguous."""
-    flag = token.partition("=")[0]
-    return len(flag) > 2 and "--threads".startswith(flag)
+    """True for ``--threads`` and ``--threads=N``, the only spellings the
+    parser accepts."""
+    return token.partition("=")[0] == "--threads"
 
 
 def main(argv=None) -> int:
@@ -520,8 +522,7 @@ def main(argv=None) -> int:
                 if key in options})
             args = parser.parse_args(argv)
         # --threads is accepted and ignored; keep it out of the recorded
-        # command line, in any spelling argparse accepts, so that outputs
-        # never depend on it
+        # command line, so that outputs never depend on it
         args._argv = ["wirepol"] + [
             token for i, token in enumerate(argv)
             if not (_spells_threads(token)

@@ -91,10 +91,6 @@ class CosineSquaredFit:
     residual_rms: float
     degenerate_phase: bool = False  # amplitude ~ 0, phase meaningless
 
-    def model(self, theta_deg):
-        th = np.radians(np.asarray(theta_deg, dtype=float) - self.phase_deg)
-        return self.amplitude * np.cos(th) ** 2 + self.offset
-
 
 @dataclass(frozen=True)
 class PolarizationExtraction:
@@ -214,28 +210,3 @@ def write_scan(path, scan: PolarimeterScan, header: str = "") -> None:
         fh.write("# columns: theta_degrees intensity\n")
         for theta, value in zip(scan.angles_deg, scan.intensities):
             fh.write(f"{float(theta)!r} {float(value)!r}\n")
-
-
-def read_scan(path) -> PolarimeterScan:
-    """Read a two-column scan file written by ``write_scan`` (or by an
-    instrument using the same plain-text format)."""
-    angles = []
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise DomainError(f"{path}:{lineno}: expected two columns, got {len(parts)}")
-            try:
-                angles.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from exc
-    if not angles:
-        raise DomainError(f"{path}: no data rows")
-    steps = np.diff(angles)
-    step = float(np.median(steps)) if len(steps) else 0.0
-    return PolarimeterScan(np.array(angles), np.array(values), step)

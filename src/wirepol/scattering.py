@@ -45,11 +45,12 @@ All functions are pure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, DomainError
+from .errors import ConvergenceError, DegenerateInputError, DomainError, RangeError
 from .special_functions import (
     bessel_j_all_orders,
     bessel_j_log_derivative,
@@ -58,16 +59,9 @@ from .special_functions import (
 
 DEFAULT_TOL = 1e-10
 
-@dataclass(frozen=True)
-class WireGeometry:
-    """Wire radius plus the optional lengths entering the far-field check."""
-    radius_um: float
-    length_mm: float | None = None
-    observation_distance_m: float | None = None
-
-    def __post_init__(self):
-        if self.radius_um <= 0:
-            raise DomainError(f"wire radius must be > 0, got {self.radius_um}")
+# Largest partial-wave order of any sum or amplitude; order_ceiling keeps
+# the sums below it up to x ~ 49 600 (d ~ 7.9 mm at lambda = 0.5 um).
+MAX_ORDER = 50_000
 
 
 @dataclass(frozen=True)
@@ -84,18 +78,19 @@ class PolarizedEmissivity:
     truncation_error_estimate: float
 
 
-@dataclass(frozen=True)
-class FarFieldCheck:
-    valid: bool
-    lower_ratio: float   # (lambda * r) / a^2
-    upper_ratio: float   # l^2 / (lambda * r)
+def _check_order(m: int) -> None:
+    if m > MAX_ORDER:
+        raise RangeError(f"order |m|={m} exceeds ceiling {MAX_ORDER}")
 
 
-def order_ceiling(x: float, n: complex) -> int:
-    """Hard ceiling on the partial-wave order, m ~ max(|n|, 1) x plus an
-    Airy transition margin: the sum runs to m ~ x even where |n| < 1."""
-    nx = max(abs(n), 1.0) * x
-    return max(int(math.ceil(nx)) + int(math.ceil(10.0 * nx ** (1.0 / 3.0))) + 20, 5)
+def order_ceiling(x: float) -> int:
+    """Hard ceiling on the partial-wave order of the sum at size parameter
+    x: Wiscombe's x + 4x^(1/3), where the sum stops, with a wide margin.
+    The index n does not enter; |nx| sets only where the D recurrence
+    starts.  Raises RangeError above MAX_ORDER."""
+    m = max(int(math.ceil(x)) + int(math.ceil(10.0 * x ** (1.0 / 3.0))) + 20, 5)
+    _check_order(m)
+    return m
 
 
 def _check_inputs(k: float, a: float, n: complex) -> None:
@@ -105,17 +100,6 @@ def _check_inputs(k: float, a: float, n: complex) -> None:
         raise DomainError(f"radius a must be > 0, got {a}")
     if complex(n).imag < 0:
         raise DomainError(f"refraction index must have Im(n) >= 0, got {n}")
-
-
-def _amplitude_block(x: float, n: complex, d: np.ndarray,
-                     m_lo: int, m_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """T_m(TE), T_m(TM) for m = m_lo..m_hi (inclusive) as arrays."""
-    j, jp = bessel_j_all_orders(m_hi, x, m_lo)
-    h, hp = hankel1_all_orders(m_hi, x, m_lo)
-    db = d[m_lo:m_hi + 1]
-    t_te = (db * j - n * jp) / (db * h - n * hp)
-    t_tm = (jp - n * db * j) / (hp - n * db * h)
-    return t_te, t_tm
 
 
 def transition_amplitude(m: int, k: float, a: float,
@@ -128,12 +112,18 @@ def transition_amplitude(m: int, k: float, a: float,
     _check_inputs(k, a, n)
     n = complex(n)
     m = abs(int(m))
+    _check_order(m)
     if n == 1.0:
         return 0.0j, 0.0j
     x = k * a
     try:
-        d = bessel_j_log_derivative(n * x, m)
-        t_te, t_tm = _amplitude_block(x, n, d, m, m)
+        # one-element arrays: numpy's array and scalar complex arithmetic
+        # may round differently
+        d = bessel_j_log_derivative(n * x, m)[m:]
+        j, jp = bessel_j_all_orders(m, x, m)
+        h, hp = hankel1_all_orders(m, x, m)
+        t_te = (d * j - n * jp) / (d * h - n * hp)
+        t_tm = (jp - n * d * j) / (hp - n * d * h)
     except (OverflowError, FloatingPointError) as exc:
         raise ConvergenceError(f"transition amplitude failed: {exc}",
                                order=m, ka=x, nka=n * x) from exc
@@ -158,7 +148,7 @@ def _emissivity_terms(k: float, a: float, n: complex,
     """
     x = k * a
     n = complex(n)
-    m_ceil = order_ceiling(x, n)
+    m_ceil = order_ceiling(x)
     d = bessel_j_log_derivative(n * x, m_ceil)
     w4 = 8.0 / (math.pi * x)            # 4W, W = J Y' - J' Y = 2 / (pi x)
     airy = 4.0 * x ** (1.0 / 3.0)
@@ -217,8 +207,9 @@ def emissivity_pair(k: float, a: float, n: complex,
     Q_abs itself.  The band average weights by these sums; whether it
     should weight by Q_abs is an open question (CHANGES.md).
     """
-    if not 0.0 < tol < 1.0:
-        raise DomainError(f"tolerance must be in (0, 1), got {tol}")
+    if not sys.float_info.epsilon <= tol < 1.0:
+        raise DomainError(
+            f"tolerance must be in [{sys.float_info.epsilon!r}, 1), got {tol}")
     _check_inputs(k, a, n)
     terms_te, terms_tm, est = _emissivity_terms(k, a, n, tol)
     return PolarizedEmissivity(_fold(terms_te), _fold(terms_tm),
@@ -244,23 +235,3 @@ def linear_polarization(k: float, a: float, n: complex,
     """P = (e_TE - e_TM) / (e_TE + e_TM) at a single wavenumber."""
     pair = emissivity_pair(k, a, n, tol)
     return polarization_of(pair.e_te, pair.e_tm)
-
-
-def validate_far_field(geom: WireGeometry, wavelength_um: float,
-                       margin: float = 10.0) -> FarFieldCheck:
-    """Check the far-field condition a^2 << lambda*r << l^2.
-
-    True iff a^2 * margin <= lambda*r and lambda*r * margin <= l^2;
-    margin = 1 reduces to the non-strict ordering.
-    """
-    if geom.length_mm is None or geom.observation_distance_m is None:
-        raise DomainError("far-field check needs wire length and observation distance")
-    if wavelength_um <= 0:
-        raise DomainError(f"wavelength must be > 0, got {wavelength_um}")
-    a2 = (geom.radius_um * 1e-6) ** 2
-    l2 = (geom.length_mm * 1e-3) ** 2
-    lam_r = wavelength_um * 1e-6 * geom.observation_distance_m
-    valid = (a2 * margin <= lam_r) and (lam_r * margin <= l2)
-    return FarFieldCheck(valid,
-                         lower_ratio=lam_r / a2,
-                         upper_ratio=l2 / lam_r if lam_r > 0 else math.inf)

@@ -11,7 +11,8 @@ Derivatives are never asked of AMOS: they follow from the order
 recurrence C'_m = (C_{m-1} - C_{m+1}) / 2, so the block functions make
 one AMOS call over orders m_min-1..m_max+1 and difference the result.
 
-All functions are pure and thread-safe.
+How many orders a sum needs is not decided here: ``scattering`` sizes
+every request.  All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -19,16 +20,17 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
-from .errors import DomainError, RangeError
-
-# Largest supported order.  Partial-wave sums for the geometries of
-# interest truncate near m ~ k*a, so this is far above any physical need.
-ORDER_CEILING = 50_000
+from .errors import DomainError
 
 
-def _check_order(order: int) -> None:
-    if abs(order) > ORDER_CEILING:
-        raise RangeError(f"order |m|={abs(order)} exceeds ceiling {ORDER_CEILING}")
+def _all_orders(func, name: str, m_max: int, x: float,
+                m_min: int) -> tuple[np.ndarray, np.ndarray]:
+    # C_m and C'_m for m = m_min..m_max from one call of func over orders
+    # m_min-1..m_max+1 and the recurrence C'_m = (C_{m-1} - C_{m+1}) / 2
+    if x <= 0.0 or not np.isfinite(x):
+        raise DomainError(f"{name}: need x > 0, got {x}")
+    c = func(np.arange(m_min - 1, m_max + 2), x)
+    return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
 def bessel_j_all_orders(m_max: int, x: float,
@@ -38,11 +40,7 @@ def bessel_j_all_orders(m_max: int, x: float,
     One jv call over orders m_min-1..m_max+1; the derivatives follow
     from the order recurrence J'_m = (J_{m-1} - J_{m+1}) / 2.
     """
-    if x <= 0.0 or not np.isfinite(x):
-        raise DomainError(f"bessel_j_all_orders: need x > 0, got {x}")
-    _check_order(m_max)
-    j = _sp.jv(np.arange(m_min - 1, m_max + 2), x)
-    return j[1:-1], 0.5 * (j[:-2] - j[2:])
+    return _all_orders(_sp.jv, "bessel_j_all_orders", m_max, x, m_min)
 
 
 def hankel1_all_orders(m_max: int, x: float,
@@ -52,11 +50,7 @@ def hankel1_all_orders(m_max: int, x: float,
     One hankel1 call over orders m_min-1..m_max+1; the derivatives follow
     from H'_m = (H_{m-1} - H_{m+1}) / 2.
     """
-    if x <= 0.0 or not np.isfinite(x):
-        raise DomainError(f"hankel1_all_orders: need x > 0, got {x}")
-    _check_order(m_max)
-    h = _sp.hankel1(np.arange(m_min - 1, m_max + 2), x)
-    return h[1:-1], 0.5 * (h[:-2] - h[2:])
+    return _all_orders(_sp.hankel1, "hankel1_all_orders", m_max, x, m_min)
 
 
 def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
@@ -71,7 +65,6 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     overflow (|Im z| large), which is exactly why the scattering code
     works with D rather than with J_m(n*k*a) directly.
     """
-    _check_order(m_max)
     z = complex(z)
     if z == 0:
         raise DomainError("bessel_j_log_derivative: z must be nonzero")

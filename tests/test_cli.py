@@ -67,6 +67,11 @@ def test_usage_errors(capsys):
     rc, _, err = run(capsys, "point", "--diameter-um", "17", "--band", "0.5:inf")
     assert rc == 1
     assert "bad band" in err
+    # no prefix matching: --material is not read as --material-db
+    rc, _, err = run(capsys, "point", "--radius-um", "1", "--wavelength-um",
+                     "0.5", "--material", "vacuum")
+    assert rc == 1
+    assert "--material vacuum" in err
 
 
 def test_io_error_exit_code(capsys):
@@ -356,13 +361,20 @@ def test_sweep_temperature_columns(capsys, tmp_path):
                                       ["--thr=2"], ["--th", "3"],
                                       ["--threads=4"]])
 def test_threads_spellings_leave_output_unchanged(capsys, tmp_path, spelling):
-    # every spelling argparse resolves to --threads stays out of the
-    # recorded command line, so the bytes equal those without the flag
+    # --threads N and --threads=N stay out of the recorded command line,
+    # so the bytes equal those without the flag; an abbreviation is a
+    # usage error that writes nothing
     sweep = ["sweep", "--variable", "radius", "--lo", "0.1", "--hi", "0.2",
              "--points", "2", "--wavelength-um", "0.5", "-o"]
     plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
     assert run(capsys, *sweep, str(plain))[0] == 0
-    assert run(capsys, *sweep[:-1], *spelling, "-o", str(flagged))[0] == 0
+    rc, _, err = run(capsys, *sweep[:-1], *spelling, "-o", str(flagged))
+    if spelling[0].partition("=")[0] != "--threads":
+        assert rc == 1
+        assert spelling[0] in err
+        assert not flagged.exists()
+        return
+    assert rc == 0
     assert plain.read_bytes().replace(b"plain.csv", b"flagged.csv") \
         == flagged.read_bytes()
 
@@ -427,19 +439,28 @@ def test_tol_reaches_band_path(capsys):
     assert loose.p_avg != default.p_avg
 
 
-@pytest.mark.parametrize("tol", ["1", "inf", "nan", "-1"])
+@pytest.mark.parametrize("tol", ["1", "inf", "nan", "-1", "1e-17", "1e-300"])
 def test_tol_outside_unit_interval_is_numerical_failure(capsys, tol):
+    # the range is [machine epsilon, 1): a sum cannot resolve finer
     rc, out, err = run(capsys, "point", "--radius-um", "1",
                        "--wavelength-um", "0.5", "--tol", tol)
     assert rc == 2
     assert out == ""
-    assert "tolerance must be in (0, 1)" in err
+    assert "tolerance must be in [2.220446049250313e-16, 1)" in err
+
+
+def test_thick_wire_point(capsys):
+    # a 4 mm wire needs about 25 400 orders, within the ceiling
+    rc, out, err = run(capsys, "point", "--diameter-um", "4000",
+                       "--wavelength-um", "0.5")
+    assert rc == 0, err
+    assert float(parse_kv(out)["p"]) == pytest.approx(0.17869, abs=1e-5)
 
 
 def test_compare_numerical_failure_prints_nothing(capsys, tmp_path):
-    # the 5 mm wire needs more orders than the ceiling allows
+    # the 20 mm wire needs more orders than the ceiling allows
     data, path = tmp_path / "m.csv", tmp_path / "c.csv"
-    data.write_text("17 0.221 0.003\n5000 0.2 0.003\n")
+    data.write_text("17 0.221 0.003\n20000 0.2 0.003\n")
     rc, out, err = run(capsys, "compare", "--measurements", str(data),
                        "-o", str(path))
     assert rc == 2

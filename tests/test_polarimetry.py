@@ -16,7 +16,6 @@ from wirepol.polarimetry import (
     SourceModel,
     extract_polarization,
     fit_cos_squared,
-    read_scan,
     simulate_scan,
     write_scan,
 )
@@ -162,8 +161,9 @@ def test_scan_file_round_trip(tmp_path):
     scan = simulate_scan(source, noise_rms=0.01, seed=5)
     path = tmp_path / "scan.dat"
     write_scan(path, scan, header="bench scan\nsecond comment line")
-    back = read_scan(path)
-    assert np.array_equal(back.angles_deg, scan.angles_deg)
-    assert np.array_equal(back.intensities, scan.intensities)
+    angles, intensities = np.loadtxt(path, unpack=True)
+    assert np.array_equal(angles, scan.angles_deg)
+    assert np.array_equal(intensities, scan.intensities)
     # the written file preserves full precision, so the refit is identical
+    back = PolarimeterScan(angles, intensities, scan.step_deg)
     assert fit_cos_squared(back).amplitude == fit_cos_squared(scan).amplitude

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wirepol.errors import ConvergenceError, DegenerateInputError, DomainError
+from wirepol.errors import (ConvergenceError, DegenerateInputError, DomainError,
+                            RangeError)
 from wirepol.scattering import (
-    WireGeometry,
+    MAX_ORDER,
     emissivity_pair,
     linear_polarization,
     order_ceiling,
     transition_amplitude,
-    validate_far_field,
 )
 
 mpmath.mp.dps = 40
@@ -137,7 +137,7 @@ def test_invalid_inputs_rejected():
         emissivity_pair(k, -1.0, N_TUNGSTEN)
     with pytest.raises(DomainError):
         emissivity_pair(-k, 1.0, N_TUNGSTEN)
-    for tol in (0.0, 1.0, math.inf, math.nan):
+    for tol in (0.0, 1e-300, 1e-17, 1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             emissivity_pair(k, 1.0, N_TUNGSTEN, tol=tol)
     with pytest.raises(DomainError):
@@ -150,9 +150,27 @@ def test_degenerate_polarization():
 
 
 def test_order_ceiling_grows_with_size():
-    n = N_TUNGSTEN
-    assert order_ceiling(0.1, n) >= 5
-    assert order_ceiling(100.0, n) > order_ceiling(10.0, n)
+    assert order_ceiling(0.1) >= 5
+    assert order_ceiling(100.0) > order_ceiling(10.0)
+
+
+def test_order_ceiling_raises_above_max_order():
+    # 2000 um at 0.5 um needs about 25 400 orders; 0.2 m would need 2.5e6
+    k = 2 * math.pi / 0.5
+    assert order_ceiling(k * 2000.0) <= MAX_ORDER
+    for x in (float(MAX_ORDER), k * 2e5):
+        with pytest.raises(RangeError, match="exceeds ceiling"):
+            order_ceiling(x)
+    with pytest.raises(RangeError, match="exceeds ceiling"):
+        transition_amplitude(MAX_ORDER + 1, k, 1.0, N_TUNGSTEN)
+
+
+def test_smallest_tolerance_converges_on_thick_wire():
+    # tol = eps still stops inside the ceiling sized from x alone
+    k = 2 * math.pi / 0.5
+    pair = emissivity_pair(k, 8.5, _tungsten_2400k(0.5), tol=2.0 ** -52)
+    assert pair.terms_used <= order_ceiling(k * 8.5) + 1
+    assert pair.truncation_error_estimate <= 2.0 ** -52
 
 
 def test_truncation_estimate_tracks_tolerance():
@@ -162,19 +180,6 @@ def test_truncation_estimate_tracks_tolerance():
     assert tight.terms_used >= loose.terms_used
     assert tight.e_te == pytest.approx(loose.e_te, rel=1e-5)
     assert tight.truncation_error_estimate <= 1e-10
-
-
-def test_far_field_validation():
-    # a = 2.5 um wire, 7 mm long, viewed from 0.5 m at 0.6 um
-    geom = WireGeometry(radius_um=2.5, length_mm=7.0, observation_distance_m=0.5)
-    check = validate_far_field(geom, 0.6)
-    assert check.valid
-    # a fat wire seen up close violates the cylindrical-wave zone
-    near = WireGeometry(radius_um=50.0, length_mm=7.0, observation_distance_m=0.001)
-    assert not validate_far_field(near, 0.6).valid
-    # and from very far away the finite length becomes visible
-    far = WireGeometry(radius_um=2.5, length_mm=7.0, observation_distance_m=100.0)
-    assert not validate_far_field(far, 0.6).valid
 
 
 def _tungsten_2400k(lam):
@@ -200,13 +205,32 @@ def test_thick_wire_absorption_approaches_fresnel():
     q_tm = np.sum(w * (1.0 - np.abs(pair.r_tm) ** 2))
     k = 2 * math.pi / lam
     gaps_te, gaps_tm = [], []
-    for a in (50.0, 200.0, 500.0):
+    for a in (50.0, 200.0, 500.0, 2000.0):
         e = emissivity_pair(k, a, _tungsten_2400k(lam))
         gaps_te.append(abs(e.e_te / (2 * k * a) / q_te - 1.0))
         gaps_tm.append(abs(e.e_tm / (2 * k * a) / q_tm - 1.0))
     for gaps in (gaps_te, gaps_tm):
-        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
         assert gaps[2] < 5e-3
+        assert gaps[3] < 1e-3
+
+
+def test_thick_wire_polarization_approaches_fresnel():
+    # P(a) tends to the geometric-optics limit from above, monotonically,
+    # out to wires 4 mm thick
+    from wirepol.asymptotic import thick_wire_polarization
+    from wirepol.materials import (load_database, model_for_temperature,
+                                   permittivity)
+    lam = 0.5
+    eps = permittivity(model_for_temperature(load_database(), 2400.0), lam)
+    p_fresnel = thick_wire_polarization(eps)
+    n, k = _tungsten_2400k(lam), 2 * math.pi / lam
+    gaps = [linear_polarization(k, a, n) - p_fresnel
+            for a in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
+                      2000.0)]
+    assert gaps[-1] > 0.0
+    assert all(g0 > g1 for g0, g1 in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 4e-4
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.625, 0.75])
@@ -266,7 +290,7 @@ def test_truncation_matches_running_sum_loop(a, tol):
                                            hankel1_all_orders)
     k, n = 2 * math.pi / 0.5, N_TUNGSTEN
     x = k * a
-    m_max = order_ceiling(x, n)
+    m_max = order_ceiling(x)
     d = bessel_j_log_derivative(n * x, m_max)
     h, hp = hankel1_all_orders(m_max, x)
     w4 = 8.0 / (math.pi * x)
