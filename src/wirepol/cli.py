@@ -219,7 +219,7 @@ def _write_csv(path, meta_lines, header, rows):
 
 # Flags that set what a sweep preset fixes; all default to None.
 PRESET_FIXES = ("--variable", "--lo", "--hi", "--band", "--wavelength-um",
-                "--radius-um", "--diameter-um")
+                "--radius-um", "--diameter-um", "--temp-k", "--spacing")
 
 
 def _sweep_table(args, evaluate: _Evaluator):
@@ -263,9 +263,10 @@ def _sweep_table(args, evaluate: _Evaluator):
 
     if args.variable is None:
         raise _UsageError("either --preset or --variable is required")
-    model = evaluate.model(args.temp_k)
+    temp_k = 2400.0 if args.temp_k is None else args.temp_k
+    model = evaluate.model(temp_k)
     meta = f"material: {model.element}, model T = {model.temperature_k:g} K"
-    grid = _grid(args.lo, args.hi, args.points or 50, args.spacing)
+    grid = _grid(args.lo, args.hi, args.points or 50, args.spacing or "linear")
     band = _parse_band(args.band) if args.band else None
     if args.variable == "radius":
         if band is None and args.wavelength_um is None:
@@ -274,11 +275,11 @@ def _sweep_table(args, evaluate: _Evaluator):
         columns = (("p_avg", "e_te_bar", "e_tm_bar", "quadrature_error")
                    if band else LINE_COLUMNS)
         return (meta, ("radius_um", *columns), grid,
-                lambda r: evaluate(r, spectrum, args.temp_k))
+                lambda r: evaluate(r, spectrum, temp_k))
     radius = _radius_from(args)
     if args.variable == "wavelength":
         return (meta, ("wavelength_um", *LINE_COLUMNS), grid,
-                lambda lam: evaluate(radius, float(lam), args.temp_k))
+                lambda lam: evaluate(radius, float(lam), temp_k))
     if band is None:
         raise _UsageError("temperature sweep needs --band")
     return (meta, ("temperature_K", "model_temperature_K", "p_avg",
@@ -353,12 +354,15 @@ def _cmd_compare(args) -> int:
 
 def _cmd_polsim(args) -> int:
     if args.p_true is not None:
+        if args.i_unpolarized is not None:
+            raise _UsageError("--i-unpolarized goes with --i-polarized, not --p-true")
         if not (0.0 <= args.p_true <= 1.0):
             raise _UsageError("--p-true must be in [0, 1]")
         source = SourceModel(args.p_true, 1.0 - args.p_true,
                              args.axis_deg, args.background)
     else:
-        source = SourceModel(args.i_polarized, args.i_unpolarized,
+        source = SourceModel(args.i_polarized,
+                             1.0 if args.i_unpolarized is None else args.i_unpolarized,
                              args.axis_deg, args.background)
     step1 = simulate_scan(source, step_deg=args.step_deg,
                           noise_rms=args.noise_rms, seed=args.seed)
@@ -426,13 +430,13 @@ def _add_material(parser):
                              "wavelength is only an upper bound")
 
 
-def _add_wire(parser):
+def _add_wire(parser, temp_k):
     # the wire and the spectrum, shared by point and sweep
     parser.add_argument("--radius-um", type=float)
     parser.add_argument("--diameter-um", type=float)
     parser.add_argument("--wavelength-um", type=float)
     parser.add_argument("--band", help="lo:hi in microns")
-    parser.add_argument("--temp-k", type=float, default=2400.0)
+    parser.add_argument("--temp-k", type=float, default=temp_k)
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
@@ -444,7 +448,7 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices
 
     p = sub.add_parser("point", help="P at a point (single wavelength or band)")
-    _add_wire(p)
+    _add_wire(p, temp_k=2400.0)
     p.add_argument("--nodes", type=int, default=64)
     _add_material(p)
     p.set_defaults(func=_cmd_point)
@@ -455,8 +459,8 @@ def build_parser() -> _Parser:
     p.add_argument("--lo", type=float)
     p.add_argument("--hi", type=float)
     p.add_argument("--points", type=int)
-    p.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    _add_wire(p)
+    p.add_argument("--spacing", choices=("linear", "log"))
+    _add_wire(p, temp_k=None)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: evaluation is serial")
     p.add_argument("-o", "--output", default=None)
@@ -476,7 +480,7 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--p-true", type=float)
     group.add_argument("--i-polarized", type=float)
-    p.add_argument("--i-unpolarized", type=float, default=1.0)
+    p.add_argument("--i-unpolarized", type=float)
     p.add_argument("--axis-deg", type=float, default=30.0)
     p.add_argument("--background", type=float, default=0.0)
     p.add_argument("--noise-rms", type=float, default=0.0)

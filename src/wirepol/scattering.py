@@ -36,8 +36,10 @@ with W = J Y' - J' Y = 2/(pi x), which needs only D_m, H_m and H'_m:
     TM:  4 [Re T_m - |T_m|^2] = -4W Im(n D_m)       / |H'_m - n D_m H_m|^2
 
 Each term is >= 0 for Im n >= 0 (a rounding-level negative is clipped to
-0) and exactly 0 for a lossless (real) n.  H'_m comes from the order
-recurrence (``special_functions``): one AMOS call per block of orders.
+0) and exactly 0 for a lossless (real) n.  TE and TM are the two rows
+of one array, so each step of the sum is written once.  H'_m comes from
+the order recurrence (``special_functions``): one AMOS call over orders
+0..M per pass, and at most two passes (``_emissivity_terms``).
 
 All functions are pure.
 """
@@ -120,8 +122,12 @@ def transition_amplitude(m: int, k: float, a: float,
         # one-element arrays: numpy's array and scalar complex arithmetic
         # may round differently
         d = bessel_j_log_derivative(n * x, m)[m:]
-        j, jp = bessel_j_all_orders(m, x, m)
-        h, hp = hankel1_all_orders(m, x, m)
+        j, jp = (c[m:] for c in bessel_j_all_orders(m, x))
+        h, hp = (c[m:] for c in hankel1_all_orders(m, x))
+        # AMOS gives nan where H_m(x) overflows; there J_m(x) and J'_m(x)
+        # have underflowed, and |T_m| <~ |J_m / H_m| < 1e-600 rounds to 0
+        if not (np.isfinite(h[0]) and np.isfinite(hp[0])):
+            return 0.0j, 0.0j
         t_te = (d * j - n * jp) / (d * h - n * hp)
         t_tm = (jp - n * d * j) / (hp - n * d * h)
     except (OverflowError, FloatingPointError) as exc:
@@ -141,33 +147,27 @@ def _emissivity_terms(k: float, a: float, n: complex,
     Returns (terms_te, terms_tm, relative_truncation_estimate) where the
     arrays run over m = 0..M.  Truncation: stop once three consecutive
     orders have both polarization terms below tol * (|partial| + 1e-300).
-    The Hankel functions come in blocks: the first ends at Wiscombe's
-    bound x + 4x^(1/3) plus a margin of 8, which the sum rarely passes;
-    only while the rule has not fired is a block of 4x^(1/3) + 8 more
-    orders added, and the rule is applied again to orders 0..m_hi.
+    TE and TM are the rows of one (2, M+1) array.  The Hankel functions
+    come in at most two passes from order 0: the first ends at Wiscombe's
+    bound x + 4x^(1/3) plus a margin of 8, which a tungsten sum passes
+    only for tol below about 1e-11; the second, only where the first
+    does not converge, ends at order_ceiling(x).
     """
     x = k * a
     n = complex(n)
     m_ceil = order_ceiling(x)
     d = bessel_j_log_derivative(n * x, m_ceil)
     w4 = 8.0 / (math.pi * x)            # 4W, W = J Y' - J' Y = 2 / (pi x)
-    airy = 4.0 * x ** (1.0 / 3.0)
-    h = hp = np.empty(0, dtype=complex)
-    m_lo, m_hi = 0, int(x + airy) + 8
-    while True:
-        m_hi = min(m_hi, m_ceil)
-        h_blk, hp_blk = hankel1_all_orders(m_hi, x, m_lo)
-        h, hp = np.concatenate((h, h_blk)), np.concatenate((hp, hp_blk))
+    for m_hi in (min(int(x + 4.0 * x ** (1.0 / 3.0)) + 8, m_ceil), m_ceil):
+        h, hp = hankel1_all_orders(m_hi, x)
         db = d[:m_hi + 1]
-        den_te = db * h - n * hp
-        den_tm = hp - n * db * h
+        nd = n * db
+        den = np.array((db * h - n * hp, hp - nd * h))
         # >= 0 in exact arithmetic for Im n >= 0; rounding in D_m can give
         # a term far below the sum's resolution the wrong sign, so clip
-        terms_te = np.maximum(-w4 * (db * n.conjugate()).imag
-                              / (den_te.real ** 2 + den_te.imag ** 2), 0.0)
-        terms_tm = np.maximum(-w4 * (n * db).imag
-                              / (den_tm.real ** 2 + den_tm.imag ** 2), 0.0)
-        finite = np.isfinite(terms_te) & np.isfinite(terms_tm)
+        terms = np.maximum(-w4 * np.array(((db * n.conjugate()).imag, nd.imag))
+                           / (den.real ** 2 + den.imag ** 2), 0.0)
+        finite = np.isfinite(terms).all(axis=0)
         if not finite.all():
             raise ConvergenceError("non-finite partial-wave term",
                                    order=int(np.argmax(~finite)), ka=x, nka=n * x)
@@ -175,20 +175,17 @@ def _emissivity_terms(k: float, a: float, n: complex,
         # terms and partial sums are >= 0, so |.| of the rule is the value
         weight = np.full(m_hi + 1, 2.0)
         weight[0] = 1.0
-        total = np.cumsum(weight * terms_te) + np.cumsum(weight * terms_tm) + 1e-300
-        scale = tol * total
-        small = (terms_te < scale) & (terms_tm < scale)
+        partial = np.cumsum(weight * terms, axis=1)
+        total = partial[0] + partial[1] + 1e-300
+        small = (terms < tol * total).all(axis=0)
         hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
         if hits.size:
             m = hits[0] + 2
-            tail = max(terms_te[m - 2:m + 1].max(), terms_tm[m - 2:m + 1].max())
-            est = float(tail / total[m])
-            return terms_te[:m + 1], terms_tm[:m + 1], est
-        if m_hi == m_ceil:
-            raise ConvergenceError(
-                f"partial-wave sum did not converge within m_max = {m_ceil}",
-                order=m_ceil, ka=x, nka=n * x)
-        m_lo, m_hi = m_hi + 1, m_hi + int(airy) + 8
+            est = float(terms[:, m - 2:m + 1].max() / total[m])
+            return terms[0, :m + 1], terms[1, :m + 1], est
+    raise ConvergenceError(
+        f"partial-wave sum did not converge within m_max = {m_ceil}",
+        order=m_ceil, ka=x, nka=n * x)
 
 
 def _fold(terms: np.ndarray) -> float:

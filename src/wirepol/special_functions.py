@@ -9,7 +9,7 @@ that stays O(1) where J_m(n*k*a) itself overflows at large |Im(n*k*a)|.
 
 Derivatives are never asked of AMOS: they follow from the order
 recurrence C'_m = (C_{m-1} - C_{m+1}) / 2, so the block functions make
-one AMOS call over orders m_min-1..m_max+1 and difference the result.
+one AMOS call over orders -1..m_max+1 and difference the result.
 
 How many orders a sum needs is not decided here: ``scattering`` sizes
 every request.  All functions are pure and thread-safe.
@@ -23,34 +23,32 @@ from scipy import special as _sp
 from .errors import DomainError
 
 
-def _all_orders(func, name: str, m_max: int, x: float,
-                m_min: int) -> tuple[np.ndarray, np.ndarray]:
-    # C_m and C'_m for m = m_min..m_max from one call of func over orders
-    # m_min-1..m_max+1 and the recurrence C'_m = (C_{m-1} - C_{m+1}) / 2
+def _all_orders(func, name: str, m_max: int,
+                x: float) -> tuple[np.ndarray, np.ndarray]:
+    # C_m and C'_m for m = 0..m_max from one call of func over orders
+    # -1..m_max+1 and the recurrence C'_m = (C_{m-1} - C_{m+1}) / 2
     if x <= 0.0 or not np.isfinite(x):
         raise DomainError(f"{name}: need x > 0, got {x}")
-    c = func(np.arange(m_min - 1, m_max + 2), x)
+    c = func(np.arange(-1, m_max + 2), x)
     return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
-def bessel_j_all_orders(m_max: int, x: float,
-                        m_min: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """J_m(x) and J'_m(x) for m = m_min..m_max at real x > 0, as arrays.
+def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """J_m(x) and J'_m(x) for m = 0..m_max at real x > 0, as arrays.
 
-    One jv call over orders m_min-1..m_max+1; the derivatives follow
-    from the order recurrence J'_m = (J_{m-1} - J_{m+1}) / 2.
+    One jv call over orders -1..m_max+1; the derivatives follow from the
+    order recurrence J'_m = (J_{m-1} - J_{m+1}) / 2.
     """
-    return _all_orders(_sp.jv, "bessel_j_all_orders", m_max, x, m_min)
+    return _all_orders(_sp.jv, "bessel_j_all_orders", m_max, x)
 
 
-def hankel1_all_orders(m_max: int, x: float,
-                       m_min: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """H^(1)_m(x) and H^(1)'_m(x) for m = m_min..m_max at real x > 0.
+def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """H^(1)_m(x) and H^(1)'_m(x) for m = 0..m_max at real x > 0.
 
-    One hankel1 call over orders m_min-1..m_max+1; the derivatives follow
+    One hankel1 call over orders -1..m_max+1; the derivatives follow
     from H'_m = (H_{m-1} - H_{m+1}) / 2.
     """
-    return _all_orders(_sp.hankel1, "hankel1_all_orders", m_max, x, m_min)
+    return _all_orders(_sp.hankel1, "hankel1_all_orders", m_max, x)
 
 
 def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:

@@ -72,6 +72,11 @@ def test_usage_errors(capsys):
                      "0.5", "--material", "vacuum")
     assert rc == 1
     assert "--material vacuum" in err
+    # --p-true fixes the unpolarized intensity at 1 - p
+    rc, out, err = run(capsys, "polsim", "--p-true", "0.2", "--i-unpolarized", "5")
+    assert rc == 1
+    assert out == ""
+    assert "--i-unpolarized" in err
 
 
 def test_io_error_exit_code(capsys):
@@ -472,7 +477,8 @@ def test_compare_numerical_failure_prints_nothing(capsys, tmp_path):
 @pytest.mark.parametrize("flag", [
     ("--variable", "radius"), ("--lo", "1"), ("--hi", "2"),
     ("--band", "0.45:0.75"), ("--wavelength-um", "0.5"),
-    ("--radius-um", "1"), ("--diameter-um", "2"),
+    ("--radius-um", "1"), ("--diameter-um", "2"), ("--temp-k", "1600"),
+    ("--spacing", "log"),
 ], ids=lambda flag: flag[0])
 def test_preset_rejects_flags_it_fixes(capsys, tmp_path, flag):
     path = tmp_path / "t.csv"

@@ -66,6 +66,22 @@ def test_amplitude_with_large_absorption_oracle():
         assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("a", [0.01, 0.3, 2.0])
+def test_high_order_amplitude_where_hankel_overflows(a):
+    # at m = 200 and a <= 0.3 um, H_m(x) overflows (AMOS gives nan) and
+    # J_m(x) underflows; the true amplitude rounds to 0 in double.  At
+    # a = 2 um H_m is finite and T_m ~ 1e-309 is subnormal but accurate.
+    k, n = 4 * math.pi, 3.38 + 2.65j
+    got = transition_amplitude(200, k, a, n)
+    want = tuple(oracle_amplitude(200, pol, k * a, n) for pol in POLS)
+    if a < 1.0:
+        assert got == want == (0j, 0j)
+    else:
+        assert 0 < abs(want[0]) < 1e-307
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=1e-9, abs=0.0)
+
+
 def test_vacuum_wire_does_not_scatter():
     pair = emissivity_pair(2 * math.pi / 0.5, 1.0, 1.0)
     assert pair.e_te == 0.0 and pair.e_tm == 0.0
@@ -171,6 +187,33 @@ def test_smallest_tolerance_converges_on_thick_wire():
     pair = emissivity_pair(k, 8.5, _tungsten_2400k(0.5), tol=2.0 ** -52)
     assert pair.terms_used <= order_ceiling(k * 8.5) + 1
     assert pair.truncation_error_estimate <= 2.0 ** -52
+
+
+def test_kernel_call_shape(monkeypatch):
+    # x = 2 pi 8.5 / 0.5: the first Hankel pass ends at int(x + 4x^(1/3))
+    # + 8 = 133 and converges at the default tol; at tol = 1e-13 it does
+    # not, and one more pass runs from order 0 to order_ceiling(x) = 175
+    import wirepol.scattering as scattering
+    calls = {"hankel": [], "log_derivative": []}
+    real_h, real_d = scattering.hankel1_all_orders, scattering.bessel_j_log_derivative
+
+    def hankel(m_max, x):
+        calls["hankel"].append(m_max)
+        return real_h(m_max, x)
+
+    def log_derivative(z, m_max):
+        calls["log_derivative"].append(m_max)
+        return real_d(z, m_max)
+
+    monkeypatch.setattr(scattering, "hankel1_all_orders", hankel)
+    monkeypatch.setattr(scattering, "bessel_j_log_derivative", log_derivative)
+    k, a, n = 2 * math.pi / 0.5, 8.5, 3.38 + 2.65j
+    assert order_ceiling(k * a) == 175
+    emissivity_pair(k, a, n)
+    assert calls == {"hankel": [133], "log_derivative": [175]}
+    calls["hankel"].clear()
+    emissivity_pair(k, a, n, tol=1e-13)
+    assert calls["hankel"] == [133, 175]
 
 
 def test_truncation_estimate_tracks_tolerance():

@@ -28,15 +28,15 @@ def oracle_jp(m, z):
 
 
 def j_at(m, x):
-    """J_m(x) and J'_m(x) from a one-order block."""
-    j, jp = bessel_j_all_orders(m, x, m)
-    return j[0], jp[0]
+    """J_m(x) and J'_m(x), the last entries of the 0..m block."""
+    j, jp = bessel_j_all_orders(m, x)
+    return j[m], jp[m]
 
 
 def h_at(m, x):
-    """H^(1)_m(x) and H^(1)'_m(x) from a one-order block."""
-    h, hp = hankel1_all_orders(m, x, m)
-    return h[0], hp[0]
+    """H^(1)_m(x) and H^(1)'_m(x), the last entries of the 0..m block."""
+    h, hp = hankel1_all_orders(m, x)
+    return h[m], hp[m]
 
 
 @pytest.mark.parametrize("m,z", [
@@ -125,27 +125,26 @@ def test_log_derivative_survives_huge_imaginary_part():
     assert d[0] == pytest.approx(-1j, abs=0.05)
 
 
-@pytest.mark.parametrize("x, m_min, m_max, checked", [
-    (5.0, 2, 9, range(2, 10)),
-    (5.0, 0, 3, range(0, 4)),
-    (50.0, 40, 60, range(40, 61, 2)),
-    (500.0, 480, 520, (480, 485, 493, 499, 500, 501, 510, 520)),
+@pytest.mark.parametrize("x, m_max, checked", [
+    (5.0, 9, range(2, 10)),
+    (5.0, 3, range(0, 4)),
+    (50.0, 60, range(40, 61, 2)),
+    (500.0, 520, (480, 485, 493, 499, 500, 501, 510, 520)),
 ])
-def test_block_values_and_recurrence_derivatives_match_oracle(x, m_min, m_max,
+def test_block_values_and_recurrence_derivatives_match_oracle(x, m_max,
                                                              checked):
-    # blocks with m_min > 0 that straddle the turning point m ~ x; the
+    # blocks that run from order 0 past the turning point m ~ x; the
     # derivatives come from (C_{m-1} - C_{m+1}) / 2 of the same AMOS call
-    j, jp = bessel_j_all_orders(m_max, x, m_min)
-    h, hp = hankel1_all_orders(m_max, x, m_min)
-    assert len(j) == len(jp) == len(h) == len(hp) == m_max - m_min + 1
+    j, jp = bessel_j_all_orders(m_max, x)
+    h, hp = hankel1_all_orders(m_max, x)
+    assert len(j) == len(jp) == len(h) == len(hp) == m_max + 1
     for m in checked:
-        i = m - m_min
         want_h = complex(mpmath.hankel1(m, x))
         want_hp = complex(0.5 * (mpmath.hankel1(m - 1, x) - mpmath.hankel1(m + 1, x)))
-        assert j[i] == pytest.approx(oracle_j(m, x).real, rel=1e-12)
-        assert jp[i] == pytest.approx(oracle_jp(m, x).real, rel=1e-12)
-        assert h[i] == pytest.approx(want_h, rel=1e-12)
-        assert hp[i] == pytest.approx(want_hp, rel=1e-12)
+        assert j[m] == pytest.approx(oracle_j(m, x).real, rel=1e-12)
+        assert jp[m] == pytest.approx(oracle_jp(m, x).real, rel=1e-12)
+        assert h[m] == pytest.approx(want_h, rel=1e-12)
+        assert hp[m] == pytest.approx(want_hp, rel=1e-12)
 
 
 def test_log_derivative_values_unchanged_by_storage():
