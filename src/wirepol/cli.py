@@ -263,6 +263,8 @@ def _sweep_table(args, evaluate: _Evaluator):
 
     if args.variable is None:
         raise _UsageError("either --preset or --variable is required")
+    if args.variable == "temperature" and args.temp_k is not None:
+        raise _UsageError("--variable temperature does not take --temp-k")
     temp_k = 2400.0 if args.temp_k is None else args.temp_k
     model = evaluate.model(temp_k)
     meta = f"material: {model.element}, model T = {model.temperature_k:g} K"
@@ -282,9 +284,9 @@ def _sweep_table(args, evaluate: _Evaluator):
                 lambda lam: evaluate(radius, float(lam), temp_k))
     if band is None:
         raise _UsageError("temperature sweep needs --band")
-    return (meta, ("temperature_K", "model_temperature_K", "p_avg",
-                   "e_te_bar", "e_tm_bar"), grid,
-            lambda t: evaluate(radius, band, t))
+    return (f"material: {model.element}",
+            ("temperature_K", "model_temperature_K", "p_avg", "e_te_bar",
+             "e_tm_bar"), grid, lambda t: evaluate(radius, band, t))
 
 
 def _cmd_sweep(args) -> int:

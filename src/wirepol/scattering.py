@@ -25,8 +25,8 @@ that is 2x times the absorption efficiency Q_abs, which Kirchhoff's law
 equates with the emissivity.  The factor 2x cancels in the linear
 polarization P = (e_TE - e_TM) / (e_TE + e_TM) (``polarization_of``),
 positive when the emitted field is polarized orthogonally to the wire.
-The band average in ``spectral`` weights by this sum, not by Q_abs;
-which of the two weights is intended is an open question (CHANGES.md).
+The band average in ``spectral`` weights by this sum, not by Q_abs; its
+docstring derives the extra 1/lambda that this carries.
 
 Re(T) - |T|^2 cancels where a partial wave is barely absorbed
 (Re T ~ |T|^2), so the sum is taken in the equivalent Wronskian form,
@@ -37,9 +37,9 @@ with W = J Y' - J' Y = 2/(pi x), which needs only D_m, H_m and H'_m:
 
 Each term is >= 0 for Im n >= 0 (a rounding-level negative is clipped to
 0) and exactly 0 for a lossless (real) n.  TE and TM are the two rows
-of one array, so each step of the sum is written once.  H'_m comes from
-the order recurrence (``special_functions``): one AMOS call over orders
-0..M per pass, and at most two passes (``_emissivity_terms``).
+of one array, so each step of the sum is written once.  H_m and H'_m come
+from the order recurrence (``special_functions``): one AMOS call at orders
+0 and 1 per pass, and at most two passes (``_emissivity_terms``).
 
 All functions are pure.
 """
@@ -124,8 +124,8 @@ def transition_amplitude(m: int, k: float, a: float,
         d = bessel_j_log_derivative(n * x, m)[m:]
         j, jp = (c[m:] for c in bessel_j_all_orders(m, x))
         h, hp = (c[m:] for c in hankel1_all_orders(m, x))
-        # AMOS gives nan where H_m(x) overflows; there J_m(x) and J'_m(x)
-        # have underflowed, and |T_m| <~ |J_m / H_m| < 1e-600 rounds to 0
+        # the Hankel block is nan where H_m(x) overflows; there J_m(x) and
+        # J'_m(x) have underflowed, and |T_m| <~ |J_m / H_m| < 1e-600 is 0
         if not (np.isfinite(h[0]) and np.isfinite(hp[0])):
             return 0.0j, 0.0j
         t_te = (d * j - n * jp) / (d * h - n * hp)
@@ -201,8 +201,7 @@ def emissivity_pair(k: float, a: float, n: complex,
     refraction index n.
 
     Each sum is 2x * Q_abs with x = ka, not the absorption efficiency
-    Q_abs itself.  The band average weights by these sums; whether it
-    should weight by Q_abs is an open question (CHANGES.md).
+    Q_abs itself; ``spectral`` derives what that means for the band weight.
     """
     if not sys.float_info.epsilon <= tol < 1.0:
         raise DomainError(

@@ -1,15 +1,13 @@
 """Cylinder Bessel and Hankel functions for the scattering code.
 
-Only integer orders m >= 0 are needed.  J_m and the Hankel functions of
-the first kind are evaluated in blocks of orders at the real positive
-exterior argument x = k*a, backed by the AMOS routines that
-scipy.special wraps.  At the complex interior argument n*k*a only the
-logarithmic derivative D_m = J'_m / J_m is computed, by a recurrence
-that stays O(1) where J_m(n*k*a) itself overflows at large |Im(n*k*a)|.
-
-Derivatives are never asked of AMOS: they follow from the order
-recurrence C'_m = (C_{m-1} - C_{m+1}) / 2, so the block functions make
-one AMOS call over orders -1..m_max+1 and difference the result.
+Only integer orders m >= 0 are needed, in blocks 0..m_max at the real
+exterior argument x = k*a.  J_m comes from one call of the AMOS routines
+that scipy.special wraps; H^(1)_m from AMOS at orders 0 and 1 and the
+upward order recurrence, which is neutral for m < x and follows the
+dominant Y_m past m ~ x (for J alone it would be unstable there).  The
+derivatives follow from C'_m = (C_{m-1} - C_{m+1}) / 2 over orders
+-1..m_max+1.  At the complex interior argument n*k*a only D_m = J'_m / J_m
+is computed, by a recurrence that stays O(1) where J_m(n*k*a) overflows.
 
 How many orders a sum needs is not decided here: ``scattering`` sizes
 every request.  All functions are pure and thread-safe.
@@ -23,32 +21,37 @@ from scipy import special as _sp
 from .errors import DomainError
 
 
-def _all_orders(func, name: str, m_max: int,
-                x: float) -> tuple[np.ndarray, np.ndarray]:
-    # C_m and C'_m for m = 0..m_max from one call of func over orders
-    # -1..m_max+1 and the recurrence C'_m = (C_{m-1} - C_{m+1}) / 2
-    if x <= 0.0 or not np.isfinite(x):
-        raise DomainError(f"{name}: need x > 0, got {x}")
-    c = func(np.arange(-1, m_max + 2), x)
-    return c[1:-1], 0.5 * (c[:-2] - c[2:])
-
-
 def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """J_m(x) and J'_m(x) for m = 0..m_max at real x > 0, as arrays.
 
     One jv call over orders -1..m_max+1; the derivatives follow from the
     order recurrence J'_m = (J_{m-1} - J_{m+1}) / 2.
     """
-    return _all_orders(_sp.jv, "bessel_j_all_orders", m_max, x)
+    if x <= 0.0 or not np.isfinite(x):
+        raise DomainError(f"bessel_j_all_orders: need x > 0, got {x}")
+    c = _sp.jv(np.arange(-1, m_max + 2), x)
+    return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
 def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """H^(1)_m(x) and H^(1)'_m(x) for m = 0..m_max at real x > 0.
 
-    One hankel1 call over orders -1..m_max+1; the derivatives follow
-    from H'_m = (H_{m-1} - H_{m+1}) / 2.
+    One hankel1 call at orders 0 and 1, then H_{m+1} = (2m/x) H_m - H_{m-1}
+    (Abramowitz & Stegun 9.1.27) from H_{-1} = -H_1, so H'_0 = -H_1 exactly;
+    H'_m = (H_{m-1} - H_{m+1}) / 2; nan from the first order that overflows.
     """
-    return _all_orders(_sp.hankel1, "hankel1_all_orders", m_max, x)
+    x = float(x)    # numpy scalars would make each step slower and warn
+    if x <= 0.0 or not np.isfinite(x):
+        raise DomainError(f"hankel1_all_orders: need x > 0, got {x}")
+    prev, h = _sp.hankel1((0, 1), x).tolist()
+    c = [-h, prev, h]
+    for m in range(1, m_max + 1):    # Python complex: cheaper than numpy's
+        prev, h = h, 2.0 * m / x * h - prev
+        c.append(h)
+    c = np.array(c)
+    if not np.isfinite(h):    # once inf or nan, H stays so at higher orders
+        c[np.logical_or.accumulate(~np.isfinite(c))] = np.nan
+    return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
 def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:

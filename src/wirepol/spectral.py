@@ -9,11 +9,17 @@ spectrum:
 
 with chi the flat passband of the filter and E the Planck spectral
 emittance.  The overall normalization of the weight cancels in the ratio
-and is never computed.  e_alpha is the sum that ``scattering.emissivity_pair``
-returns, 2x * Q_abs with x = 2 pi a / lambda, so the band is weighted by
-an extra 1/lambda compared with Q_abs; which weight is intended is an
-open question (CHANGES.md).  P itself comes from
-``scattering.polarization_of``.
+and is never computed.  P itself comes from ``scattering.polarization_of``.
+
+The weight carries 1/lambda.  By Kirchhoff's law a unit length of wire emits
+into each polarization the blackbody power E that it would absorb over its
+cross-section per unit length, 2a * Q_abs, so at fixed a a flat-response
+detector weights by chi E Q_abs.  e_alpha, the sum that
+``scattering.emissivity_pair`` returns, is 2x * Q_abs = (4 pi a / lambda)
+* Q_abs: 4 pi a cancels in P, 1/lambda does not.  Weighting by Q_abs
+(e_alpha * lambda) would move the 2400 K P on COMPUTED_BAND by +2.3e-4 to
++3.5e-4 for d = 5-120 um and by -1.7e-3 at d = 0.5 um; the presets and the
+benchmark reference keep the present weight until the choice is settled.
 
 Quadrature is fixed-order Gauss-Legendre on the band (the integrand is
 smooth and the band narrow).  The error estimate is |P - P'|, where P'

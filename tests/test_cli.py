@@ -362,6 +362,33 @@ def test_sweep_temperature_columns(capsys, tmp_path):
                        res.e_tm_bar]
 
 
+TEMPERATURE_SWEEP = ("sweep", "--variable", "temperature", "--lo", "1600",
+                     "--hi", "2400", "--points", "2", "--diameter-um", "2",
+                     "--band", "0.5:0.75")
+
+
+def test_temperature_sweep_rejects_temp_k(capsys, tmp_path):
+    # the swept temperature picks each row's model, so --temp-k sets nothing
+    path = tmp_path / "t.csv"
+    rc, out, err = run(capsys, *TEMPERATURE_SWEEP, "--temp-k", "298",
+                       "-o", str(path))
+    assert rc == 1
+    assert "--temp-k" in err
+    assert out == ""
+    assert not path.exists()
+
+
+def test_temperature_sweep_metadata_claims_no_model_temperature(capsys, tmp_path):
+    path = tmp_path / "t.csv"
+    rc, _, _ = run(capsys, *TEMPERATURE_SWEEP, "-o", str(path))
+    assert rc == 0
+    meta, header, rows = read_csv(path)
+    assert meta[-1] == "# material: W"
+    assert not any("model T" in line for line in meta)
+    assert header[1] == "model_temperature_K"
+    assert [r[1] for r in rows] == [1600.0, 2400.0]
+
+
 @pytest.mark.parametrize("spelling", [["--threads", "2"], ["--thread", "2"],
                                       ["--thr=2"], ["--th", "3"],
                                       ["--threads=4"]])

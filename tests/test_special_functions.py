@@ -2,13 +2,16 @@
 series oracle (mpmath) and the classical identities."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from wirepol.errors import DomainError
+from wirepol.scattering import order_ceiling
 from wirepol.special_functions import (
     bessel_j_all_orders,
     bessel_j_log_derivative,
@@ -145,6 +148,67 @@ def test_block_values_and_recurrence_derivatives_match_oracle(x, m_max,
         assert jp[m] == pytest.approx(oracle_jp(m, x).real, rel=1e-12)
         assert h[m] == pytest.approx(want_h, rel=1e-12)
         assert hp[m] == pytest.approx(want_hp, rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [1e-2, 0.3, 5.0, 120.0, 1000.0, 2500.0])
+def test_recurrence_block_matches_oracle_up_to_order_ceiling(x):
+    # the upward recurrence from H_0 and H_1 runs through m ~ x, where
+    # Y_m starts to dominate, to the top order any sum asks for
+    m_top = order_ceiling(x)
+    h, hp = hankel1_all_orders(m_top, x)
+    assert len(h) == len(hp) == m_top + 1
+    for m in sorted({0, 1, m_top // 3, int(x), m_top}):
+        want = mpmath.hankel1(m, x)
+        # H'_m = H_{m-1} - (m/x) H_m, Abramowitz & Stegun 9.1.27
+        want_p = mpmath.hankel1(m - 1, x) - m / mpmath.mpf(x) * want
+        assert h[m] == pytest.approx(complex(want), rel=1e-12)
+        assert hp[m] == pytest.approx(complex(want_p), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", np.geomspace(1e-2, 1e3, 11).tolist())
+def test_recurrence_block_matches_amos_at_every_order(x):
+    # AMOS evaluated at each order of the block is the reference
+    m_top = order_ceiling(x)
+    h, hp = hankel1_all_orders(m_top, x)
+    amos = scipy.special.hankel1(np.arange(-1, m_top + 2), x)
+    amos_p = 0.5 * (amos[:-2] - amos[2:])
+    assert np.all(np.abs(h - amos[1:-1]) <= 1e-12 * np.abs(amos[1:-1]))
+    assert np.all(np.abs(hp - amos_p) <= 1e-12 * np.abs(amos_p))
+
+
+def test_hankel_block_takes_one_amos_call(monkeypatch):
+    calls, amos = [], scipy.special.hankel1
+
+    def counted(order, x):
+        calls.append(np.size(order))
+        return amos(order, x)
+
+    monkeypatch.setattr(scipy.special, "hankel1", counted)
+    for m_max in (0, 1, 500):
+        hankel1_all_orders(m_max, 300.0)
+    assert calls == [2, 2, 2]
+
+
+def test_overflowing_block_turns_non_finite_without_warning():
+    # x = k a at a = 0.01 um, lambda = 0.5 um: |H_m(x)| passes the largest
+    # double near m = 110, long before the block ends at m = 200; a numpy
+    # scalar, as the band path passes it
+    x = np.float64(4.0 * math.pi * 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, hp = hankel1_all_orders(200, x)
+        # at x = 1e-303 even 2m/x overflows, from m = 90 000 on
+        tiny, _ = hankel1_all_orders(100_000, 1e-303)
+    assert np.isfinite(tiny[:2]).all() and not np.isfinite(tiny[2:]).any()
+    first = int(np.argmin(np.isfinite(h)))
+    assert 100 < first < 200
+    assert np.isfinite(h[:first]).all() and not np.isfinite(h[first:]).any()
+    # H'_m takes H_{m+1}, so the derivatives turn one order earlier
+    assert (np.isfinite(hp[:first - 1]).all()
+            and not np.isfinite(hp[first - 1:]).any())
+    last = first - 1
+    assert abs(h[last]) > 1e300
+    assert h[last] == pytest.approx(complex(mpmath.hankel1(last, x)), rel=1e-12)
 
 
 def test_log_derivative_values_unchanged_by_storage():
