@@ -42,7 +42,7 @@ from .polarimetry import (
     simulate_scan,
     write_scan,
 )
-from .scattering import DEFAULT_TOL, emissivity_pair, polarization_of
+from .scattering import emissivity_pair, polarization_of
 from .spectral import BandFilter, COMPUTED_BAND, band_averaged_polarization
 
 # Bundled reference measurements: (diameter_um, P_measured, standard error)
@@ -151,7 +151,6 @@ class _Evaluator:
     def __init__(self, args):
         self._db = load_database(args.material_db)
         self._tentative = args.include_tentative
-        self._tol = getattr(args, "tol", DEFAULT_TOL)
         self._nodes = getattr(args, "nodes", 64)
 
     def model(self, temp_k):
@@ -163,14 +162,13 @@ class _Evaluator:
                   "model_temperature_K": model.temperature_k}
         if isinstance(spectrum, BandFilter):
             res = band_averaged_polarization(
-                radius, float(temp_k), spectrum, model, nodes=self._nodes,
-                emissivity_tol=self._tol)
+                radius, float(temp_k), spectrum, model, nodes=self._nodes)
             return {**values, "p_avg": res.p_avg, "e_te_bar": res.e_te_bar,
                     "e_tm_bar": res.e_tm_bar,
                     "quadrature_nodes": res.quadrature_nodes,
                     "quadrature_error": res.est_quadrature_error}
         n = refraction_index(permittivity(model, spectrum))
-        pair = emissivity_pair(2.0 * math.pi / spectrum, radius, n, tol=self._tol)
+        pair = emissivity_pair(2.0 * math.pi / spectrum, radius, n)
         return {**values, "p": polarization_of(pair.e_te, pair.e_tm),
                 "e_te": pair.e_te, "e_tm": pair.e_tm,
                 "terms_used": pair.terms_used,
@@ -439,7 +437,6 @@ def _add_wire(parser, temp_k):
     parser.add_argument("--wavelength-um", type=float)
     parser.add_argument("--band", help="lo:hi in microns")
     parser.add_argument("--temp-k", type=float, default=temp_k)
-    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
 def build_parser() -> _Parser:

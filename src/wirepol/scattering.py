@@ -37,9 +37,11 @@ with W = J Y' - J' Y = 2/(pi x), which needs only D_m, H_m and H'_m:
 
 Each term is >= 0 for Im n >= 0 (a rounding-level negative is clipped to
 0) and exactly 0 for a lossless (real) n.  TE and TM are the two rows
-of one array, so each step of the sum is written once.  H_m and H'_m come
-from the order recurrence (``special_functions``): one AMOS call at orders
-0 and 1 per pass, and at most two passes (``_emissivity_terms``).
+of one array, so each step of the sum is written once.  Every sum runs
+over the fixed orders 0..order_ceiling(x), as Mie codes since Wiscombe
+(Appl. Opt. 19, 1505, 1980) do: D_m, H_m and H'_m come from one pass each
+(``special_functions``), and ``emissivity_pair`` checks that the last
+three terms lie below the machine epsilon of the sum.
 
 All functions are pure.
 """
@@ -59,11 +61,12 @@ from .special_functions import (
     hankel1_all_orders,
 )
 
-DEFAULT_TOL = 1e-10
-
 # Largest partial-wave order of any sum or amplitude; order_ceiling keeps
 # the sums below it up to x ~ 49 600 (d ~ 7.9 mm at lambda = 0.5 um).
 MAX_ORDER = 50_000
+# Smallest size parameter of a sum (a = 0.04 nm at lambda = 2.65 um):
+# below it H_m(x) at order_ceiling(x) passes the double range.
+MIN_SIZE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,9 @@ class PolarizedEmissivity:
     """Emissivity sums e = 4 sum_m (Re T_m - |T_m|^2) = 2x * Q_abs (x = ka)
     for both polarizations; divide by 2x for Q_abs.
 
-    truncation_error_estimate is relative to the emissivity magnitude and
-    is bounded by the tolerance the sum was requested with.
+    terms_used is order_ceiling(x) + 1.  truncation_error_estimate is the
+    largest of the last three terms relative to e_TE + e_TM, at most the
+    machine epsilon.
     """
     e_te: float
     e_tm: float
@@ -86,11 +90,16 @@ def _check_order(m: int) -> None:
 
 
 def order_ceiling(x: float) -> int:
-    """Hard ceiling on the partial-wave order of the sum at size parameter
-    x: Wiscombe's x + 4x^(1/3), where the sum stops, with a wide margin.
-    The index n does not enter; |nx| sets only where the D recurrence
-    starts.  Raises RangeError above MAX_ORDER."""
-    m = max(int(math.ceil(x)) + int(math.ceil(10.0 * x ** (1.0 / 3.0))) + 20, 5)
+    """Highest partial-wave order of the sum at size parameter x, where the
+    sum stops: Wiscombe's x + 4x^(1/3) with a wide margin.  The index n
+    does not enter; |nx| sets only where the D recurrence starts.  Raises
+    RangeError below MIN_SIZE and above MAX_ORDER."""
+    if not x >= MIN_SIZE:
+        raise RangeError(f"size parameter x={x} below floor {MIN_SIZE}")
+    if x > MAX_ORDER:    # also keeps x = inf out of the integer arithmetic
+        raise RangeError(
+            f"order at size parameter x={x} exceeds ceiling {MAX_ORDER}")
+    m = int(math.ceil(x)) + int(math.ceil(10.0 * x ** (1.0 / 3.0))) + 20
     _check_order(m)
     return m
 
@@ -118,74 +127,46 @@ def transition_amplitude(m: int, k: float, a: float,
     if n == 1.0:
         return 0.0j, 0.0j
     x = k * a
-    try:
-        # one-element arrays: numpy's array and scalar complex arithmetic
-        # may round differently
-        d = bessel_j_log_derivative(n * x, m)[m:]
-        j, jp = (c[m:] for c in bessel_j_all_orders(m, x))
-        h, hp = (c[m:] for c in hankel1_all_orders(m, x))
-        # the Hankel block is nan where H_m(x) overflows; there J_m(x) and
-        # J'_m(x) have underflowed, and |T_m| <~ |J_m / H_m| < 1e-600 is 0
-        if not (np.isfinite(h[0]) and np.isfinite(hp[0])):
-            return 0.0j, 0.0j
-        t_te = (d * j - n * jp) / (d * h - n * hp)
-        t_tm = (jp - n * d * j) / (hp - n * d * h)
-    except (OverflowError, FloatingPointError) as exc:
-        raise ConvergenceError(f"transition amplitude failed: {exc}",
-                               order=m, ka=x, nka=n * x) from exc
+    # one-element arrays: numpy's array and scalar complex arithmetic
+    # may round differently
+    d = bessel_j_log_derivative(n * x, m)[m:]
+    j, jp = (c[m:] for c in bessel_j_all_orders(m, x))
+    h, hp = (c[m:] for c in hankel1_all_orders(m, x))
+    # the Hankel block is nan where H_m(x) overflows; there J_m(x) and
+    # J'_m(x) have underflowed, and |T_m| <~ |J_m / H_m| < 1e-600 is 0
+    if not (np.isfinite(h[0]) and np.isfinite(hp[0])):
+        return 0.0j, 0.0j
+    t_te = (d * j - n * jp) / (d * h - n * hp)
+    t_tm = (jp - n * d * j) / (hp - n * d * h)
     if not (np.isfinite(t_te[0]) and np.isfinite(t_tm[0])):
         raise ConvergenceError("transition amplitude is not finite",
                                order=m, ka=x, nka=n * x)
     return complex(t_te[0]), complex(t_tm[0])
 
 
-def _emissivity_terms(k: float, a: float, n: complex,
-                      tol: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:
     """Per-order emissivity terms 4(Re T - |T|^2) for both polarizations,
-    in the Wronskian form of the module docstring, truncated adaptively.
-
-    Returns (terms_te, terms_tm, relative_truncation_estimate) where the
-    arrays run over m = 0..M.  Truncation: stop once three consecutive
-    orders have both polarization terms below tol * (|partial| + 1e-300).
-    TE and TM are the rows of one (2, M+1) array.  The Hankel functions
-    come in at most two passes from order 0: the first ends at Wiscombe's
-    bound x + 4x^(1/3) plus a margin of 8, which a tungsten sum passes
-    only for tol below about 1e-11; the second, only where the first
-    does not converge, ends at order_ceiling(x).
+    in the Wronskian form of the module docstring, as the rows TE and TM
+    of one (2, M+1) array over m = 0..M, M = order_ceiling(x).  D_m(nx)
+    and H_m(x) come in one pass each, both over m = 0..M.
     """
     x = k * a
     n = complex(n)
-    m_ceil = order_ceiling(x)
-    d = bessel_j_log_derivative(n * x, m_ceil)
+    m_max = order_ceiling(x)
+    d = bessel_j_log_derivative(n * x, m_max)
+    h, hp = hankel1_all_orders(m_max, x)
     w4 = 8.0 / (math.pi * x)            # 4W, W = J Y' - J' Y = 2 / (pi x)
-    for m_hi in (min(int(x + 4.0 * x ** (1.0 / 3.0)) + 8, m_ceil), m_ceil):
-        h, hp = hankel1_all_orders(m_hi, x)
-        db = d[:m_hi + 1]
-        nd = n * db
-        den = np.array((db * h - n * hp, hp - nd * h))
-        # >= 0 in exact arithmetic for Im n >= 0; rounding in D_m can give
-        # a term far below the sum's resolution the wrong sign, so clip
-        terms = np.maximum(-w4 * np.array(((db * n.conjugate()).imag, nd.imag))
-                           / (den.real ** 2 + den.imag ** 2), 0.0)
-        finite = np.isfinite(terms).all(axis=0)
-        if not finite.all():
-            raise ConvergenceError("non-finite partial-wave term",
-                                   order=int(np.argmax(~finite)), ka=x, nka=n * x)
-        # np.cumsum adds in order, as a running += over the terms would;
-        # terms and partial sums are >= 0, so |.| of the rule is the value
-        weight = np.full(m_hi + 1, 2.0)
-        weight[0] = 1.0
-        partial = np.cumsum(weight * terms, axis=1)
-        total = partial[0] + partial[1] + 1e-300
-        small = (terms < tol * total).all(axis=0)
-        hits = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-        if hits.size:
-            m = hits[0] + 2
-            est = float(terms[:, m - 2:m + 1].max() / total[m])
-            return terms[0, :m + 1], terms[1, :m + 1], est
-    raise ConvergenceError(
-        f"partial-wave sum did not converge within m_max = {m_ceil}",
-        order=m_ceil, ka=x, nka=n * x)
+    nd = n * d
+    den = np.array((d * h - n * hp, hp - nd * h))
+    # >= 0 in exact arithmetic for Im n >= 0; rounding in D_m can give a
+    # term far below the sum's resolution the wrong sign, so clip
+    terms = np.maximum(-w4 * np.array(((d * n.conjugate()).imag, nd.imag))
+                       / (den.real ** 2 + den.imag ** 2), 0.0)
+    finite = np.isfinite(terms).all(axis=0)
+    if not finite.all():
+        raise ConvergenceError("non-finite partial-wave term",
+                               order=int(np.argmax(~finite)), ka=x, nka=n * x)
+    return terms
 
 
 def _fold(terms: np.ndarray) -> float:
@@ -194,22 +175,26 @@ def _fold(terms: np.ndarray) -> float:
     return math.fsum([terms[0], *(2.0 * terms[1:])])
 
 
-def emissivity_pair(k: float, a: float, n: complex,
-                    tol: float = DEFAULT_TOL) -> PolarizedEmissivity:
+def emissivity_pair(k: float, a: float, n: complex) -> PolarizedEmissivity:
     """Both polarized emissivity sums e = 4 sum_m (Re T_m - |T_m|^2) at
     wavenumber k (inverse micron) for a wire of radius a (micron) and
     refraction index n.
 
     Each sum is 2x * Q_abs with x = ka, not the absorption efficiency
     Q_abs itself; ``spectral`` derives what that means for the band weight.
+    Raises ConvergenceError if the largest of the last three terms
+    exceeds the machine epsilon of the sum.
     """
-    if not sys.float_info.epsilon <= tol < 1.0:
-        raise DomainError(
-            f"tolerance must be in [{sys.float_info.epsilon!r}, 1), got {tol}")
     _check_inputs(k, a, n)
-    terms_te, terms_tm, est = _emissivity_terms(k, a, n, tol)
-    return PolarizedEmissivity(_fold(terms_te), _fold(terms_tm),
-                               len(terms_te), est)
+    terms = _emissivity_terms(k, a, n)
+    e_te, e_tm = _fold(terms[0]), _fold(terms[1])
+    total = e_te + e_tm
+    est = float(terms[:, -3:].max()) / total if total > 0 else 0.0
+    if est > sys.float_info.epsilon:
+        raise ConvergenceError(
+            f"partial-wave tail {est:g} of the sum exceeds machine epsilon",
+            order=terms.shape[1] - 1, ka=k * a, nka=complex(n) * k * a)
+    return PolarizedEmissivity(e_te, e_tm, terms.shape[1], est)
 
 
 def polarization_of(e_te: float, e_tm: float) -> float:
@@ -226,8 +211,7 @@ def polarization_of(e_te: float, e_tm: float) -> float:
     return (e_te - e_tm) / total
 
 
-def linear_polarization(k: float, a: float, n: complex,
-                        tol: float = DEFAULT_TOL) -> float:
+def linear_polarization(k: float, a: float, n: complex) -> float:
     """P = (e_TE - e_TM) / (e_TE + e_TM) at a single wavenumber."""
-    pair = emissivity_pair(k, a, n, tol)
+    pair = emissivity_pair(k, a, n)
     return polarization_of(pair.e_te, pair.e_tm)

@@ -38,7 +38,7 @@ from scipy import constants as _const
 
 from .errors import ConvergenceError, DomainError
 from .materials import DrudePermittivityModel, permittivity, refraction_index
-from .scattering import DEFAULT_TOL, emissivity_pair, polarization_of
+from .scattering import emissivity_pair, polarization_of
 
 # Largest accepted |P(nodes) - P(2 * nodes)| of a band average.
 QUADRATURE_TOLERANCE = 1e-6
@@ -105,7 +105,6 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
                                band: BandFilter,
                                model: DrudePermittivityModel,
                                nodes: int = 64,
-                               emissivity_tol: float = DEFAULT_TOL,
                                emissivity_fn=None) -> BandAveragedResult:
     """Band-averaged linear polarization of a wire of radius ``a_um``.
 
@@ -124,8 +123,7 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     if emissivity_fn is None:
         def emissivity_fn(lam):
             pair = emissivity_pair(2.0 * math.pi / lam, a_um,
-                                   refraction_index(permittivity(model, lam)),
-                                   tol=emissivity_tol)
+                                   refraction_index(permittivity(model, lam)))
             return pair.e_te, pair.e_tm
     e_te, e_tm = _band_integrals(temperature_k, band, nodes, emissivity_fn)
     p = polarization_of(e_te, e_tm)

@@ -427,7 +427,7 @@ def test_convergence_error_context_in_message(capsys, monkeypatch):
     from wirepol import cli
     from wirepol.errors import ConvergenceError
 
-    def diverge(k, a, n, tol):
+    def diverge(k, a, n):
         raise ConvergenceError("partial-wave sum did not converge",
                                order=601, ka=12.5, nka=(40 + 3j))
 
@@ -456,37 +456,45 @@ def test_band_convergence_error_reports_nodes(capsys, monkeypatch):
     assert "(nodes=64)" in err
 
 
-def test_tol_reaches_band_path(capsys):
-    from wirepol.materials import load_database, model_for_temperature
-    from wirepol.spectral import BandFilter, band_averaged_polarization
-    rc, out, _ = run(capsys, "point", "--radius-um", "1", "--band",
-                     "0.5:0.75", "--tol", "1e-3")
-    assert rc == 0
-    model = model_for_temperature(load_database(), 2400.0)
-    loose = band_averaged_polarization(1.0, 2400.0, BandFilter(0.5, 0.75),
-                                       model, emissivity_tol=1e-3)
-    default = band_averaged_polarization(1.0, 2400.0, BandFilter(0.5, 0.75),
-                                         model)
-    assert parse_kv(out)["p_avg"] == repr(loose.p_avg)
-    assert loose.p_avg != default.p_avg
-
-
-@pytest.mark.parametrize("tol", ["1", "inf", "nan", "-1", "1e-17", "1e-300"])
-def test_tol_outside_unit_interval_is_numerical_failure(capsys, tol):
-    # the range is [machine epsilon, 1): a sum cannot resolve finer
-    rc, out, err = run(capsys, "point", "--radius-um", "1",
-                       "--wavelength-um", "0.5", "--tol", tol)
-    assert rc == 2
-    assert out == ""
-    assert "tolerance must be in [2.220446049250313e-16, 1)" in err
-
-
 def test_thick_wire_point(capsys):
     # a 4 mm wire needs about 25 400 orders, within the ceiling
     rc, out, err = run(capsys, "point", "--diameter-um", "4000",
                        "--wavelength-um", "0.5")
     assert rc == 0, err
     assert float(parse_kv(out)["p"]) == pytest.approx(0.17869, abs=1e-5)
+
+
+def test_wire_below_size_floor_is_numerical_failure(capsys):
+    # x = 1.3e-299 is below scattering.MIN_SIZE: one error line, no warning
+    rc, out, err = run(capsys, "point", "--radius-um", "1e-300",
+                       "--wavelength-um", "0.5")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("wirepol: ") and err.count("\n") == 1
+    assert "below floor" in err
+
+
+def test_figure4_preset(capsys, tmp_path):
+    path = tmp_path / "f4.csv"
+    rc, _, err = run(capsys, "sweep", "--preset", "figure4", "--points", "2",
+                     "-o", str(path))
+    assert rc == 0, err
+    _, header, rows = read_csv(path)
+    assert header == ["diameter_um", "p_avg_298K", "p_avg_1600K", "p_avg_2400K"]
+    assert [r[0] for r in rows] == [0.5, 120.0]
+    assert all(abs(p) < 1.0 for r in rows for p in r[1:])
+
+
+def test_compare_output_file_repeats_stdout(capsys, tmp_path):
+    data, path = tmp_path / "m.csv", tmp_path / "c.csv"
+    data.write_text("17 0.221 0.003\n")
+    rc, out, _ = run(capsys, "compare", "--measurements", str(data),
+                     "-o", str(path))
+    assert rc == 0
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("# command: wirepol compare")
+    assert lines[1] == "# model T = 2400 K"
+    assert lines[2:] == out.splitlines()
 
 
 def test_compare_numerical_failure_prints_nothing(capsys, tmp_path):
