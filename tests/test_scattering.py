@@ -335,6 +335,52 @@ def test_emissivities_never_negative(a, n_re, n_im):
     assert pair.e_te >= 0.0 and pair.e_tm >= 0.0
 
 
+@pytest.mark.parametrize("a, tol", [(0.01, 1e-10), (1.0, 1e-10), (30.0, 1e-10),
+                                    (1.0, 1e-15), (30.0, 1e-13)])
+def test_truncation_matches_running_sum_loop(a, tol):
+    # reference: the per-order loop of running sums that stops after three
+    # consecutive orders below tol of the sum.  Its terms are the leading
+    # terms of the full series, and the orders it leaves out move neither
+    # emissivity by more than tol of the total: summing to order_ceiling(x)
+    # only adds what such a stopping rule would have dropped
+    from wirepol.scattering import _emissivity_terms
+    from wirepol.special_functions import (bessel_j_log_derivative,
+                                           hankel1_all_orders)
+    k, n = 2 * math.pi / 0.5, N_TUNGSTEN
+    x = k * a
+    m_max = order_ceiling(x)
+    d = bessel_j_log_derivative(n * x, m_max)
+    h, hp = hankel1_all_orders(m_max, x)
+    w4 = 8.0 / (math.pi * x)
+    sum_te = sum_tm = 0.0
+    consecutive = 0
+    ref_te, ref_tm = [], []
+    for m in range(m_max + 1):
+        dm, hm, hpm = d[m:m + 1], h[m:m + 1], hp[m:m + 1]
+        den_te = dm * hm - n * hpm
+        den_tm = hpm - n * dm * hm
+        te = max(-w4 * (dm * n.conjugate()).imag[0] / abs(den_te[0]) ** 2, 0.0)
+        tm = max(-w4 * (n * dm).imag[0] / abs(den_tm[0]) ** 2, 0.0)
+        ref_te.append(te)
+        ref_tm.append(tm)
+        w = 1.0 if m == 0 else 2.0
+        sum_te += w * te
+        sum_tm += w * tm
+        scale = tol * (sum_te + sum_tm + 1e-300)
+        consecutive = consecutive + 1 if (te < scale and tm < scale) else 0
+        if consecutive == 3:
+            break
+    assert consecutive == 3, "the stopping rule never fired below the ceiling"
+    terms_te, terms_tm = _emissivity_terms(k, a, n)
+    kept = len(ref_te)
+    assert list(terms_te[:kept]) == pytest.approx(ref_te, rel=1e-13, abs=0.0)
+    assert list(terms_tm[:kept]) == pytest.approx(ref_tm, rel=1e-13, abs=0.0)
+    pair = emissivity_pair(k, a, n)
+    total = pair.e_te + pair.e_tm
+    assert abs(pair.e_te - sum_te) <= tol * total
+    assert abs(pair.e_tm - sum_tm) <= tol * total
+
+
 @pytest.mark.parametrize("a", [0.01, 1.0, 30.0])
 def test_terms_match_per_order_loop(a):
     # reference: the per-order loop over the same Wronskian terms, to
