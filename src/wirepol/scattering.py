@@ -92,8 +92,7 @@ def _check_order(m: int) -> None:
 def order_ceiling(x: float) -> int:
     """Highest partial-wave order of the sum at size parameter x, where the
     sum stops: Wiscombe's x + 4x^(1/3) with a wide margin.  The index n
-    does not enter; |nx| sets only where the D recurrence starts.  Raises
-    RangeError below MIN_SIZE and above MAX_ORDER."""
+    does not enter.  Raises RangeError below MIN_SIZE and above MAX_ORDER."""
     if not x >= MIN_SIZE:
         raise RangeError(f"size parameter x={x} below floor {MIN_SIZE}")
     if x > MAX_ORDER:    # also keeps x = inf out of the integer arithmetic
@@ -172,7 +171,7 @@ def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:
 def _fold(terms: np.ndarray) -> float:
     # math.fsum rounds the exact sum once, so the result does not depend
     # on the order or grouping of the terms
-    return math.fsum([terms[0], *(2.0 * terms[1:])])
+    return math.fsum([terms[0], *(2.0 * terms[1:]).tolist()])
 
 
 def emissivity_pair(k: float, a: float, n: complex) -> PolarizedEmissivity:

@@ -10,8 +10,11 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from wirepol.errors import DomainError
-from wirepol.scattering import order_ceiling
+from wirepol import scattering
+from wirepol.errors import ConvergenceError, DomainError
+from wirepol.materials import (load_database, model_for_temperature,
+                               permittivity, refraction_index)
+from wirepol.scattering import emissivity_pair, order_ceiling
 from wirepol.special_functions import (
     bessel_j_all_orders,
     bessel_j_log_derivative,
@@ -30,10 +33,27 @@ def oracle_jp(m, z):
                           - mpmath.besselj(m + 1, mpmath.mpc(z))))
 
 
+def oracle_d(m, z):
+    """D_m(z) = J_{m-1}(z) / J_m(z) - m/z, formed in extended precision,
+    where J_m(z) itself may lie outside the double range."""
+    z = mpmath.mpc(z)
+    return complex(mpmath.besselj(m - 1, z) / mpmath.besselj(m, z) - m / z)
+
+
 def j_at(m, x):
     """J_m(x) and J'_m(x), the last entries of the 0..m block."""
     j, jp = bessel_j_all_orders(m, x)
     return j[m], jp[m]
+
+
+def plain_recurrence(z, m_max, n_start):
+    """D_0..D_m_max by the downward recurrence from D = 0 at n_start."""
+    ref = {}
+    dm = 0.0 + 0.0j
+    for m in range(n_start, 0, -1):
+        dm = (m - 1) / z - 1.0 / (dm + m / z)
+        ref[m - 1] = dm
+    return np.array([ref[m] for m in range(m_max + 1)])
 
 
 def h_at(m, x):
@@ -212,13 +232,96 @@ def test_overflowing_block_turns_non_finite_without_warning():
 
 
 def test_log_derivative_values_unchanged_by_storage():
-    # the values are those of the plain recurrence, order by order
+    # the values are those of the plain recurrence, order by order, started
+    # so far up that its zero start has died out
     z, m_max = 30 + 18j, 25
     d = bessel_j_log_derivative(z, m_max)
-    ref = {}
-    dm = 0.0 + 0.0j
-    for m in range(max(m_max, int(abs(z))) + 16, 0, -1):
-        dm = (m - 1) / z - 1.0 / (dm + m / z)
-        ref[m - 1] = dm
+    ref = plain_recurrence(z, m_max, max(m_max, int(abs(z))) + 2000)
     assert d.shape == (m_max + 1,)
-    assert list(d) == [ref[m] for m in range(m_max + 1)]
+    assert np.all(np.abs(d - ref) <= 1e-14 * np.abs(ref))
+
+
+# a weakly absorbing wire, x = 568.4 and |nx| = 2528, far above the sum's
+# top order 672: a recurrence started from 0 just above |nx| still carries
+# its start down to these orders, off by up to 100 % in D and 4.5 % in e_TE
+WEAK_A, WEAK_N = 568.408408931014, 4.446991263128214 + 1.648950711441867e-07j
+
+
+def test_log_derivative_of_weakly_absorbing_wire_matches_oracle():
+    z, m_max = WEAK_N * WEAK_A, order_ceiling(WEAK_A)
+    assert m_max == 672
+    d = bessel_j_log_derivative(z, m_max)
+    for m in (0, 100, 370, 672):
+        assert d[m] == pytest.approx(oracle_d(m, z), rel=1e-10)
+
+
+def test_emissivity_of_weakly_absorbing_wire_matches_far_start(monkeypatch):
+    pair = emissivity_pair(1.0, WEAK_A, WEAK_N)
+    monkeypatch.setattr(
+        scattering, "bessel_j_log_derivative",
+        lambda z, m_max: plain_recurrence(z, m_max,
+                                          max(m_max, int(abs(z))) + 3000))
+    far = emissivity_pair(1.0, WEAK_A, WEAK_N)
+    assert pair.e_te == pytest.approx(far.e_te, rel=1e-12)
+    assert pair.e_tm == pytest.approx(far.e_tm, rel=1e-12)
+    assert far.e_te == pytest.approx(0.433318, abs=1e-6)
+    assert far.e_tm == pytest.approx(0.418685, abs=1e-6)
+
+
+_rng = np.random.default_rng(2026)
+FAR_START_CASES = [(complex(re, im), x) for re, im, x in zip(
+    _rng.uniform(1.0, 6.0, 40), np.exp(_rng.uniform(np.log(1e-8), np.log(20.0), 40)),
+    np.exp(_rng.uniform(np.log(1e-2), np.log(1e3), 40)))]
+
+
+@pytest.mark.parametrize("n, x", FAR_START_CASES,
+                         ids=[f"case{i}" for i in range(len(FAR_START_CASES))])
+def test_log_derivative_matches_far_started_recurrence(n, x):
+    # from nearly lossless to strongly absorbing: the continued-fraction
+    # seed at the top order agrees with a start 3000 orders above |nx|
+    z, m_max = n * x, order_ceiling(x)
+    d = bessel_j_log_derivative(z, m_max)
+    ref = plain_recurrence(z, m_max, max(m_max, int(abs(z))) + 3000)
+    assert np.all(np.abs(d - ref) <= 1e-10 * np.abs(ref))
+
+
+N_W_HOT_UV = refraction_index(
+    permittivity(model_for_temperature(load_database(), 2400.0), 0.37))
+
+
+@pytest.mark.parametrize("x", [13.33, 500.0, 2500.0])
+def test_log_derivative_of_tungsten_matches_oracle_up_to_order_ceiling(x):
+    z, m_top = N_W_HOT_UV * x, order_ceiling(x)
+    d = bessel_j_log_derivative(z, m_top)
+    for m in (0, int(x), m_top):
+        assert d[m] == pytest.approx(oracle_d(m, z), rel=1e-12)
+
+
+def test_log_derivative_of_lossless_wire_is_real():
+    # a real argument: the continued fraction converges only past |nx|
+    # = 5298, far above the top order 1018, and no emission results
+    n, x = 5.88, 901.0
+    d = bessel_j_log_derivative(n * x, order_ceiling(x))
+    assert np.all(np.isfinite(d)) and np.all(d.imag == 0.0)
+    pair = emissivity_pair(1.0, x, n)
+    assert pair.e_te == 0.0 and pair.e_tm == 0.0
+
+
+@pytest.mark.parametrize("m_max", [2, 3])
+def test_log_derivative_steps_over_a_vanishing_convergent(m_max):
+    # at z = 2 sqrt(20), 10/z - z/8 cancels exactly in double precision,
+    # so Lentz's second D (m_max = 2) or second C (m_max = 3) is 0, and
+    # the next step would divide by it
+    z = 8.94427190999916
+    zi = 1 / complex(z)
+    assert 10 * zi - 1 / (8 * zi) == 0
+    d = bessel_j_log_derivative(z, m_max)
+    for m in range(m_max + 1):
+        assert d[m] == pytest.approx(oracle_d(m, z), rel=1e-12)
+
+
+def test_log_derivative_gives_up_with_typed_error():
+    # 1/z overflows, so the continued fraction is nan and never converges:
+    # the bound on its length ends the loop
+    with pytest.raises(ConvergenceError):
+        bessel_j_log_derivative(1e-320, 3)
