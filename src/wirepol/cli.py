@@ -196,9 +196,17 @@ def _cmd_point(args) -> int:
 
 # ----------------------------------------------------------------- sweep
 
-def _grid(lo: float, hi: float, points: int, spacing: str) -> np.ndarray:
-    if points < 2 or not lo < hi:
-        raise _UsageError("sweep needs lo < hi and points >= 2")
+# Most points of one sweep grid.
+MAX_POINTS = 100_000
+
+
+def _grid(lo: float, hi: float, points: int | None, spacing: str,
+          default: int) -> np.ndarray:
+    points = default if points is None else points
+    # hi - lo is finite and > 0 only for finite lo < hi
+    if not 2 <= points <= MAX_POINTS or not 0 < hi - lo < math.inf:
+        raise _UsageError(
+            f"sweep needs finite lo < hi and points >= 2, at most {MAX_POINTS}")
     if spacing == "log":
         if lo <= 0:
             raise _UsageError("log spacing requires lo > 0")
@@ -238,7 +246,7 @@ def _sweep_table(args, evaluate: _Evaluator):
         return (
             f"material: {model.element} {model.temperature_k:g} K, lambda = {lam} um",
             ("log10_2pi_a_over_lambda", "radius_um", "p", "e_te", "e_tm"),
-            _grid(-2.0, 3.0, args.points or 200, "linear"),
+            _grid(-2.0, 3.0, args.points, "linear", 200),
             lambda size: evaluate(lam * 10.0 ** size / (2.0 * math.pi), lam, 2400.0))
     band = COMPUTED_BAND
     if args.preset == "figure4":
@@ -247,10 +255,13 @@ def _sweep_table(args, evaluate: _Evaluator):
             f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
             f"temperatures: {', '.join(f'{t:g} K' for t in temps)}",
             ("diameter_um", *(f"p_avg_{t:g}K" for t in temps)),
-            _grid(0.5, 120.0, args.points or 61, "log"),
+            _grid(0.5, 120.0, args.points, "log", 61),
             lambda d: {f"p_avg_{t:g}K": evaluate(d / 2.0, band, t)["p_avg"]
                        for t in temps})
     if args.preset == "table2":
+        # the grid is the bundled measurements' diameters
+        if args.points is not None:
+            raise _UsageError("--preset table2 does not take --points")
         model = evaluate.model(2400.0)
         return (
             f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
@@ -263,10 +274,12 @@ def _sweep_table(args, evaluate: _Evaluator):
         raise _UsageError("either --preset or --variable is required")
     if args.variable == "temperature" and args.temp_k is not None:
         raise _UsageError("--variable temperature does not take --temp-k")
+    if args.lo is None or args.hi is None:
+        raise _UsageError(f"--variable {args.variable} needs --lo and --hi")
     temp_k = 2400.0 if args.temp_k is None else args.temp_k
     model = evaluate.model(temp_k)
     meta = f"material: {model.element}, model T = {model.temperature_k:g} K"
-    grid = _grid(args.lo, args.hi, args.points or 50, args.spacing or "linear")
+    grid = _grid(args.lo, args.hi, args.points, args.spacing or "linear", 50)
     band = _parse_band(args.band) if args.band else None
     if args.variable == "radius":
         if band is None and args.wavelength_um is None:

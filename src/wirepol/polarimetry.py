@@ -39,6 +39,9 @@ import numpy as np
 
 from .errors import DegenerateInputError, DomainError, IdentifiabilityError
 
+# Most samples of one simulated rotation: 0.001 deg steps over a full turn.
+MAX_SAMPLES = 360_000
+
 
 @dataclass(frozen=True)
 class SourceModel:
@@ -49,6 +52,10 @@ class SourceModel:
     ir_background: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.i_polarized, self.i_unpolarized,
+                                       self.polarization_axis_deg,
+                                       self.ir_background))):
+            raise DomainError(f"source parameters must be finite: {self}")
         if self.i_polarized < 0 or self.i_unpolarized < 0 or self.ir_background < 0:
             raise DomainError(f"intensities must be >= 0: {self}")
 
@@ -112,10 +119,17 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
     additive Gaussian per sample with the given rms, deterministic for a
     fixed seed.
     """
-    if step_deg <= 0:
-        raise DomainError(f"step must be > 0, got {step_deg}")
-    if noise_rms < 0:
-        raise DomainError(f"noise rms must be >= 0, got {noise_rms}")
+    if not 0 < step_deg < math.inf:
+        raise DomainError(f"step must be finite and > 0, got {step_deg}")
+    if not span_deg / step_deg <= MAX_SAMPLES:
+        raise DomainError(f"a {span_deg:g} deg span in {step_deg:g} deg steps "
+                          f"exceeds {MAX_SAMPLES} samples")
+    if not 0 <= noise_rms < math.inf:
+        raise DomainError(f"noise rms must be finite and >= 0, got {noise_rms}")
+    if polarizer_angle_deg is not None and not math.isfinite(polarizer_angle_deg):
+        raise DomainError(f"polarizer angle must be finite, got {polarizer_angle_deg}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     theta = np.arange(0.0, span_deg, step_deg)
     axis = math.radians(source.polarization_axis_deg)
     th = np.radians(theta)
@@ -153,7 +167,8 @@ def fit_cos_squared(scan: PolarimeterScan) -> CosineSquaredFit:
     c0, c1, c2 = (float(v) for v in coef)
     amplitude = 2.0 * math.hypot(c1, c2)
     resid = scan.intensities - design @ coef
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    # hypot scales its arguments, so intensities near 1e300 do not overflow
+    rms = math.hypot(*resid.tolist()) / math.sqrt(resid.size)
     scale = max(abs(c0), float(np.max(np.abs(scan.intensities))), 1e-300)
     if amplitude < 1e-12 * scale:
         return CosineSquaredFit(0.0, 0.0, c0, rms, degenerate_phase=True)

@@ -8,8 +8,20 @@ spectrum:
     P_avg = (e_bar_TE - e_bar_TM) / (e_bar_TE + e_bar_TM)
 
 with chi the flat passband of the filter and E the Planck spectral
-emittance.  The overall normalization of the weight cancels in the ratio
-and is never computed.  P itself comes from ``scattering.polarization_of``.
+emittance.  P itself comes from ``scattering.polarization_of``.
+
+E has one formula, in log space on the array of quadrature wavelengths:
+
+    log E = log(2 pi h c^2) - 5 log(lambda) - x - log(1 - exp(-x)),
+    x = (hc / kB / T) / lambda,
+
+which stays finite deep in the Wien tail, where E itself underflows;
+``planck_radiance`` is its exp.  The normalization of the weight cancels
+in P, so each node's weight is w_i exp(log E_i - max log E): scaled to the
+band's peak, the weights never all underflow, and P is defined wherever
+the emissivities are.  e_bar keeps its units (the scaled sums times
+exp(max log E)) and may underflow to 0 where E does, e.g. over 1-2 nm
+at 300 K.
 
 The weight carries 1/lambda.  By Kirchhoff's law a unit length of wire emits
 into each polarization the blackbody power E that it would absorb over its
@@ -24,8 +36,10 @@ benchmark reference keep the present weight until the choice is settled.
 Quadrature is fixed-order Gauss-Legendre on the band (the integrand is
 smooth and the band narrow).  The error estimate is |P - P'|, where P'
 comes from the rule with 2 * nodes; an estimate above
-QUADRATURE_TOLERANCE raises ConvergenceError.  Node sums are reduced
-with math.fsum, which rounds the exact sum once.
+QUADRATURE_TOLERANCE raises ConvergenceError.  Each rule is array
+arithmetic over its nodes; only the emissivities are evaluated node by
+node.  Node sums are reduced with math.fsum, which rounds the exact sum
+once.
 """
 
 from __future__ import annotations
@@ -36,12 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import constants as _const
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 from .materials import DrudePermittivityModel, permittivity, refraction_index
 from .scattering import emissivity_pair, polarization_of
 
 # Largest accepted |P(nodes) - P(2 * nodes)| of a band average.
 QUADRATURE_TOLERANCE = 1e-6
+# Most Gauss-Legendre nodes of a band average's primary rule: the rule
+# costs an n x n eigenproblem, and its check rule has 2 * MAX_NODES.
+MAX_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -63,11 +80,34 @@ MEASURED_BAND = BandFilter(0.45, 0.75)
 
 @dataclass(frozen=True)
 class BandAveragedResult:
+    """A band average of one wire.
+
+    e_te_bar and e_tm_bar are the Planck-weighted integrals of the
+    emissivity sums over the band, in W m^-3 * micron (the emittance times
+    the sum, per wavelength interval); either may underflow to 0.0 where
+    the emittance itself does (deep Wien tail), while p_avg, taken from the
+    integrals scaled to the band's peak weight, stays defined.
+    est_quadrature_error is |P(nodes) - P(2 * nodes)|.
+    """
     p_avg: float
     e_te_bar: float
     e_tm_bar: float
     quadrature_nodes: int
     est_quadrature_error: float
+
+
+# log(2 pi h c^2) with lambda in micron, so that E comes out in W m^-3;
+# and the second radiation constant hc/kB in micron kelvin
+_LOG_2PI_HC2 = math.log(2.0 * math.pi * _const.h * _const.c ** 2 / 1e-30)
+_HC_OVER_KB = _const.h * _const.c / _const.k * 1e6
+
+
+def _log_emittance(lam_um, temperature_k):
+    # x = (hc/kB/T)/lambda: no T * lambda product to overflow; x is inf
+    # only where E is below the double range, and log E is then -inf
+    with np.errstate(over="ignore"):
+        x = _HC_OVER_KB / temperature_k / lam_um
+    return _LOG_2PI_HC2 - 5.0 * np.log(lam_um) - x - np.log(-np.expm1(-x))
 
 
 def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
@@ -77,28 +117,23 @@ def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
         raise DomainError(f"wavelength must be > 0, got {wavelength_um}")
     if temperature_k <= 0:
         raise DomainError(f"temperature must be > 0, got {temperature_k}")
-    lam = wavelength_um * 1e-6
-    x = _const.h * _const.c / (_const.k * temperature_k * lam)
-    prefactor = 2.0 * math.pi * _const.h * _const.c ** 2 / lam ** 5
-    if x > 700.0:
-        # deep Wien tail: exp(x) would overflow; let the value underflow
-        return prefactor * math.exp(-x)
-    return prefactor / math.expm1(x)
+    return float(np.exp(_log_emittance(wavelength_um, temperature_k)))
 
 
 def _band_integrals(temperature_k, band, nodes, emissivity_fn):
+    """The two emissivity integrals over the band with the Planck weight
+    divided by its largest node value, and that value."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     half = 0.5 * (band.lambda_hi_um - band.lambda_lo_um)
     lam = band.lambda_lo_um + (xg + 1.0) * half
-    w = wg * half
-    te_parts = []
-    tm_parts = []
-    for lam_i, w_i in zip(lam, w):
-        e_te, e_tm = emissivity_fn(lam_i)
-        weight = w_i * planck_radiance(lam_i, temperature_k)
-        te_parts.append(weight * e_te)
-        tm_parts.append(weight * e_tm)
-    return math.fsum(te_parts), math.fsum(tm_parts)
+    # the hook first: a band out of the kernel's range fails there
+    e_te, e_tm = emissivity_fn(lam)
+    log_e = _log_emittance(lam, temperature_k)
+    peak = log_e.max()
+    if peak == -math.inf:
+        raise RangeError(f"Planck weight below the double range over all of {band}")
+    weight = wg * half * np.exp(log_e - peak)
+    return math.fsum(weight * e_te), math.fsum(weight * e_tm), math.exp(peak)
 
 
 def band_averaged_polarization(a_um: float, temperature_k: float,
@@ -111,29 +146,33 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     ``temperature_k`` sets the Planck weight; the optical response comes
     from ``model`` (usually, but not necessarily, at the same
     temperature).  ``emissivity_fn(lambda_um) -> (e_te, e_tm)`` may
-    replace the partial-wave emissivities, mainly for testing.
+    replace the partial-wave emissivities, mainly for testing: it takes
+    the array of quadrature wavelengths and returns the emissivities at
+    each, as two arrays or as scalars that broadcast.
 
     Raises ConvergenceError if the re-evaluation with 2 * ``nodes``
     differs from the primary result by more than QUADRATURE_TOLERANCE.
     """
     if a_um <= 0:
         raise DomainError(f"radius must be > 0, got {a_um}")
-    if nodes < 2:
-        raise DomainError(f"quadrature needs at least 2 nodes, got {nodes}")
+    if not 2 <= nodes <= MAX_NODES:
+        raise DomainError(f"quadrature needs 2 to {MAX_NODES} nodes, got {nodes}")
     if emissivity_fn is None:
         def emissivity_fn(lam):
-            pair = emissivity_pair(2.0 * math.pi / lam, a_um,
-                                   refraction_index(permittivity(model, lam)))
-            return pair.e_te, pair.e_tm
-    e_te, e_tm = _band_integrals(temperature_k, band, nodes, emissivity_fn)
+            pairs = [emissivity_pair(2.0 * math.pi / lam_i, a_um,
+                                     refraction_index(permittivity(model, lam_i)))
+                     for lam_i in lam.tolist()]
+            return np.array([(pair.e_te, pair.e_tm) for pair in pairs]).T
+    e_te, e_tm, scale = _band_integrals(temperature_k, band, nodes,
+                                        emissivity_fn)
     p = polarization_of(e_te, e_tm)
     p2 = polarization_of(*_band_integrals(temperature_k, band, 2 * nodes,
-                                          emissivity_fn))
+                                          emissivity_fn)[:2])
     est = abs(p - p2)
     if est > QUADRATURE_TOLERANCE:
         raise ConvergenceError(
             f"band quadrature error estimate {est:g} exceeds "
             f"tolerance {QUADRATURE_TOLERANCE:g}", nodes=nodes)
-    return BandAveragedResult(p_avg=p, e_te_bar=e_te, e_tm_bar=e_tm,
-                              quadrature_nodes=nodes,
+    return BandAveragedResult(p_avg=p, e_te_bar=e_te * scale,
+                              e_tm_bar=e_tm * scale, quadrature_nodes=nodes,
                               est_quadrature_error=est)

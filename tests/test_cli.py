@@ -513,7 +513,7 @@ def test_compare_numerical_failure_prints_nothing(capsys, tmp_path):
     ("--variable", "radius"), ("--lo", "1"), ("--hi", "2"),
     ("--band", "0.45:0.75"), ("--wavelength-um", "0.5"),
     ("--radius-um", "1"), ("--diameter-um", "2"), ("--temp-k", "1600"),
-    ("--spacing", "log"),
+    ("--spacing", "log"), ("--points", "3"),
 ], ids=lambda flag: flag[0])
 def test_preset_rejects_flags_it_fixes(capsys, tmp_path, flag):
     path = tmp_path / "t.csv"
@@ -529,3 +529,75 @@ def test_polsim_takes_no_material_flags(capsys):
         rc, out, _ = run(capsys, "polsim", "--p-true", "0.2", *flag)
         assert rc == 1
         assert out == ""
+
+
+def test_band_where_every_planck_weight_underflows(capsys):
+    # at 300 K every Planck weight over 1-2 nm underflows; the weights
+    # scaled to the band's peak still give P
+    rc, out, err = run(capsys, "point", "--radius-um", "0.5",
+                       "--band", "1e-3:2e-3", "--temp-k", "300")
+    assert rc == 0, err
+    p = float(parse_kv(out)["p_avg"])
+    assert math.isfinite(p) and abs(p) <= 1.0
+
+
+@pytest.mark.parametrize("band", ["0.5:1e300", "0.5:1e308", "1e-310:1e-309"])
+def test_band_outside_the_kernel_is_one_error_line(capsys, band):
+    # the emissivity hook runs on Python floats before the Planck weight,
+    # so the size parameter fails first, without a numpy warning
+    rc, out, err = run(capsys, "point", "--radius-um", "0.5", "--band", band,
+                       "--temp-k", "2400")
+    assert rc == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("wirepol:")] == lines[-1:]
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    # each would ask for more memory than exists, at once
+    (("point", "--radius-um", "0.5", "--band", "0.5:0.75",
+      "--nodes", "100000000"), 2),
+    (("sweep", "--variable", "radius", "--lo", "1", "--hi", "2",
+      "--wavelength-um", "0.5", "--points", str(10 ** 17)), 1),
+    (("polsim", "--p-true", "0.2", "--step-deg", "1e-300"), 2),
+], ids=("nodes", "points", "step-deg"))
+def test_work_size_limits(capsys, tmp_path, argv, code):
+    path = tmp_path / "sweep.csv"
+    if argv[0] == "sweep":
+        argv = (*argv, "-o", str(path))
+    rc, out, err = run(capsys, *argv)
+    assert rc == code
+    assert out == "" and err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--p-true", "0.2", "--step-deg", "nan"),
+    ("--p-true", "0.2", "--axis-deg", "nan"),
+    ("--p-true", "0.2", "--background", "nan"),
+    ("--i-polarized", "nan"),
+    ("--p-true", "0.2", "--noise-rms", "inf"),
+    ("--p-true", "0.2", "--noise-rms", "0.01", "--seed", "-1"),
+], ids=("step-deg", "axis-deg", "background", "i-polarized", "noise-rms",
+        "seed"))
+def test_polsim_rejects_non_finite_inputs(capsys, flags):
+    rc, out, err = run(capsys, "polsim", *flags)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("wirepol: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    (),
+    ("--lo", "0.05"),
+    ("--lo", "0.05", "--hi", "inf"),
+    ("--lo", "0.05", "--hi", "1", "--points", "0"),
+], ids=("no-range", "no-hi", "hi=inf", "points=0"))
+def test_sweep_range_is_a_usage_error(capsys, tmp_path, flags):
+    path = tmp_path / "radius.csv"
+    rc, _, err = run(capsys, "sweep", "--variable", "radius",
+                     "--wavelength-um", "0.5", *flags, "-o", str(path))
+    assert rc == 1
+    assert err.startswith("wirepol: error: ")
+    assert not path.exists()

@@ -128,6 +128,13 @@ def test_dark_source_rejected():
         SourceModel(-1.0, 1.0)
 
 
+def test_fit_of_huge_intensities_is_finite():
+    # the residual rms of intensities near 1e300 must not overflow
+    scan = simulate_scan(SourceModel(1e300, 1.0, 30.0, 1e300), noise_rms=1e299)
+    fit = fit_cos_squared(scan)
+    assert math.isfinite(fit.residual_rms) and fit.residual_rms > 0
+
+
 def test_short_scan_not_identifiable():
     source = SourceModel(0.5, 0.5)
     scan = simulate_scan(source, span_deg=45.0)

@@ -49,6 +49,22 @@ def test_stefan_boltzmann_integral():
     assert total == pytest.approx(constants.sigma * t ** 4, rel=1e-6)
 
 
+def test_planck_matches_mpmath():
+    # one log-space formula for every x = hc / (lambda kB T); the Wien
+    # tail past x ~ 700 loses nothing against the 30-digit value
+    mpmath = pytest.importorskip("mpmath")
+    h, c, k = (mpmath.mpf(repr(v)) for v in (constants.h, constants.c, constants.k))
+    with mpmath.workdps(30):
+        for lam in np.geomspace(0.2, 100.0, 25):
+            for t in np.linspace(250.0, 3400.0, 12):
+                lam_m = mpmath.mpf(float(lam)) / 10 ** 6
+                exact = (2 * mpmath.pi * h * c ** 2 / lam_m ** 5
+                         / mpmath.expm1(h * c / (lam_m * k * mpmath.mpf(float(t)))))
+                if exact > mpmath.mpf("1e-300"):
+                    value = planck_radiance(float(lam), float(t))
+                    assert float(abs(value - exact) / exact) < 2e-13, (lam, t)
+
+
 def test_planck_domain_errors():
     with pytest.raises(DomainError):
         planck_radiance(-1.0, 300.0)
@@ -114,12 +130,30 @@ def test_quadrature_failure_reported(model):
     rng = np.random.default_rng(3)
 
     def rough(lam):
-        v = rng.random()
+        v = rng.random(lam.shape)
         return (v, 1.0 - v)
 
     with pytest.raises(ConvergenceError):
         band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model,
                                    emissivity_fn=rough)
+
+
+def test_band_where_every_planck_weight_underflows(model):
+    # at 300 K the emittance over 1-2 nm is below 1e-2000: every weight
+    # underflows, yet the weights scaled to the band's peak give P
+    res = band_averaged_polarization(0.5, 300.0, BandFilter(1e-3, 2e-3), model)
+    assert math.isfinite(res.p_avg) and abs(res.p_avg) <= 1.0
+    assert res.e_te_bar == res.e_tm_bar == 0.0
+
+
+def test_weights_scaled_to_the_peak_keep_the_units(model):
+    # e_bar is the integral of E e over the band, whatever the scaling
+    band = BandFilter(0.5, 0.75)
+    res = band_averaged_polarization(
+        1.0, 2400.0, band, model, emissivity_fn=lambda lam: (0.3, 0.7))
+    total, _ = integrate.quad(lambda lam: planck_radiance(lam, 2400.0), 0.5, 0.75)
+    assert res.e_te_bar == pytest.approx(0.3 * total, rel=1e-13)
+    assert res.e_tm_bar == pytest.approx(0.7 * total, rel=1e-13)
 
 
 def test_invalid_radius(model):
@@ -130,3 +164,10 @@ def test_invalid_radius(model):
 def test_quadrature_needs_two_nodes(model):
     with pytest.raises(DomainError):
         band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model, nodes=1)
+
+
+def test_quadrature_node_limit(model):
+    # rejected before leggauss builds its n x n matrix (80 PB here)
+    with pytest.raises(DomainError, match="1024"):
+        band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model,
+                                   nodes=10 ** 8)
