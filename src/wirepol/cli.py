@@ -103,24 +103,52 @@ def _config_default(current, value: str):
 
 def _parse_band(text) -> BandFilter:
     try:
-        lo, _, hi = str(text).partition(":")
+        lo, _, hi = text.partition(":")
         return BandFilter(float(lo), float(hi))
     except (ValueError, WirepolError) as exc:
         raise _UsageError(f"bad band {text!r} (expected lo:hi in microns): {exc}")
 
 
-def _radius_from(args) -> float:
-    if getattr(args, "radius_um", None) is not None and getattr(args, "diameter_um", None) is not None:
-        raise _UsageError("give either --radius-um or --diameter-um, not both")
-    if getattr(args, "radius_um", None) is not None:
-        return float(args.radius_um)
-    if getattr(args, "diameter_um", None) is not None:
-        return float(args.diameter_um) / 2.0
-    raise _UsageError("a wire size is required (--radius-um or --diameter-um)")
+# Attributes of a parsed ``point`` or ``sweep`` that choose nothing it
+# evaluates; --threads is accepted and ignored.
+NOT_CHOICES = frozenset(("command", "func", "_argv", "output", "config",
+                         "material_db", "include_tentative", "threads"))
 
 
-def _warn_outside_fit(lambdas):
+def _given(args) -> dict:
+    """The choice flags given on the command line or in --config, by dest.
+    Each kind of evaluation pops the ones it reads, and ``_reject_unread``
+    refuses the rest, so a kind takes exactly the flags it uses."""
+    return {dest: value for dest, value in vars(args).items()
+            if value is not None and dest not in NOT_CHOICES}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _reject_unread(kind: str, given: dict) -> None:
+    if given:
+        raise _UsageError(f"{kind} does not take {', '.join(map(_flag, given))}")
+
+
+def _take(given: dict, *dests: str):
+    """Pops the first of ``dests`` given, as (dest, value); the rest stay."""
+    for dest in dests:
+        if dest in given:
+            return dest, given.pop(dest)
+    raise _UsageError(f"{' or '.join(map(_flag, dests))} is required")
+
+
+def _radius_from(given: dict) -> float:
+    dest, size = _take(given, "radius_um", "diameter_um")
+    return size if dest == "radius_um" else size / 2.0
+
+
+def _warn_outside_fit(spectrum):
     lo, hi = FITTED_RANGE_UM
+    lambdas = ((spectrum.lambda_lo_um, spectrum.lambda_hi_um)
+               if isinstance(spectrum, BandFilter) else (spectrum,))
     out = [lam for lam in lambdas if not (lo <= lam <= hi)]
     if out:
         print(f"warning: {len(out)} wavelength(s) outside the fitted optical "
@@ -148,10 +176,10 @@ class _Evaluator:
     database is loaded once, when the evaluator is made.
     """
 
-    def __init__(self, args):
+    def __init__(self, args, nodes=64):
         self._db = load_database(args.material_db)
         self._tentative = args.include_tentative
-        self._nodes = getattr(args, "nodes", 64)
+        self._nodes = nodes
 
     def model(self, temp_k):
         return model_for_temperature(self._db, float(temp_k), self._tentative)
@@ -178,18 +206,16 @@ class _Evaluator:
 # ----------------------------------------------------------------- point
 
 def _cmd_point(args) -> int:
-    radius = _radius_from(args)
-    evaluate = _Evaluator(args)
-    if (args.wavelength_um is None) == (args.band is None):
-        raise _UsageError("give exactly one of --wavelength-um or --band")
-    if args.wavelength_um is not None:
-        spectrum, columns = float(args.wavelength_um), LINE_COLUMNS
-        _warn_outside_fit([spectrum])
-    else:
-        spectrum, columns = _parse_band(args.band), BAND_COLUMNS
-        _warn_outside_fit([spectrum.lambda_lo_um, spectrum.lambda_hi_um])
-    values = evaluate(radius, spectrum, args.temp_k)
-    for key in columns:
+    given = _given(args)
+    radius = _radius_from(given)
+    dest, spectrum = _take(given, "wavelength_um", "band")
+    temp_k = given.pop("temp_k", 2400.0)
+    nodes = given.pop("nodes", 64) if dest == "band" else 64
+    _reject_unread(f"point {_flag(dest)}", given)
+    evaluate = _Evaluator(args, nodes)
+    _warn_outside_fit(spectrum)
+    values = evaluate(radius, spectrum, temp_k)
+    for key in BAND_COLUMNS if dest == "band" else LINE_COLUMNS:
         print(f"{key} = {_fmt(values[key])}")
     return 0
 
@@ -200,9 +226,7 @@ def _cmd_point(args) -> int:
 MAX_POINTS = 100_000
 
 
-def _grid(lo: float, hi: float, points: int | None, spacing: str,
-          default: int) -> np.ndarray:
-    points = default if points is None else points
+def _grid(lo: float, hi: float, points: int, spacing: str) -> np.ndarray:
     # hi - lo is finite and > 0 only for finite lo < hi
     if not 2 <= points <= MAX_POINTS or not 0 < hi - lo < math.inf:
         raise _UsageError(
@@ -223,45 +247,31 @@ def _write_csv(path, meta_lines, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-# Flags that set what a sweep preset fixes; all default to None.
-PRESET_FIXES = ("--variable", "--lo", "--hi", "--band", "--wavelength-um",
-                "--radius-um", "--diameter-um", "--temp-k", "--spacing")
-
-
-def _sweep_table(args, evaluate: _Evaluator):
-    """The preset or ``--variable`` sweep that ``args`` asks for, as (a
-    metadata line, the CSV header, the abscissa grid of the first column,
-    abscissa -> values of the other columns).  Each kind of sweep maps its
-    abscissa to (radius, wavelength or band, temperature).  A preset fixes
-    the wire, the spectrum and the grid, so it rejects the flags that set
-    them."""
-    if args.preset:
-        fixed = [flag for flag in PRESET_FIXES
-                 if getattr(args, flag.lstrip("-").replace("-", "_")) is not None]
-        if fixed:
-            raise _UsageError(
-                f"--preset {args.preset} does not take {', '.join(fixed)}")
-    if args.preset == "figure1":
+def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
+    """The preset or ``--variable`` sweep ``name``, as (a metadata line, the
+    CSV header, the abscissa grid of the first column, abscissa -> values
+    of the other columns).  Each kind pops from ``given`` the flags it
+    reads and maps its abscissa to (radius, wavelength or band,
+    temperature); a preset reads at most --points."""
+    if name == "figure1":
         lam, model = 0.5, evaluate.model(2400.0)
         return (
             f"material: {model.element} {model.temperature_k:g} K, lambda = {lam} um",
             ("log10_2pi_a_over_lambda", "radius_um", "p", "e_te", "e_tm"),
-            _grid(-2.0, 3.0, args.points, "linear", 200),
+            _grid(-2.0, 3.0, given.pop("points", 200), "linear"),
             lambda size: evaluate(lam * 10.0 ** size / (2.0 * math.pi), lam, 2400.0))
     band = COMPUTED_BAND
-    if args.preset == "figure4":
+    if name == "figure4":
         temps = (298.0, 1600.0, 2400.0)
         return (
             f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
             f"temperatures: {', '.join(f'{t:g} K' for t in temps)}",
             ("diameter_um", *(f"p_avg_{t:g}K" for t in temps)),
-            _grid(0.5, 120.0, args.points, "log", 61),
+            _grid(0.5, 120.0, given.pop("points", 61), "log"),
             lambda d: {f"p_avg_{t:g}K": evaluate(d / 2.0, band, t)["p_avg"]
                        for t in temps})
-    if args.preset == "table2":
+    if name == "table2":
         # the grid is the bundled measurements' diameters
-        if args.points is not None:
-            raise _UsageError("--preset table2 does not take --points")
         model = evaluate.model(2400.0)
         return (
             f"band: [{band.lambda_lo_um}, {band.lambda_hi_um}] um; "
@@ -270,40 +280,36 @@ def _sweep_table(args, evaluate: _Evaluator):
             [m[0] for m in DEFAULT_MEASUREMENTS],
             lambda d: evaluate(d / 2.0, band, 2400.0))
 
-    if args.variable is None:
-        raise _UsageError("either --preset or --variable is required")
-    if args.variable == "temperature" and args.temp_k is not None:
-        raise _UsageError("--variable temperature does not take --temp-k")
-    if args.lo is None or args.hi is None:
-        raise _UsageError(f"--variable {args.variable} needs --lo and --hi")
-    temp_k = 2400.0 if args.temp_k is None else args.temp_k
+    (_, lo), (_, hi) = _take(given, "lo"), _take(given, "hi")
+    grid = _grid(lo, hi, given.pop("points", 50), given.pop("spacing", "linear"))
+    if name == "temperature":
+        # each row's temperature picks its model, so --temp-k sets nothing
+        radius = _radius_from(given)
+        _, band = _take(given, "band")
+        return (f"material: {evaluate.model(2400.0).element}",
+                ("temperature_K", "model_temperature_K", "p_avg", "e_te_bar",
+                 "e_tm_bar"), grid, lambda t: evaluate(radius, band, t))
+    temp_k = given.pop("temp_k", 2400.0)
     model = evaluate.model(temp_k)
     meta = f"material: {model.element}, model T = {model.temperature_k:g} K"
-    grid = _grid(args.lo, args.hi, args.points, args.spacing or "linear", 50)
-    band = _parse_band(args.band) if args.band else None
-    if args.variable == "radius":
-        if band is None and args.wavelength_um is None:
-            raise _UsageError("radius sweep needs --wavelength-um or --band")
-        spectrum = band or float(args.wavelength_um)
-        columns = (("p_avg", "e_te_bar", "e_tm_bar", "quadrature_error")
-                   if band else LINE_COLUMNS)
-        return (meta, ("radius_um", *columns), grid,
-                lambda r: evaluate(r, spectrum, temp_k))
-    radius = _radius_from(args)
-    if args.variable == "wavelength":
+    if name == "wavelength":
+        radius = _radius_from(given)
         return (meta, ("wavelength_um", *LINE_COLUMNS), grid,
                 lambda lam: evaluate(radius, float(lam), temp_k))
-    if band is None:
-        raise _UsageError("temperature sweep needs --band")
-    return (f"material: {model.element}",
-            ("temperature_K", "model_temperature_K", "p_avg", "e_te_bar",
-             "e_tm_bar"), grid, lambda t: evaluate(radius, band, t))
+    dest, spectrum = _take(given, "wavelength_um", "band")
+    columns = (("p_avg", "e_te_bar", "e_tm_bar", "quadrature_error")
+               if dest == "band" else LINE_COLUMNS)
+    return (meta, ("radius_um", *columns), grid,
+            lambda r: evaluate(r, spectrum, temp_k))
 
 
 def _cmd_sweep(args) -> int:
     if not args.output:
         raise _UsageError("sweep needs an output path (-o/--output)")
-    meta, header, grid, values_at = _sweep_table(args, _Evaluator(args))
+    given = _given(args)
+    how, name = _take(given, "preset", "variable")
+    meta, header, grid, values_at = _sweep_table(name, given, _Evaluator(args))
+    _reject_unread(f"sweep {_flag(how)} {name}", given)
     rows = []
     for x in grid:
         values = values_at(x)
@@ -347,13 +353,12 @@ def _cmd_compare(args) -> int:
                     if args.measurements else list(DEFAULT_MEASUREMENTS))
     evaluate = _Evaluator(args)
     model = evaluate.model(args.temp_k)
-    band = _parse_band(args.band) if args.band else COMPUTED_BAND
     header = ["diameter_um", "p_measured", "error", "p_computed", "deviation_sigma"]
     # every row is computed before anything is printed or written, so a
     # numerical failure leaves no partial table behind
     rows = []
     for diameter, p_meas, err in measurements:
-        p_avg = evaluate(diameter / 2.0, band, args.temp_k)["p_avg"]
+        p_avg = evaluate(diameter / 2.0, args.band, args.temp_k)["p_avg"]
         rows.append((diameter, p_meas, err, p_avg, abs(p_meas - p_avg) / err))
     for row in [header, *rows]:
         print(",".join(_fmt(v) for v in row))
@@ -443,13 +448,13 @@ def _add_material(parser):
                              "wavelength is only an upper bound")
 
 
-def _add_wire(parser, temp_k):
-    # the wire and the spectrum, shared by point and sweep
+def _add_wire(parser):
+    # the wire, the spectrum and the temperature, shared by point and sweep
     parser.add_argument("--radius-um", type=float)
     parser.add_argument("--diameter-um", type=float)
     parser.add_argument("--wavelength-um", type=float)
-    parser.add_argument("--band", help="lo:hi in microns")
-    parser.add_argument("--temp-k", type=float, default=temp_k)
+    parser.add_argument("--band", type=_parse_band, help="lo:hi in microns")
+    parser.add_argument("--temp-k", type=float, help="default 2400")
 
 
 def build_parser() -> _Parser:
@@ -460,8 +465,8 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices
 
     p = sub.add_parser("point", help="P at a point (single wavelength or band)")
-    _add_wire(p, temp_k=2400.0)
-    p.add_argument("--nodes", type=int, default=64)
+    _add_wire(p)
+    p.add_argument("--nodes", type=int, help="with --band only (default 64)")
     _add_material(p)
     p.set_defaults(func=_cmd_point)
 
@@ -472,7 +477,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hi", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--spacing", choices=("linear", "log"))
-    _add_wire(p, temp_k=None)
+    _add_wire(p)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: evaluation is serial")
     p.add_argument("-o", "--output", default=None)
@@ -483,7 +488,8 @@ def build_parser() -> _Parser:
     p.add_argument("--measurements", default=None,
                    help="CSV of diameter_um, p, error (default: bundled set)")
     p.add_argument("--temp-k", type=float, default=2400.0)
-    p.add_argument("--band", help="lo:hi in microns (default 0.5:0.75)")
+    p.add_argument("--band", type=_parse_band, default=COMPUTED_BAND,
+                   help="lo:hi in microns (default 0.5:0.75)")
     p.add_argument("-o", "--output", default=None)
     _add_material(p)
     p.set_defaults(func=_cmd_compare)
@@ -513,12 +519,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _spells_threads(token: str) -> bool:
-    """True for ``--threads`` and ``--threads=N``, the only spellings the
-    parser accepts."""
-    return token.partition("=")[0] == "--threads"
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
@@ -537,13 +537,12 @@ def main(argv=None) -> int:
                 for key, value in _read_config(args.config).items()
                 if key in options})
             args = parser.parse_args(argv)
-        # --threads is accepted and ignored; keep it out of the recorded
-        # command line, so that outputs never depend on it
+        # --threads N or --threads=N is accepted and ignored; keep it out of
+        # the recorded command line, so that outputs never depend on it
         args._argv = ["wirepol"] + [
             token for i, token in enumerate(argv)
-            if not (_spells_threads(token)
-                    or (i and "=" not in argv[i - 1]
-                        and _spells_threads(argv[i - 1])))]
+            if token.partition("=")[0] != "--threads"
+            and not (i and argv[i - 1] == "--threads")]
         return args.func(args)
     except _UsageError as exc:
         print(f"wirepol: error: {exc}", file=sys.stderr)

@@ -109,3 +109,9 @@ def test_thick_wire_requires_absorption():
         thick_wire_polarization(-5.0 + 0j)
     # a nearly transparent surface emits like a black body: P -> 0
     assert thick_wire_polarization(1.0 + 1e-12j) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_perfect_mirror_is_degenerate():
+    # |r| rounds to 1 at every node, so the emissivity integral vanishes
+    with pytest.raises(DegenerateInputError):
+        thick_wire_polarization(-1e12 + 1j)

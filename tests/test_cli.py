@@ -509,6 +509,19 @@ def test_compare_numerical_failure_prints_nothing(capsys, tmp_path):
     assert not path.exists()
 
 
+def refuses_unread_flag(capsys, tmp_path, argv, flag):
+    """``argv`` exits 1, names ``flag`` on stderr and writes nothing."""
+    path = tmp_path / "t.csv"
+    if argv[0] == "sweep":
+        argv = (*argv, "-o", str(path))
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("wirepol: error: ") and err.count("\n") == 1
+    assert flag in err
+    assert out == ""
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("flag", [
     ("--variable", "radius"), ("--lo", "1"), ("--hi", "2"),
     ("--band", "0.45:0.75"), ("--wavelength-um", "0.5"),
@@ -516,12 +529,49 @@ def test_compare_numerical_failure_prints_nothing(capsys, tmp_path):
     ("--spacing", "log"), ("--points", "3"),
 ], ids=lambda flag: flag[0])
 def test_preset_rejects_flags_it_fixes(capsys, tmp_path, flag):
-    path = tmp_path / "t.csv"
-    rc, _, err = run(capsys, "sweep", "--preset", "table2", *flag,
-                     "-o", str(path))
+    refuses_unread_flag(capsys, tmp_path, ("sweep", "--preset", "table2", *flag),
+                        flag[0])
+
+
+GRID = ("--lo", "0.5", "--hi", "0.6", "--points", "2")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("sweep", "--preset", "figure1", "--temp-k", "2400"), "--temp-k"),
+    (("sweep", "--variable", "radius", *GRID, "--radius-um", "nan",
+      "--wavelength-um", "0.5"), "--radius-um"),
+    (("sweep", "--variable", "wavelength", *GRID, "--radius-um", "1",
+      "--band", "0.5:0.75"), "--band"),
+    # of two spectra, the wavelength is read and the band refused
+    (("sweep", "--variable", "radius", *GRID, "--wavelength-um", "0.6",
+      "--band", "0.5:0.75"), "--band"),
+    (("sweep", "--variable", "temperature", "--lo", "1600", "--hi", "2400",
+      "--points", "2", "--radius-um", "1", "--band", "0.5:0.75",
+      "--wavelength-um", "3"), "--wavelength-um"),
+    (("point", "--radius-um", "1", "--wavelength-um", "0.5", "--nodes", "5000"),
+     "--nodes"),
+    (("point", "--radius-um", "1", "--wavelength-um", "0.5", "--nodes", "16"),
+     "--nodes"),
+    (("point", "--radius-um", "1", "--diameter-um", "2", "--band", "0.5:0.75"),
+     "--diameter-um"),
+], ids=("figure1-temp-k", "radius-radius-um", "wavelength-band",
+        "radius-band", "temperature-wavelength-um", "point-nodes-5000",
+        "point-nodes-16", "point-diameter-um"))
+def test_kind_rejects_flags_it_does_not_read(capsys, tmp_path, argv, flag):
+    refuses_unread_flag(capsys, tmp_path, argv, flag)
+
+
+def test_config_values_count_as_given(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("nodes = 16\n")
+    rc, out, err = run(capsys, "point", "--radius-um", "1",
+                       "--wavelength-um", "0.5", "--config", str(cfg))
     assert rc == 1
-    assert flag[0] in err
-    assert not path.exists()
+    assert "--nodes" in err and out == ""
+    rc, out, err = run(capsys, "point", "--diameter-um", "17",
+                       "--band", "0.5:0.75", "--config", str(cfg))
+    assert rc == 0, err
+    assert parse_kv(out)["quadrature_nodes"] == "16"
 
 
 def test_polsim_takes_no_material_flags(capsys):

@@ -4,8 +4,9 @@ Every argv drawn from a subcommand's flag grammar ends in a documented
 exit code (0 ok, 1 usage, 2 numerical, 3 I/O), with no traceback and no
 Python or numpy warning (pytest runs with ``filterwarnings = error``, so
 a warning escapes ``main`` as an exception).  A run that exits 0 prints
-only finite numbers, emissivities >= 0 and |P| <= 1, and a rerun gives
-the same bytes.
+only finite numbers, emissivities >= 0 and |P| <= 1; any other run prints
+nothing on stdout and writes no output file; and a rerun gives the same
+bytes.
 
 Draws mix ordinary values with 0, +-inf, nan, 1e-300, 1e300 and
 malformed text.  The ordinary values keep each example cheap: radii of at
@@ -194,4 +195,8 @@ def test_cli_contract(capsys, tmp_path, argv, measurements):
     assert "Traceback" not in err and "Warning:" not in err, (argv, err)
     if rc == 0:
         _check_output(out, written)
+    else:
+        # every check, the refusal of unread flags included, runs before
+        # anything is printed or written
+        assert out == "" and written is None, (argv, rc)
     assert _run(capsys, argv, output) == first, argv
