@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
+from .spectral import gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
     """
     if complex(eps).imag <= 0:
         raise DomainError(f"thick-wire limit needs an absorber, Im(eps) > 0; got {eps}")
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = gauss_legendre(nodes)
     phi = (xg + 1.0) * (math.pi / 4.0)
     w = wg * (math.pi / 4.0)
     c = np.cos(phi)

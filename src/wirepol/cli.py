@@ -145,10 +145,12 @@ def _radius_from(given: dict) -> float:
     return size if dest == "radius_um" else size / 2.0
 
 
-def _warn_outside_fit(spectrum):
+def _warn_outside_fit(*spectra):
+    """One warning for the wavelengths and band edges outside the fit."""
     lo, hi = FITTED_RANGE_UM
-    lambdas = ((spectrum.lambda_lo_um, spectrum.lambda_hi_um)
-               if isinstance(spectrum, BandFilter) else (spectrum,))
+    lambdas = [lam for s in spectra
+               for lam in ((s.lambda_lo_um, s.lambda_hi_um)
+                           if isinstance(s, BandFilter) else (s,))]
     out = [lam for lam in lambdas if not (lo <= lam <= hi)]
     if out:
         print(f"warning: {len(out)} wavelength(s) outside the fitted optical "
@@ -249,17 +251,18 @@ def _write_csv(path, meta_lines, header, rows):
 
 def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
     """The preset or ``--variable`` sweep ``name``, as (a metadata line, the
-    CSV header, the abscissa grid of the first column, abscissa -> values
-    of the other columns).  Each kind pops from ``given`` the flags it
-    reads and maps its abscissa to (radius, wavelength or band,
-    temperature); a preset reads at most --points."""
+    CSV header, the abscissa grid, abscissa -> values of the other columns,
+    the spectra to check against the fitted range).  Each kind pops from
+    ``given`` the flags it reads and maps its abscissa to (radius,
+    wavelength or band, temperature); a preset reads at most --points."""
     if name == "figure1":
         lam, model = 0.5, evaluate.model(2400.0)
         return (
             f"material: {model.element} {model.temperature_k:g} K, lambda = {lam} um",
             ("log10_2pi_a_over_lambda", "radius_um", "p", "e_te", "e_tm"),
             _grid(-2.0, 3.0, given.pop("points", 200), "linear"),
-            lambda size: evaluate(lam * 10.0 ** size / (2.0 * math.pi), lam, 2400.0))
+            lambda size: evaluate(lam * 10.0 ** size / (2.0 * math.pi), lam, 2400.0),
+            (lam,))
     band = COMPUTED_BAND
     if name == "figure4":
         temps = (298.0, 1600.0, 2400.0)
@@ -269,7 +272,7 @@ def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
             ("diameter_um", *(f"p_avg_{t:g}K" for t in temps)),
             _grid(0.5, 120.0, given.pop("points", 61), "log"),
             lambda d: {f"p_avg_{t:g}K": evaluate(d / 2.0, band, t)["p_avg"]
-                       for t in temps})
+                       for t in temps}, (band,))
     if name == "table2":
         # the grid is the bundled measurements' diameters
         model = evaluate.model(2400.0)
@@ -278,7 +281,7 @@ def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
             f"material: {model.element} {model.temperature_k:g} K",
             ("diameter_um", "p_avg", "e_te_bar", "e_tm_bar", "quadrature_error"),
             [m[0] for m in DEFAULT_MEASUREMENTS],
-            lambda d: evaluate(d / 2.0, band, 2400.0))
+            lambda d: evaluate(d / 2.0, band, 2400.0), (band,))
 
     (_, lo), (_, hi) = _take(given, "lo"), _take(given, "hi")
     grid = _grid(lo, hi, given.pop("points", 50), given.pop("spacing", "linear"))
@@ -288,19 +291,19 @@ def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
         _, band = _take(given, "band")
         return (f"material: {evaluate.model(2400.0).element}",
                 ("temperature_K", "model_temperature_K", "p_avg", "e_te_bar",
-                 "e_tm_bar"), grid, lambda t: evaluate(radius, band, t))
+                 "e_tm_bar"), grid, lambda t: evaluate(radius, band, t), (band,))
     temp_k = given.pop("temp_k", 2400.0)
     model = evaluate.model(temp_k)
     meta = f"material: {model.element}, model T = {model.temperature_k:g} K"
     if name == "wavelength":
         radius = _radius_from(given)
         return (meta, ("wavelength_um", *LINE_COLUMNS), grid,
-                lambda lam: evaluate(radius, float(lam), temp_k))
+                lambda lam: evaluate(radius, float(lam), temp_k), (lo, hi))
     dest, spectrum = _take(given, "wavelength_um", "band")
     columns = (("p_avg", "e_te_bar", "e_tm_bar", "quadrature_error")
                if dest == "band" else LINE_COLUMNS)
     return (meta, ("radius_um", *columns), grid,
-            lambda r: evaluate(r, spectrum, temp_k))
+            lambda r: evaluate(r, spectrum, temp_k), (spectrum,))
 
 
 def _cmd_sweep(args) -> int:
@@ -308,8 +311,10 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("sweep needs an output path (-o/--output)")
     given = _given(args)
     how, name = _take(given, "preset", "variable")
-    meta, header, grid, values_at = _sweep_table(name, given, _Evaluator(args))
+    meta, header, grid, values_at, spectra = _sweep_table(name, given,
+                                                          _Evaluator(args))
     _reject_unread(f"sweep {_flag(how)} {name}", given)
+    _warn_outside_fit(*spectra)
     rows = []
     for x in grid:
         values = values_at(x)
@@ -413,13 +418,18 @@ def _cmd_polsim(args) -> int:
 # -------------------------------------------------------------- material
 
 def _cmd_material(args) -> int:
-    db = load_database(args.material_db)
-    if args.action == "list":
-        for rec in db.records:
+    # list reads neither --temp-k nor --include-tentative (False unless given)
+    given = _given(args)
+    if args.include_tentative:
+        given["include_tentative"] = True
+    if given.pop("action") == "list":
+        _reject_unread("material list", given)
+        for rec in load_database(args.material_db).records:
             print(f"{rec.element} {rec.temperature_k:g} K  "
                   f"({len(rec.bound_terms)} bound, {len(rec.free_terms)} free terms)")
         return 0
-    model = model_for_temperature(db, float(args.temp_k), args.include_tentative)
+    model = model_for_temperature(load_database(args.material_db),
+                                  given.pop("temp_k", 2400.0), args.include_tentative)
     print(f"element = {model.element}")
     print(f"temperature_K = {_fmt(model.temperature_k)}")
     for t in model.bound_terms:
@@ -509,7 +519,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("material", help="inspect the material database")
     p.add_argument("action", choices=("list", "show"))
-    p.add_argument("--temp-k", type=float, default=2400.0)
+    p.add_argument("--temp-k", type=float, help="with show only (default 2400)")
     _add_material(p)
     p.set_defaults(func=_cmd_material)
 

@@ -161,17 +161,11 @@ def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:
     # term far below the sum's resolution the wrong sign, so clip
     terms = np.maximum(-w4 * np.array(((d * n.conjugate()).imag, nd.imag))
                        / (den.real ** 2 + den.imag ** 2), 0.0)
-    finite = np.isfinite(terms).all(axis=0)
-    if not finite.all():
+    if not np.isfinite(terms).all():
+        finite = np.isfinite(terms).all(axis=0)
         raise ConvergenceError("non-finite partial-wave term",
                                order=int(np.argmax(~finite)), ka=x, nka=n * x)
     return terms
-
-
-def _fold(terms: np.ndarray) -> float:
-    # math.fsum rounds the exact sum once, so the result does not depend
-    # on the order or grouping of the terms
-    return math.fsum([terms[0], *(2.0 * terms[1:]).tolist()])
 
 
 def emissivity_pair(k: float, a: float, n: complex) -> PolarizedEmissivity:
@@ -186,7 +180,10 @@ def emissivity_pair(k: float, a: float, n: complex) -> PolarizedEmissivity:
     """
     _check_inputs(k, a, n)
     terms = _emissivity_terms(k, a, n)
-    e_te, e_tm = _fold(terms[0]), _fold(terms[1])
+    # fold T_{-m} = T_m: term 0 once (halving 2 * term 0 is exact), the
+    # others twice; math.fsum rounds the exact sum once, whatever the order
+    e_te, e_tm = (math.fsum([0.5 * row[0], *row[1:]])
+                  for row in (2.0 * terms).tolist())
     total = e_te + e_tm
     est = float(terms[:, -3:].max()) / total if total > 0 else 0.0
     if est > sys.float_info.epsilon:

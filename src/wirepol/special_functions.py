@@ -16,6 +16,8 @@ every request.  All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import cmath
+import math
 import sys
 
 import numpy as np
@@ -36,6 +38,10 @@ def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
+# orders 0 and 1 of hankel1_all_orders' AMOS call, built once as floats
+_ORDERS_0_1 = np.array([0.0, 1.0])
+
+
 def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """H^(1)_m(x) and H^(1)'_m(x) for m = 0..m_max at real x > 0.
 
@@ -44,15 +50,15 @@ def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     H'_m = (H_{m-1} - H_{m+1}) / 2; nan from the first order that overflows.
     """
     x = float(x)    # numpy scalars would make each step slower and warn
-    if x <= 0.0 or not np.isfinite(x):
+    if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"hankel1_all_orders: need x > 0, got {x}")
-    prev, h = _sp.hankel1((0, 1), x).tolist()
+    prev, h = _sp.hankel1(_ORDERS_0_1, x).tolist()
     c = [-h, prev, h]
     for m in range(1, m_max + 1):    # Python complex: cheaper than numpy's
         prev, h = h, 2.0 * m / x * h - prev
         c.append(h)
     c = np.array(c)
-    if not np.isfinite(h):    # once inf or nan, H stays so at higher orders
+    if not cmath.isfinite(h):    # once inf or nan, H stays so at higher orders
         c[np.logical_or.accumulate(~np.isfinite(c))] = np.nan
     return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
@@ -72,7 +78,7 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     z = complex(z)
     if z == 0:
         raise DomainError("bessel_j_log_derivative: z must be nonzero")
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise DomainError("bessel_j_log_derivative: non-finite argument")
     zi = 1.0 / z    # plain Python complex: each step multiplies
     top = m_max + 1

@@ -36,14 +36,16 @@ benchmark reference keep the present weight until the choice is settled.
 Quadrature is fixed-order Gauss-Legendre on the band (the integrand is
 smooth and the band narrow).  The error estimate is |P - P'|, where P'
 comes from the rule with 2 * nodes; an estimate above
-QUADRATURE_TOLERANCE raises ConvergenceError.  Each rule is array
-arithmetic over its nodes; only the emissivities are evaluated node by
-node.  Node sums are reduced with math.fsum, which rounds the exact sum
-once.
+QUADRATURE_TOLERANCE raises ConvergenceError.  Each rule is built once
+per node count (``gauss_legendre``) and shared, read-only, by later bands;
+a band is array arithmetic over its nodes, and only the emissivities are
+evaluated node by node.  Node sums are reduced with math.fsum, which
+rounds the exact sum once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -120,10 +122,18 @@ def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
     return float(np.exp(_log_emittance(wavelength_um, temperature_k)))
 
 
+@functools.lru_cache(maxsize=8)
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``leggauss(nodes)``, built once, read-only."""
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def _band_integrals(temperature_k, band, nodes, emissivity_fn):
     """The two emissivity integrals over the band with the Planck weight
     divided by its largest node value, and that value."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    xg, wg = gauss_legendre(nodes)
     half = 0.5 * (band.lambda_hi_um - band.lambda_lo_um)
     lam = band.lambda_lo_um + (xg + 1.0) * half
     # the hook first: a band out of the kernel's range fails there

@@ -104,6 +104,20 @@ def test_node_count_convergence():
     assert a == pytest.approx(b, abs=1e-10)
 
 
+@pytest.mark.parametrize("nodes", (16, 64))
+def test_thick_wire_takes_the_leggauss_rule(nodes):
+    # the same arithmetic on a freshly built rule gives the same bits
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    phi = (xg + 1.0) * (math.pi / 4.0)
+    w, c = wg * (math.pi / 4.0), np.cos(phi)
+    pair = fresnel_coefficients(EPS_W, phi)
+    r_te2, r_tm2 = np.abs(pair.r_te) ** 2, np.abs(pair.r_tm) ** 2
+    expected = (math.fsum(w * c * (r_tm2 - r_te2))
+                / math.fsum(w * c * (2.0 - r_te2 - r_tm2)))
+    assert thick_wire_polarization(EPS_W, nodes) == expected
+    assert thick_wire_polarization(EPS_W, nodes) == expected
+
+
 def test_thick_wire_requires_absorption():
     with pytest.raises(DomainError):
         thick_wire_polarization(-5.0 + 0j)

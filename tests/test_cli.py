@@ -251,6 +251,8 @@ def test_material_show_and_list(capsys):
     rc, out, _ = run(capsys, "material", "list")
     assert rc == 0
     assert len(out.splitlines()) >= 5
+    rc, out, _ = run(capsys, "material", "show")
+    assert rc == 0 and parse_kv(out)["temperature_K"] == "2400.0"
 
 
 def test_material_db_env_override(capsys, tmp_path, monkeypatch):
@@ -572,6 +574,52 @@ def test_config_values_count_as_given(capsys, tmp_path):
                        "--band", "0.5:0.75", "--config", str(cfg))
     assert rc == 0, err
     assert parse_kv(out)["quadrature_nodes"] == "16"
+
+
+@pytest.mark.parametrize("flags, config, named", [
+    (("--temp-k", "300"), "", "--temp-k"),
+    (("--include-tentative",), "", "--include-tentative"),
+    (("--temp-k", "300", "--include-tentative"), "", "--include-tentative"),
+    ((), "temp-k = 300\n", "--temp-k"),
+    ((), "include-tentative = true\n", "--include-tentative"),
+], ids=("temp-k", "include-tentative", "both", "config-temp-k",
+        "config-include-tentative"))
+def test_material_list_refuses_show_flags(capsys, tmp_path, flags, config, named):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    refuses_unread_flag(capsys, tmp_path,
+                        ("material", "list", *flags, "--config", str(cfg)), named)
+    # show reads both
+    rc, _, err = run(capsys, "material", "show", *flags, "--config", str(cfg))
+    assert rc == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv, outside", [
+    (("--variable", "wavelength", "--lo", "0.3", "--hi", "0.4",
+      "--radius-um", "1"), 1),
+    (("--variable", "wavelength", "--lo", "0.3", "--hi", "3",
+      "--radius-um", "1"), 2),
+    (("--variable", "radius", "--lo", "1", "--hi", "2", "--band", "0.3:0.4"), 1),
+    (("--variable", "radius", "--lo", "1", "--hi", "2", "--wavelength-um", "3"), 1),
+    (("--variable", "temperature", "--lo", "1600", "--hi", "2400",
+      "--radius-um", "1", "--band", "0.3:3"), 2),
+    (("--variable", "wavelength", "--lo", "0.5", "--hi", "0.6",
+      "--radius-um", "1"), 0),
+    (("--variable", "radius", "--lo", "1", "--hi", "2", "--band", "0.5:0.75"), 0),
+    (("--preset", "figure1"), 0),
+], ids=("wavelength-lo", "wavelength-both", "radius-band", "radius-wavelength",
+        "temperature-band", "wavelength-inside", "radius-inside", "figure1"))
+def test_sweep_warns_outside_fit_once(capsys, tmp_path, argv, outside):
+    path = tmp_path / "s.csv"
+    rc, out, err = run(capsys, "sweep", *argv, "--points", "2", "-o", str(path))
+    assert rc == 0 and out == ""
+    if outside:
+        assert err == (f"warning: {outside} wavelength(s) outside the fitted "
+                       "optical range [0.365, 2.65] micron; the analytic model "
+                       "is extrapolated\n")
+    else:
+        assert err == ""
+    assert len(read_csv(path)[2]) == 2
 
 
 def test_polsim_takes_no_material_flags(capsys):

@@ -6,7 +6,9 @@ Python or numpy warning (pytest runs with ``filterwarnings = error``, so
 a warning escapes ``main`` as an exception).  A run that exits 0 prints
 only finite numbers, emissivities >= 0 and |P| <= 1; any other run prints
 nothing on stdout and writes no output file; and a rerun gives the same
-bytes.
+bytes.  The same holds when some of the flags of ``point``, ``sweep`` or
+``material`` come from a ``--config`` file instead, among lines that name
+no option, are malformed or set a switch.
 
 Draws mix ordinary values with 0, +-inf, nan, 1e-300, 1e300 and
 malformed text.  The ordinary values keep each example cheap: radii of at
@@ -126,6 +128,30 @@ def material_argv(draw):
 ARGV = (point_argv() | sweep_argv() | compare_argv() | polsim_argv()
         | material_argv())
 
+# config lines besides the moved flags: keys that name no option (ignored),
+# a line without '=', an empty value, switches and a missing database
+CONFIG_LINES = ("colour = red", "nodes-per-band = 3", "points", "= 3",
+                "temp-k =", "# only a comment", "include-tentative = true",
+                "include-tentative = maybe", "material-db = missing.json")
+
+
+@st.composite
+def config_argv(draw):
+    """A ``point``, ``sweep`` or ``material`` argv with about half of its
+    ``--flag=value`` options moved into config-file lines, one time in four
+    with one more line from CONFIG_LINES, as (the argv left, the file's
+    text)."""
+    argv, lines = [], []
+    for token in draw(point_argv() | sweep_argv() | material_argv()):
+        name, sep, text = token.partition("=")
+        if name.startswith("--") and sep and draw(st.booleans()):
+            lines.append(f"{name[2:]} = {text}")
+        else:
+            argv.append(token)
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(CONFIG_LINES)))
+    return argv, "".join(f"{line}\n" for line in draw(st.permutations(lines)))
+
 _NUMBER = re.compile(r"[^\s,=:;()\[\]]+")
 
 
@@ -175,10 +201,7 @@ def _check_output(out, written):
             assert number >= 0.0, (name, number)
 
 
-@settings(derandomize=True, max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(argv=ARGV, measurements=st.sampled_from((None, *MEASUREMENTS)))
-def test_cli_contract(capsys, tmp_path, argv, measurements):
+def _check_contract(capsys, tmp_path, argv, measurements=None):
     output = tmp_path / "out.csv"
     if argv[0] == "sweep":
         argv = [*argv, f"--output={output}"]
@@ -200,3 +223,20 @@ def test_cli_contract(capsys, tmp_path, argv, measurements):
         # anything is printed or written
         assert out == "" and written is None, (argv, rc)
     assert _run(capsys, argv, output) == first, argv
+
+
+@settings(derandomize=True, max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=ARGV, measurements=st.sampled_from((None, *MEASUREMENTS)))
+def test_cli_contract(capsys, tmp_path, argv, measurements):
+    _check_contract(capsys, tmp_path, argv, measurements)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=config_argv())
+def test_cli_contract_with_config(capsys, tmp_path, drawn):
+    argv, text = drawn
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    _check_contract(capsys, tmp_path, [*argv, f"--config={config}"])

@@ -13,6 +13,7 @@ from wirepol.spectral import (
     COMPUTED_BAND,
     MEASURED_BAND,
     band_averaged_polarization,
+    gauss_legendre,
     planck_radiance,
 )
 
@@ -171,3 +172,27 @@ def test_quadrature_node_limit(model):
     with pytest.raises(DomainError, match="1024"):
         band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model,
                                    nodes=10 ** 8)
+
+
+@pytest.mark.parametrize("nodes", (2, 64, 128, 2048))
+def test_gauss_legendre_is_leggauss_built_once(nodes):
+    xg, wg = gauss_legendre(nodes)
+    fresh_x, fresh_w = np.polynomial.legendre.leggauss(nodes)
+    assert xg.tobytes() == fresh_x.tobytes() and wg.tobytes() == fresh_w.tobytes()
+    assert gauss_legendre(nodes)[0] is xg and gauss_legendre(nodes)[1] is wg
+    # the arrays are shared by every later band: read-only
+    with pytest.raises(ValueError):
+        xg[0] = 0.0
+    with pytest.raises(ValueError):
+        wg *= 2.0
+
+
+def test_band_average_does_not_depend_on_cached_rules(model):
+    def average(nodes):
+        return band_averaged_polarization(2.5, 2400.0, COMPUTED_BAND, model,
+                                          nodes=nodes)
+
+    first, coarse = average(64), average(16)
+    assert average(64) == first
+    gauss_legendre.cache_clear()
+    assert average(16) == coarse and average(64) == first
