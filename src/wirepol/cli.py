@@ -78,27 +78,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _read_config(path):
-    settings = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise _UsageError(f"{path}:{lineno}: expected key = value")
-            key, _, value = text.partition("=")
-            settings[key.strip().replace("-", "_")] = value.strip()
-    return settings
-
-
-def _config_default(current, value: str):
-    """A config-file string as a subcommand default.  argparse converts
-    string defaults with the flag's type; a switch has none, so its
-    string is read as a boolean here."""
-    if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    return value
+def _lines(path) -> list:
+    """(line number, text) of each line not blank once its '#' comment is cut."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"{path}: {exc}")
+    return [(lineno, text) for lineno, line in enumerate(lines, 1)
+            if (text := line.split("#", 1)[0].strip())]
 
 
 def _parse_band(text) -> BandFilter:
@@ -328,28 +316,24 @@ def _cmd_sweep(args) -> int:
 
 def _read_measurements(path):
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = [p for p in text.replace(",", " ").split() if p]
-            if len(parts) != 3:
-                raise _UsageError(
-                    f"{path}:{lineno}: expected 'diameter_um p error', got {len(parts)} fields")
-            try:
-                row = tuple(float(p) for p in parts)
-            except ValueError as exc:
-                raise _UsageError(f"{path}:{lineno}: {exc}")
-            if not 0.0 < row[0] < math.inf:
-                raise _UsageError(
-                    f"{path}:{lineno}: diameter must be finite and > 0, got {parts[0]}")
-            if not math.isfinite(row[1]):
-                raise _UsageError(f"{path}:{lineno}: p must be finite, got {parts[1]}")
-            if not 0.0 < row[2] < math.inf:
-                raise _UsageError(
-                    f"{path}:{lineno}: error must be finite and > 0, got {parts[2]}")
-            rows.append(row)
+    for lineno, text in _lines(path):
+        parts = [p for p in text.replace(",", " ").split() if p]
+        if len(parts) != 3:
+            raise _UsageError(
+                f"{path}:{lineno}: expected 'diameter_um p error', got {len(parts)} fields")
+        try:
+            row = tuple(float(p) for p in parts)
+        except ValueError as exc:
+            raise _UsageError(f"{path}:{lineno}: {exc}")
+        if not 0.0 < row[0] < math.inf:
+            raise _UsageError(
+                f"{path}:{lineno}: diameter must be finite and > 0, got {parts[0]}")
+        if not math.isfinite(row[1]):
+            raise _UsageError(f"{path}:{lineno}: p must be finite, got {parts[1]}")
+        if not 0.0 < row[2] < math.inf:
+            raise _UsageError(
+                f"{path}:{lineno}: error must be finite and > 0, got {parts[2]}")
+        rows.append(row)
     return rows
 
 
@@ -358,6 +342,7 @@ def _cmd_compare(args) -> int:
                     if args.measurements else list(DEFAULT_MEASUREMENTS))
     evaluate = _Evaluator(args)
     model = evaluate.model(args.temp_k)
+    _warn_outside_fit(args.band)
     header = ["diameter_um", "p_measured", "error", "p_computed", "deviation_sigma"]
     # every row is computed before anything is printed or written, so a
     # numerical failure leaves no partial table behind
@@ -387,16 +372,15 @@ def _cmd_polsim(args) -> int:
         source = SourceModel(args.i_polarized,
                              1.0 if args.i_unpolarized is None else args.i_unpolarized,
                              args.axis_deg, args.background)
-    step1 = simulate_scan(source, step_deg=args.step_deg,
-                          noise_rms=args.noise_rms, seed=args.seed)
-    fit1 = fit_cos_squared(step1)
-    theta_star = fit1.phase_deg
-    scan_a = simulate_scan(source, polarizer_angle_deg=theta_star,
-                           step_deg=args.step_deg, noise_rms=args.noise_rms,
-                           seed=args.seed + 1)
-    scan_b = simulate_scan(source, polarizer_angle_deg=theta_star + 90.0,
-                           step_deg=args.step_deg, noise_rms=args.noise_rms,
-                           seed=args.seed + 2)
+
+    def scan(seed_offset, **polarizer):
+        return simulate_scan(source, step_deg=args.step_deg, noise_rms=args.noise_rms,
+                             seed=args.seed + seed_offset, **polarizer)
+
+    step1 = scan(0)
+    theta_star = fit_cos_squared(step1).phase_deg
+    scan_a = scan(1, polarizer_angle_deg=theta_star)
+    scan_b = scan(2, polarizer_angle_deg=theta_star + 90.0)
     result = extract_polarization(scan_a, scan_b, theta_star_deg=theta_star)
     if args.output_prefix:
         write_scan(f"{args.output_prefix}.step1.dat", step1,
@@ -529,24 +513,39 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _with_config(parser, argv) -> list:
+    """``argv`` with the ``key = value`` lines of its --config file as tokens
+    after the subcommand, so argparse checks them like flags and a flag on
+    the command line, coming later, wins.  Keys that name no option, or
+    --help, are ignored."""
+    path = None
+    for before, token in zip(argv, argv[1:]):
+        if before == "--config" or token.startswith("--config="):
+            path = token.removeprefix("--config=")
+    if not path or argv[0] not in parser.commands:
+        return argv
+    options = {action.dest: action for action in parser.commands[argv[0]]._actions
+               if action.option_strings and action.default is not argparse.SUPPRESS}
+    settings = {}  # option -> its last value in the file
+    for lineno, text in _lines(path):
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise _UsageError(f"{path}:{lineno}: expected key = value")
+        if action := options.get(key.strip().replace("-", "_")):
+            settings[action] = value.strip()
+    # --key=value stays one token if value starts with '-'; a switch read as
+    # true is a bare --key, and one read as false is left out
+    tokens = [action.option_strings[-1] + ("" if action.nargs == 0 else f"={value}")
+              for action, value in settings.items()
+              if action.nargs != 0 or value.lower() in ("1", "true", "yes", "on")]
+    return [argv[0], *tokens, *argv[1:]]
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            # the config file's values become the subcommand's defaults, so
-            # every flag argparse takes from the command line wins over it;
-            # keys that name no option of the subcommand are ignored
-            command = parser.commands[args.command]
-            options = {action.dest for action in command._actions
-                       if action.option_strings
-                       and action.default is not argparse.SUPPRESS}
-            command.set_defaults(**{
-                key: _config_default(command.get_default(key), value)
-                for key, value in _read_config(args.config).items()
-                if key in options})
-            args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(parser, argv))
         # --threads N or --threads=N is accepted and ignored; keep it out of
         # the recorded command line, so that outputs never depend on it
         args._argv = ["wirepol"] + [

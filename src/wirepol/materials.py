@@ -194,8 +194,11 @@ def load_database(path: str | None = None) -> MaterialDatabase:
     if path is None:
         text = resources.files("wirepol.data").joinpath("tungsten.json").read_text()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MaterialDataError(f"material database {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

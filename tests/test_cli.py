@@ -699,3 +699,47 @@ def test_sweep_range_is_a_usage_error(capsys, tmp_path, flags):
     assert rc == 1
     assert err.startswith("wirepol: error: ")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("line, flag", [
+    ("variable = banana", "--variable"),
+    ("spacing = x", "--spacing"),
+], ids=("variable", "spacing"))
+def test_config_value_outside_choices_is_a_usage_error(capsys, tmp_path, line, flag):
+    # argparse checks a config value like the flag it mirrors
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"variable = radius\nlo = 1\nhi = 2\nwavelength-um = 0.5\n{line}\n")
+    refuses_unread_flag(capsys, tmp_path, ("sweep", "--config", str(cfg)), flag)
+
+
+def test_config_fills_a_required_exclusive_group(capsys, tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("p-true = 0.2\n")
+    rc, out, err = run(capsys, "polsim", "--config", str(cfg))
+    assert rc == 0, err
+    assert out == run(capsys, "polsim", "--p-true", "0.2")[1]
+    # a flag from the same group on the command line conflicts with it
+    rc, out, err = run(capsys, "polsim", "--config", str(cfg), "--i-polarized", "1")
+    assert rc == 1
+    assert out == "" and err.startswith("wirepol: error: ")
+
+
+@pytest.mark.parametrize("flag, code", [
+    ("--config", 1), ("--measurements", 1), ("--material-db", 2),
+], ids=("config", "measurements", "material-db"))
+def test_file_that_is_not_utf8_is_one_error_line(capsys, tmp_path, flag, code):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# r\xe9sum\xe9\n17 0.221 0.003\n")
+    rc, out, err = run(capsys, "compare", f"{flag}={path}")
+    assert rc == code
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("wirepol: ") and str(path) in err
+
+
+def test_compare_warns_outside_fit(capsys):
+    rc, out, err = run(capsys, "compare", "--band", "0.3:0.4")
+    assert rc == 0 and out
+    assert err == ("warning: 1 wavelength(s) outside the fitted optical range "
+                   "[0.365, 2.65] micron; the analytic model is extrapolated\n")
+    rc, _, err = run(capsys, "compare")
+    assert rc == 0 and err == ""

@@ -6,9 +6,12 @@ Python or numpy warning (pytest runs with ``filterwarnings = error``, so
 a warning escapes ``main`` as an exception).  A run that exits 0 prints
 only finite numbers, emissivities >= 0 and |P| <= 1; any other run prints
 nothing on stdout and writes no output file; and a rerun gives the same
-bytes.  The same holds when some of the flags of ``point``, ``sweep`` or
-``material`` come from a ``--config`` file instead, among lines that name
-no option, are malformed or set a switch.
+bytes.  The same holds when some of the flags come from a ``--config``
+file instead, among lines that name no option, are malformed or set a
+switch.  A file that holds only moved flags, none of them repeated,
+changes nothing: the exit code, stdout and output file (but for its
+``# command:`` line) are those of the run with every flag on the command
+line.
 
 Draws mix ordinary values with 0, +-inf, nan, 1e-300, 1e300 and
 malformed text.  The ordinary values keep each example cheap: radii of at
@@ -19,7 +22,7 @@ nodes.
 import math
 import re
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wirepol.cli import main
 
@@ -137,20 +140,23 @@ CONFIG_LINES = ("colour = red", "nodes-per-band = 3", "points", "= 3",
 
 @st.composite
 def config_argv(draw):
-    """A ``point``, ``sweep`` or ``material`` argv with about half of its
-    ``--flag=value`` options moved into config-file lines, one time in four
-    with one more line from CONFIG_LINES, as (the argv left, the file's
-    text)."""
+    """An argv with about half of its ``--flag=value`` options moved into
+    config-file lines, one time in four with one more line from
+    CONFIG_LINES, as (the whole argv, the argv left, the file's text,
+    whether the file holds only moved flags)."""
+    whole = draw(ARGV)
     argv, lines = [], []
-    for token in draw(point_argv() | sweep_argv() | material_argv()):
+    for token in whole:
         name, sep, text = token.partition("=")
         if name.startswith("--") and sep and draw(st.booleans()):
             lines.append(f"{name[2:]} = {text}")
         else:
             argv.append(token)
-    if draw(st.integers(0, 3)) == 0:
+    only_moved = draw(st.integers(0, 3)) != 0
+    if not only_moved:
         lines.append(draw(st.sampled_from(CONFIG_LINES)))
-    return argv, "".join(f"{line}\n" for line in draw(st.permutations(lines)))
+    text = "".join(f"{line}\n" for line in draw(st.permutations(lines)))
+    return whole, argv, text, only_moved
 
 _NUMBER = re.compile(r"[^\s,=:;()\[\]]+")
 
@@ -201,7 +207,8 @@ def _check_output(out, written):
             assert number >= 0.0, (name, number)
 
 
-def _check_contract(capsys, tmp_path, argv, measurements=None):
+def _with_files(tmp_path, argv, measurements):
+    """``argv`` with its output file and measurements file, and the output."""
     output = tmp_path / "out.csv"
     if argv[0] == "sweep":
         argv = [*argv, f"--output={output}"]
@@ -212,6 +219,12 @@ def _check_contract(capsys, tmp_path, argv, measurements=None):
         if measurements is not None:
             path.write_text(MEASUREMENTS[measurements])
         argv = [*argv, f"--measurements={path}", f"--output={output}"]
+    return argv, output
+
+
+def _check_contract(capsys, tmp_path, argv, measurements=None):
+    """Runs ``argv`` twice, checks the contract and returns the first run."""
+    argv, output = _with_files(tmp_path, argv, measurements)
     first = _run(capsys, argv, output)
     rc, out, err, written = first
     assert rc in (0, 1, 2, 3), (argv, rc)
@@ -223,6 +236,7 @@ def _check_contract(capsys, tmp_path, argv, measurements=None):
         # anything is printed or written
         assert out == "" and written is None, (argv, rc)
     assert _run(capsys, argv, output) == first, argv
+    return first
 
 
 @settings(derandomize=True, max_examples=120, deadline=None,
@@ -234,9 +248,29 @@ def test_cli_contract(capsys, tmp_path, argv, measurements):
 
 @settings(derandomize=True, max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(drawn=config_argv())
-def test_cli_contract_with_config(capsys, tmp_path, drawn):
-    argv, text = drawn
+@given(drawn=config_argv(), measurements=st.sampled_from((None, *MEASUREMENTS)))
+# a value outside its flag's choices, and one flag of a required group,
+# each moved into the file
+@example(drawn=(["sweep", "--variable=radius", "--lo=1", "--hi=2",
+                 "--wavelength-um=0.5", "--spacing=x"],
+                ["sweep", "--variable=radius", "--lo=1", "--hi=2",
+                 "--wavelength-um=0.5"], "spacing = x\n", True), measurements=None)
+@example(drawn=(["polsim", "--p-true=0.2", "--seed=1"], ["polsim", "--seed=1"],
+                "p-true = 0.2\n", True), measurements=None)
+def test_cli_contract_with_config(capsys, tmp_path, drawn, measurements):
+    whole, argv, text, only_moved = drawn
     config = tmp_path / "run.cfg"
     config.write_text(text)
-    _check_contract(capsys, tmp_path, [*argv, f"--config={config}"])
+    rc, out, _, written = _check_contract(
+        capsys, tmp_path, [*argv, f"--config={config}"], measurements)
+    flags = [token.partition("=")[0] for token in whole if token.startswith("--")]
+    if only_moved and len(set(flags)) == len(flags):
+        whole_rc, whole_out, _, whole_written = _run(
+            capsys, *_with_files(tmp_path, whole, measurements))
+        assert (rc, out) == (whole_rc, whole_out), (whole, text)
+        assert _without_command(written) == _without_command(whole_written), whole
+
+
+def _without_command(written):
+    return written and [line for line in written.splitlines()
+                        if not line.startswith(b"# command:")]

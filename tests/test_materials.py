@@ -147,3 +147,10 @@ def test_conductivity_sum_checked(tmp_path):
     path.write_text(json.dumps(raw))
     with pytest.raises(MaterialDataError):
         load_database(str(path))
+
+
+def test_database_that_is_not_utf8_is_a_data_error(tmp_path):
+    path = tmp_path / "db.json"
+    path.write_bytes(b'{"records": []}\xff')
+    with pytest.raises(MaterialDataError, match="db.json"):
+        load_database(str(path))
