@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -78,15 +79,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# a '#' at the start of a line or after whitespace opens a comment; one
+# inside a value, as in output = run#1.csv, is part of the value
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def _lines(path) -> list:
-    """(line number, text) of each line not blank once its '#' comment is cut."""
+    """(line number, text) of each line not blank once its comment is cut."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise _UsageError(f"{path}: {exc}")
     return [(lineno, text) for lineno, line in enumerate(lines, 1)
-            if (text := line.split("#", 1)[0].strip())]
+            if (text := _COMMENT.split(line, 1)[0].strip())]
 
 
 def _parse_band(text) -> BandFilter:

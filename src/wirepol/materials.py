@@ -33,8 +33,6 @@ import os
 from dataclasses import dataclass, replace
 from importlib import resources
 
-from scipy import constants as _const
-
 from .errors import DomainError, MaterialDataError, RangeError
 
 # Wavelength range of the underlying tungsten reflectance measurements.
@@ -45,7 +43,11 @@ ENV_DATABASE_PATH = "WIREPOL_MATERIAL_DB"
 
 _TEMPERATURE_HARD_RANGE = (250.0, 3400.0)
 
-_2PI_C_EPS0 = 2.0 * math.pi * _const.c * _const.epsilon_0
+# SI constants: c is exact; epsilon_0 is the CODATA 2022 value
+SPEED_OF_LIGHT = 299792458.0                   # m s^-1
+VACUUM_PERMITTIVITY = 8.8541878188e-12         # F m^-1
+
+_2PI_C_EPS0 = 2.0 * math.pi * SPEED_OF_LIGHT * VACUUM_PERMITTIVITY
 
 
 @dataclass(frozen=True)

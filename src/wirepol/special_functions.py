@@ -1,14 +1,17 @@
 """Cylinder Bessel and Hankel functions for the scattering code.
 
 Only integer orders m >= 0 are needed, in blocks 0..m_max at the real
-exterior argument x = k*a.  J_m comes from one call of the AMOS routines
-that scipy.special wraps; H^(1)_m from AMOS at orders 0 and 1 and the
-upward order recurrence, which is neutral for m < x and follows the
-dominant Y_m past m ~ x (for J alone it would be unstable there).  The
-derivatives follow from C'_m = (C_{m-1} - C_{m+1}) / 2 over orders
--1..m_max+1.  At the complex interior argument n*k*a only D_m = J'_m / J_m
-is computed, by a downward recurrence from order m_max + 1, seeded there
-by a continued fraction; it stays O(1) where J_m(n*k*a) overflows.
+exterior argument x = k*a.  H^(1)_m comes from H_0 and H_1, evaluated
+here in plain Python (``_hankel1_01``), and the upward order recurrence,
+which is neutral for m < x and follows the dominant Y_m past m ~ x (for
+J alone it would be unstable there).  The derivatives follow from
+C'_m = (C_{m-1} - C_{m+1}) / 2 over orders -1..m_max+1.  At the complex
+interior argument n*k*a only D_m = J'_m / J_m is computed, by a downward
+recurrence from order m_max + 1, seeded there by a continued fraction;
+it stays O(1) where J_m(n*k*a) overflows.  J_m(x) itself
+(``bessel_j_all_orders``) is needed only by ``transition_amplitude`` and
+the tests; it calls AMOS through scipy.special, imported on first use, so
+the emissivity path loads no scipy.
 
 How many orders a sum needs is not decided here: ``scattering`` sizes
 every request.  All functions are pure and thread-safe.
@@ -21,7 +24,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ConvergenceError, DomainError
 
@@ -32,31 +34,144 @@ def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     One jv call over orders -1..m_max+1; the derivatives follow from the
     order recurrence J'_m = (J_{m-1} - J_{m+1}) / 2.
     """
+    from scipy import special    # off the emissivity path: see module doc
+
     if x <= 0.0 or not np.isfinite(x):
         raise DomainError(f"bessel_j_all_orders: need x > 0, got {x}")
-    c = _sp.jv(np.arange(-1, m_max + 2), x)
+    c = special.jv(np.arange(-1, m_max + 2), x)
     return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
-# orders 0 and 1 of hankel1_all_orders' AMOS call, built once as floats
-_ORDERS_0_1 = np.array([0.0, 1.0])
+# H_0 and H_1 in three regimes of x:
+#   x < _SERIES_EDGE: the power series of J and Y (A&S 9.1.10-13);
+#   beyond it, H_nu = sqrt(2/(pi x)) e^{i(x - nu pi/2 - pi/4)} (P_nu + i Q_nu),
+#   where P_nu + i Q_nu is
+#   - below _ASYMPTOTIC_EDGE: 1 plus the trapezoid rule in t (u = t^2) for
+#     Gamma(nu+1/2)^-1 int_0^inf e^-u u^(nu-1/2) [(1 + iu/(2x))^(nu-1/2) - 1] du,
+#     from Hankel's integral (Watson, Theory of Bessel Functions, 7.2); the
+#     bracket is formed without cancellation, so the sum is good to a few
+#     ulp of its own size, which is below 1/x;
+#   - from _ASYMPTOTIC_EDGE on: Hankel's asymptotic series (A&S 9.2.5-10),
+#     16 terms each of P and Q, by Horner in 1/x^2; its terms fall up to
+#     the order ~2x, and at x = 17 the last one kept is 3e-16.
+_SERIES_EDGE = 2.0
+_ASYMPTOTIC_EDGE = 17.0
+_GAMMA_MINUS_LN2 = -0.11593151565841245    # Euler's gamma - ln 2
+_RSQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def _series_coefficients(terms: int) -> tuple[tuple[float, ...], ...]:
+    """Per power t^k of t = -x^2/4, highest first: 1/k!^2 (J_0),
+    -H_k/k!^2 (Y_0), 1/(k!(k+1)!) (J_1) and (H_k + H_{k+1})/(k!(k+1)!)
+    (Y_1), with H_k the harmonic numbers; each one correctly rounded."""
+    rows = []
+    fact, harm = 1, 0    # k!, and H_k * k! as an integer
+    for k in range(terms):
+        fact1 = fact * (k + 1)
+        harm1 = harm * (k + 1) + fact
+        rows.append((1 / (fact * fact), -harm / (fact * fact * fact),
+                     1 / (fact * fact1),
+                     (harm * (k + 1) + harm1) / (fact * fact1 * fact1)))
+        fact, harm = fact1, harm1
+    return tuple(rows[::-1])
+
+
+def _asymptotic_coefficients(terms: int) -> tuple[tuple[float, ...], ...]:
+    """Per power y^k of y = 1/x^2, highest first: (-1)^k a_2k(nu) (P_nu)
+    and (-1)^k a_2k+1(nu) (x Q_nu) for nu = 0, 1, with a_k(nu) =
+    prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k); each correctly rounded."""
+    columns = []
+    for nu in (0, 1):
+        a, num, den = [], 1, 1
+        for k in range(2 * terms):
+            a.append(num / den)
+            num *= 4 * nu * nu - (2 * k + 1) ** 2
+            den *= 8 * (k + 1)
+        columns += [[(-1) ** k * a[2 * k + odd] for k in range(terms)]
+                    for odd in (0, 1)]
+    return tuple(zip(*columns))[::-1]
+
+
+def _trapezoid_nodes(step: float, count: int):
+    """(t^2/2, w_0, w_1) at t = step, 2 step, ..., count * step: w_0 the
+    weight of the order-0 integral, w_1 = 2 t^2 w_0 that of order 1.  The
+    node t = 0 adds nothing to either bracket."""
+    nodes = []
+    for j in range(1, count + 1):
+        t = j * step
+        w = 2.0 * _RSQRT_PI * step * math.exp(-t * t)
+        nodes.append((0.5 * t * t, w, 2.0 * t * t * w))
+    return tuple(nodes)
+
+
+# at x < 2 the first term left out, t^14 / 14!^2, is below 2e-22
+_SERIES = _series_coefficients(14)
+_ASYMPTOTIC = _asymptotic_coefficients(16)
+# (upper edge in x, nodes): the bracket is analytic in |Im t| < sqrt(x),
+# so the step may widen with x; every rule ends at t ~ 6.3, where e^-t^2
+# is 6e-18, and reaches a few ulp on its range
+_TRAPEZOID = ((3.0, _trapezoid_nodes(0.24, 26)), (4.0, _trapezoid_nodes(0.3, 21)),
+              (8.0, _trapezoid_nodes(0.35, 18)),
+              (_ASYMPTOTIC_EDGE, _trapezoid_nodes(0.45, 14)))
+
+
+def _hankel1_01(x: float) -> tuple[complex, complex]:
+    """(H^(1)_0(x), H^(1)_1(x)) for a Python float x > 0, in plain Python."""
+    if x < _SERIES_EDGE:
+        t = -0.25 * x * x
+        j0 = y0 = j1 = y1 = 0.0
+        for c_j0, c_y0, c_j1, c_y1 in _SERIES:
+            j0 = j0 * t + c_j0
+            y0 = y0 * t + c_y0
+            j1 = j1 * t + c_j1
+            y1 = y1 * t + c_y1
+        j1 *= 0.5 * x
+        log_term = math.log(x) + _GAMMA_MINUS_LN2    # ln(x/2) + gamma
+        return (complex(j0, 2.0 / math.pi * (log_term * j0 + y0)),
+                complex(j1, 2.0 / math.pi * (log_term * j1 - 0.25 * x * y1)
+                        - 2.0 / (math.pi * x)))
+    if x < _ASYMPTOTIC_EDGE:
+        nodes = next(n for edge, n in _TRAPEZOID if x < edge)
+        iv = 1j / x
+        d0 = d1 = 0j
+        for t2_half, w0, w1 in nodes:
+            v = t2_half * iv        # i t^2 / (2x)
+            r = cmath.sqrt(1.0 + v)
+            q = v / (1.0 + r)       # r - 1, and (1 + v)^(-1/2) - 1 = -q / r
+            d0 += w0 * q / r
+            d1 += w1 * q
+        pq0, pq1 = 1.0 - d0, 1.0 + d1
+    else:
+        y = 1.0 / (x * x)
+        p0 = q0 = p1 = q1 = 0.0
+        for c_p0, c_q0, c_p1, c_q1 in _ASYMPTOTIC:
+            p0 = p0 * y + c_p0
+            q0 = q0 * y + c_q0
+            p1 = p1 * y + c_p1
+            q1 = q1 * y + c_q1
+        pq0, pq1 = complex(p0, q0 / x), complex(p1, q1 / x)
+    # sqrt(2/(pi x)) e^{i(x - pi/4)} from cos and sin of the exact x
+    e = complex(math.cos(x), math.sin(x)) * (1.0 - 1.0j) * (_RSQRT_PI / math.sqrt(x))
+    h0, h1 = pq0 * e, pq1 * e
+    return h0, complex(h1.imag, -h1.real)    # H_1 carries e^{-i pi/2}
 
 
 def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """H^(1)_m(x) and H^(1)'_m(x) for m = 0..m_max at real x > 0.
 
-    One hankel1 call at orders 0 and 1, then H_{m+1} = (2m/x) H_m - H_{m-1}
+    H_0 and H_1 from ``_hankel1_01``, then H_{m+1} = (2m/x) H_m - H_{m-1}
     (Abramowitz & Stegun 9.1.27) from H_{-1} = -H_1, so H'_0 = -H_1 exactly;
     H'_m = (H_{m-1} - H_{m+1}) / 2; nan from the first order that overflows.
     """
     x = float(x)    # numpy scalars would make each step slower and warn
     if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"hankel1_all_orders: need x > 0, got {x}")
-    prev, h = _sp.hankel1(_ORDERS_0_1, x).tolist()
+    prev, h = _hankel1_01(x)
     c = [-h, prev, h]
+    append = c.append
     for m in range(1, m_max + 1):    # Python complex: cheaper than numpy's
         prev, h = h, 2.0 * m / x * h - prev
-        c.append(h)
+        append(h)
     c = np.array(c)
     if not cmath.isfinite(h):    # once inf or nan, H stays so at higher orders
         c[np.logical_or.accumulate(~np.isfinite(c))] = np.nan
@@ -84,22 +199,29 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     top = m_max + 1
     r = c = 2 * top * zi
     d = 0j
+    eps = sys.float_info.epsilon
     # at real z it ends near k = |z| + 7.3 |z|^(1/3); allow twice that
-    for k in range(top + 1, int(max(top, abs(z)) + 16 * abs(z) ** (1 / 3)) + 64):
-        b = 2 * k * zi
+    k_end = int(max(top, abs(z)) + 16 * abs(z) ** (1 / 3)) + 64
+    for k2 in range(2 * top + 2, 2 * k_end, 2):    # k2 = 2k
+        b = k2 * zi
         d = 1.0 / ((b - d) or 1e-300)
         c = (b - 1.0 / c) or 1e-300
         delta = c * d
         r *= delta
-        if abs(delta - 1.0) < sys.float_info.epsilon:
+        if abs(delta - 1.0) < eps:
             break
     else:
         raise ConvergenceError("continued fraction for J_m / J_(m+1) did not converge",
                                order=m_max, nka=z)
-    d = r - top * zi
-    # a list append is cheaper per step than numpy item assignment
+    above = top * zi
+    d = r - above
+    # a list append is cheaper per step than numpy item assignment; each
+    # m * zi serves two steps
     values = []
-    for m in range(top, 0, -1):
-        d = (m - 1) * zi - 1.0 / (d + m * zi)
-        values.append(d)
+    append = values.append
+    for m in range(m_max, -1, -1):
+        below = m * zi
+        d = below - 1.0 / (d + above)
+        append(d)
+        above = below
     return np.array(values[::-1])

@@ -50,10 +50,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import constants as _const
 
 from .errors import ConvergenceError, DomainError, RangeError
-from .materials import DrudePermittivityModel, permittivity, refraction_index
+from .materials import (SPEED_OF_LIGHT, DrudePermittivityModel, permittivity,
+                        refraction_index)
 from .scattering import emissivity_pair, polarization_of
 
 # Largest accepted |P(nodes) - P(2 * nodes)| of a band average.
@@ -98,10 +98,13 @@ class BandAveragedResult:
     est_quadrature_error: float
 
 
+# SI constants, exact since 2019 (c is in materials)
+PLANCK_CONSTANT = 6.62607015e-34               # J s
+BOLTZMANN_CONSTANT = 1.380649e-23              # J K^-1
 # log(2 pi h c^2) with lambda in micron, so that E comes out in W m^-3;
 # and the second radiation constant hc/kB in micron kelvin
-_LOG_2PI_HC2 = math.log(2.0 * math.pi * _const.h * _const.c ** 2 / 1e-30)
-_HC_OVER_KB = _const.h * _const.c / _const.k * 1e6
+_LOG_2PI_HC2 = math.log(2.0 * math.pi * PLANCK_CONSTANT * SPEED_OF_LIGHT ** 2 / 1e-30)
+_HC_OVER_KB = PLANCK_CONSTANT * SPEED_OF_LIGHT / BOLTZMANN_CONSTANT * 1e6
 
 
 def _log_emittance(lam_um, temperature_k):

@@ -243,6 +243,24 @@ def test_config_file(capsys, tmp_path):
     assert len(rows) == 4
 
 
+def test_hash_inside_a_value_is_not_a_comment(capsys, tmp_path, monkeypatch):
+    # '#' opens a comment only at the start of a line or after whitespace
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("# a sweep\nvariable = radius  # thin end\nlo = 0.1\n"
+                   "hi = 0.5\npoints = 3\nwavelength-um = 0.5\noutput = run#1.csv\n")
+    rc, _, _ = run(capsys, "sweep", "--config", str(cfg))
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "run#1.csv"]
+    _, _, rows = read_csv(tmp_path / "run#1.csv")
+    assert len(rows) == 3
+    meas = tmp_path / "meas.txt"
+    meas.write_text("17 0.222 0.003  # note\n#17 0.3 0.003\n")
+    rc, out, _ = run(capsys, "compare", "--measurements", str(meas))
+    assert rc == 0
+    assert len(out.splitlines()) == 2    # header and the 17 um row
+
+
 def test_material_show_and_list(capsys):
     rc, out, _ = run(capsys, "material", "show", "--temp-k", "2400")
     assert rc == 0

@@ -1,6 +1,7 @@
 """Cylinder function evaluation, checked against an extended-precision
 series oracle (mpmath) and the classical identities."""
 
+import cmath
 import math
 import warnings
 
@@ -11,6 +12,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from wirepol import scattering
+from wirepol import special_functions as sf
 from wirepol.errors import ConvergenceError, DomainError
 from wirepol.materials import (load_database, model_for_temperature,
                                permittivity, refraction_index)
@@ -196,17 +198,49 @@ def test_recurrence_block_matches_amos_at_every_order(x):
     assert np.all(np.abs(hp - amos_p) <= 1e-12 * np.abs(amos_p))
 
 
-def test_hankel_block_takes_one_amos_call(monkeypatch):
-    calls, amos = [], scipy.special.hankel1
+def _hankel_01_grid():
+    """x from 1e-4 to 5e4, both sides of every regime edge and 1 ulp off
+    it, and the first zeros of J_0, J_1, Y_0 and Y_1."""
+    xs = set(np.geomspace(1e-4, 5e4, 241).tolist())
+    xs.update(np.linspace(1.5, 30.0, 115).tolist())
+    for edge in (sf._SERIES_EDGE, sf._ASYMPTOTIC_EDGE,
+                 *(e for e, _ in sf._TRAPEZOID)):
+        xs.update((math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)))
+    xs.update(float(zero(nu, 1)) for zero in (mpmath.besseljzero, mpmath.besselyzero)
+              for nu in (0, 1))
+    return sorted(xs)
 
-    def counted(order, x):
-        calls.append(np.size(order))
-        return amos(order, x)
 
-    monkeypatch.setattr(scipy.special, "hankel1", counted)
-    for m_max in (0, 1, 500):
-        hankel1_all_orders(m_max, 300.0)
-    assert calls == [2, 2, 2]
+def test_hankel_01_matches_oracle():
+    # relative to |H|, which has no zeros: within 1e-15 in every regime
+    worst = 0.0
+    for x in _hankel_01_grid():
+        for nu, got in enumerate(sf._hankel1_01(x)):
+            want = complex(mpmath.hankel1(nu, mpmath.mpf(x)))
+            worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-15
+
+
+def test_hankel_01_at_tiny_x_is_finite_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h0, h1 = sf._hankel1_01(1e-303)
+    assert cmath.isfinite(h0) and cmath.isfinite(h1)
+    for nu, got in enumerate((h0, h1)):
+        want = complex(mpmath.hankel1(nu, mpmath.mpf(1e-303)))
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_hankel_block_calls_nothing_in_scipy_special(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.special called")
+
+    for name in dir(scipy.special):
+        if not name.startswith("_") and callable(getattr(scipy.special, name)):
+            monkeypatch.setattr(scipy.special, name, refuse)
+    for x in (0.5, 3.0, 10.0, 300.0):    # every regime of H_0 and H_1
+        h, _ = hankel1_all_orders(order_ceiling(x), x)
+        assert np.isfinite(h).all()
 
 
 def test_overflowing_block_turns_non_finite_without_warning():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import constants, integrate, optimize
 
+from wirepol import materials, spectral
 from wirepol.errors import ConvergenceError, DegenerateInputError, DomainError
 from wirepol.materials import load_database, model_for_temperature
 from wirepol.spectral import (
@@ -16,6 +17,19 @@ from wirepol.spectral import (
     gauss_legendre,
     planck_radiance,
 )
+
+
+def test_si_constants_equal_scipy_codata_bit_for_bit():
+    # the evaluation path writes the constants as literals; scipy.constants
+    # stays their oracle here
+    assert materials.SPEED_OF_LIGHT == constants.c
+    assert materials.VACUUM_PERMITTIVITY == constants.epsilon_0
+    assert spectral.PLANCK_CONSTANT == constants.h
+    assert spectral.BOLTZMANN_CONSTANT == constants.k
+    assert materials._2PI_C_EPS0 == 2.0 * math.pi * constants.c * constants.epsilon_0
+    assert spectral._LOG_2PI_HC2 == math.log(
+        2.0 * math.pi * constants.h * constants.c ** 2 / 1e-30)
+    assert spectral._HC_OVER_KB == constants.h * constants.c / constants.k * 1e6
 
 
 def test_planck_positive_and_finite():
