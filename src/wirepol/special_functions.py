@@ -46,11 +46,15 @@ def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
 #   x < _SERIES_EDGE: the power series of J and Y (A&S 9.1.10-13);
 #   beyond it, H_nu = sqrt(2/(pi x)) e^{i(x - nu pi/2 - pi/4)} (P_nu + i Q_nu),
 #   where P_nu + i Q_nu is
-#   - below _ASYMPTOTIC_EDGE: 1 plus the trapezoid rule in t (u = t^2) for
-#     Gamma(nu+1/2)^-1 int_0^inf e^-u u^(nu-1/2) [(1 + iu/(2x))^(nu-1/2) - 1] du,
-#     from Hankel's integral (Watson, Theory of Bessel Functions, 7.2); the
-#     bracket is formed without cancellation, so the sum is good to a few
-#     ulp of its own size, which is below 1/x;
+#   - below _ASYMPTOTIC_EDGE: 1 plus a Chebyshev series in ln x.  It
+#     interpolates, at import, Hankel's integral (Watson, Theory of Bessel
+#     Functions, 7.2)
+#       Gamma(nu+1/2)^-1 int_0^inf e^-u u^(nu-1/2) [(1 + iu/(2x))^(nu-1/2) - 1] du
+#     by the trapezoid rule in t = sqrt(u).  The bracket is formed without
+#     cancellation, so the integral is good to a few ulp of its own size,
+#     which is below 1/x.  P + iQ is analytic in the plane cut along
+#     x <= 0, so in ln x within |Im ln x| < pi, and 20 terms reach a few
+#     ulp over [2, 17];
 #   - from _ASYMPTOTIC_EDGE on: Hankel's asymptotic series (A&S 9.2.5-10),
 #     16 terms each of P and Q, by Horner in 1/x^2; its terms fall up to
 #     the order ~2x, and at x = 17 the last one kept is 3e-16.
@@ -92,27 +96,47 @@ def _asymptotic_coefficients(terms: int) -> tuple[tuple[float, ...], ...]:
     return tuple(zip(*columns))[::-1]
 
 
-def _trapezoid_nodes(step: float, count: int):
-    """(t^2/2, w_0, w_1) at t = step, 2 step, ..., count * step: w_0 the
-    weight of the order-0 integral, w_1 = 2 t^2 w_0 that of order 1.  The
-    node t = 0 adds nothing to either bracket."""
-    nodes = []
-    for j in range(1, count + 1):
-        t = j * step
-        w = 2.0 * _RSQRT_PI * step * math.exp(-t * t)
-        nodes.append((0.5 * t * t, w, 2.0 * t * t * w))
-    return tuple(nodes)
+def _hankel_integral(x: float) -> tuple[complex, complex]:
+    """P_nu + i Q_nu - 1 for nu = 0, 1 at x >= _SERIES_EDGE, by the
+    trapezoid rule in t with step 0.2 to t = 6.4, where e^-t^2 is 1.6e-18;
+    the bracket is analytic in |Im t| < sqrt(x), so from x = 2 on the
+    rule's error is below rounding.  The node t = 0 adds nothing."""
+    iv = 1j / x
+    d0 = d1 = 0j
+    for j in range(1, 33):
+        t = 0.2 * j
+        w = 0.4 * _RSQRT_PI * math.exp(-t * t)
+        v = 0.5 * t * t * iv        # i t^2 / (2x)
+        r = cmath.sqrt(1.0 + v)
+        q = v / (1.0 + r)           # r - 1, and (1 + v)^(-1/2) - 1 = -q / r
+        d0 -= w * q / r
+        d1 += 2.0 * t * t * w * q
+    return d0, d1
+
+
+def _chebyshev_coefficients(terms: int) -> tuple[tuple[complex, complex], ...]:
+    """Coefficients c_j, highest first, of the Chebyshev series in
+    u = (ln x - _LOG_MID) / _LOG_HALF that interpolates ``_hankel_integral``
+    at the zeros of T_terms(u); each sum is rounded once (math.fsum)."""
+    angles = [math.pi * (k + 0.5) / terms for k in range(terms)]
+    values = [_hankel_integral(math.exp(_LOG_MID + _LOG_HALF * math.cos(a)))
+              for a in angles]
+    rows = []
+    for j in range(terms):
+        weights = [(1.0 if j else 0.5) * 2.0 / terms * math.cos(j * a) for a in angles]
+        rows.append(tuple(
+            complex(math.fsum(w * v[nu].real for w, v in zip(weights, values)),
+                    math.fsum(w * v[nu].imag for w, v in zip(weights, values)))
+            for nu in (0, 1)))
+    return tuple(rows[::-1])
 
 
 # at x < 2 the first term left out, t^14 / 14!^2, is below 2e-22
 _SERIES = _series_coefficients(14)
 _ASYMPTOTIC = _asymptotic_coefficients(16)
-# (upper edge in x, nodes): the bracket is analytic in |Im t| < sqrt(x),
-# so the step may widen with x; every rule ends at t ~ 6.3, where e^-t^2
-# is 6e-18, and reaches a few ulp on its range
-_TRAPEZOID = ((3.0, _trapezoid_nodes(0.24, 26)), (4.0, _trapezoid_nodes(0.3, 21)),
-              (8.0, _trapezoid_nodes(0.35, 18)),
-              (_ASYMPTOTIC_EDGE, _trapezoid_nodes(0.45, 14)))
+_LOG_MID = 0.5 * (math.log(_ASYMPTOTIC_EDGE) + math.log(_SERIES_EDGE))
+_LOG_HALF = 0.5 * (math.log(_ASYMPTOTIC_EDGE) - math.log(_SERIES_EDGE))
+_CHEBYSHEV = _chebyshev_coefficients(20)
 
 
 def _hankel1_01(x: float) -> tuple[complex, complex]:
@@ -131,16 +155,15 @@ def _hankel1_01(x: float) -> tuple[complex, complex]:
                 complex(j1, 2.0 / math.pi * (log_term * j1 - 0.25 * x * y1)
                         - 2.0 / (math.pi * x)))
     if x < _ASYMPTOTIC_EDGE:
-        nodes = next(n for edge, n in _TRAPEZOID if x < edge)
-        iv = 1j / x
-        d0 = d1 = 0j
-        for t2_half, w0, w1 in nodes:
-            v = t2_half * iv        # i t^2 / (2x)
-            r = cmath.sqrt(1.0 + v)
-            q = v / (1.0 + r)       # r - 1, and (1 + v)^(-1/2) - 1 = -q / r
-            d0 += w0 * q / r
-            d1 += w1 * q
-        pq0, pq1 = 1.0 - d0, 1.0 + d1
+        # Clenshaw's recurrence, b_j = 2u b_{j+1} - b_{j+2} + c_j
+        u = (math.log(x) - _LOG_MID) / _LOG_HALF
+        u2 = u + u
+        b0 = b1 = c0 = c1 = 0j
+        for a0, a1 in _CHEBYSHEV[:-1]:
+            b0, c0 = u2 * b0 - c0 + a0, b0
+            b1, c1 = u2 * b1 - c1 + a1, b1
+        a0, a1 = _CHEBYSHEV[-1]
+        pq0, pq1 = (u * b0 - c0 + a0) + 1.0, (u * b1 - c1 + a1) + 1.0
     else:
         y = 1.0 / (x * x)
         p0 = q0 = p1 = q1 = 0.0

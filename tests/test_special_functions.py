@@ -203,8 +203,7 @@ def _hankel_01_grid():
     it, and the first zeros of J_0, J_1, Y_0 and Y_1."""
     xs = set(np.geomspace(1e-4, 5e4, 241).tolist())
     xs.update(np.linspace(1.5, 30.0, 115).tolist())
-    for edge in (sf._SERIES_EDGE, sf._ASYMPTOTIC_EDGE,
-                 *(e for e, _ in sf._TRAPEZOID)):
+    for edge in (sf._SERIES_EDGE, sf._ASYMPTOTIC_EDGE):
         xs.update((math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)))
     xs.update(float(zero(nu, 1)) for zero in (mpmath.besseljzero, mpmath.besselyzero)
               for nu in (0, 1))
