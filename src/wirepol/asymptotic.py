@@ -21,13 +21,14 @@ index convention used elsewhere in the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .spectral import gauss_legendre
+from .spectral import MAX_NODES, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,10 @@ def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
     The integrand is even in phi, so the quadrature runs on [0, pi/2]
     and doubles; the doubling cancels between numerator and denominator.
     """
-    if complex(eps).imag <= 0:
-        raise DomainError(f"thick-wire limit needs an absorber, Im(eps) > 0; got {eps}")
+    if not (cmath.isfinite(eps) and complex(eps).imag > 0):
+        raise DomainError(f"thick-wire limit needs a finite absorber, Im(eps) > 0; got {eps}")
+    if not 1 <= nodes <= MAX_NODES:
+        raise DomainError(f"quadrature needs 1 to {MAX_NODES} nodes, got {nodes}")
     xg, wg = gauss_legendre(nodes)
     phi = (xg + 1.0) * (math.pi / 4.0)
     w = wg * (math.pi / 4.0)

@@ -95,6 +95,12 @@ def _lines(path) -> list:
             if (text := _COMMENT.split(line, 1)[0].strip())]
 
 
+def _path(text) -> str:
+    if not text:    # else an empty path would act as no flag at all
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _parse_band(text) -> BandFilter:
     try:
         lo, _, hi = text.partition(":")
@@ -301,8 +307,6 @@ def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
 
 
 def _cmd_sweep(args) -> int:
-    if not args.output:
-        raise _UsageError("sweep needs an output path (-o/--output)")
     given = _given(args)
     how, name = _take(given, "preset", "variable")
     meta, header, grid, values_at, spectra = _sweep_table(name, given,
@@ -440,7 +444,7 @@ def _cmd_material(args) -> int:
 
 def _add_material(parser):
     # the database flags, for the subcommands that load one
-    parser.add_argument("--material-db", default=None,
+    parser.add_argument("--material-db", type=_path,
                         help="material database path (default: bundled table, "
                              "or WIREPOL_MATERIAL_DB)")
     parser.add_argument("--include-tentative", action="store_true",
@@ -480,17 +484,17 @@ def build_parser() -> _Parser:
     _add_wire(p)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted and ignored: evaluation is serial")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", type=_path, required=True)
     _add_material(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("compare", help="computed vs measured band averages")
-    p.add_argument("--measurements", default=None,
+    p.add_argument("--measurements", type=_path,
                    help="CSV of diameter_um, p, error (default: bundled set)")
     p.add_argument("--temp-k", type=float, default=2400.0)
     p.add_argument("--band", type=_parse_band, default=COMPUTED_BAND,
                    help="lo:hi in microns (default 0.5:0.75)")
-    p.add_argument("-o", "--output", default=None)
+    p.add_argument("-o", "--output", type=_path)
     _add_material(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -504,7 +508,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise-rms", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step-deg", type=float, default=0.5)
-    p.add_argument("-o", "--output-prefix", default=None)
+    p.add_argument("-o", "--output-prefix", type=_path)
     p.set_defaults(func=_cmd_polsim)
 
     p = sub.add_parser("material", help="inspect the material database")
@@ -514,7 +518,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_material)
 
     for p in sub.choices.values():
-        p.add_argument("--config", default=None,
+        p.add_argument("--config", type=_path,
                        help="key = value file mirroring the flags; flags override")
     return parser
 

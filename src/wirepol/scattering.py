@@ -197,9 +197,11 @@ def polarization_of(e_te: float, e_tm: float) -> float:
     """P = (e_TE - e_TM) / (e_TE + e_TM), for one wavelength or for
     band-averaged emissivities alike.
 
-    Raises DegenerateInputError unless e_TE + e_TM > 0: a vacuum wire
-    emits nothing, and P is then undefined.
+    Raises DomainError unless both are finite, and DegenerateInputError
+    unless their sum is > 0: a vacuum wire emits nothing, and P is undefined.
     """
+    if not (math.isfinite(e_te) and math.isfinite(e_tm)):
+        raise DomainError(f"emissivities must be finite, got {e_te}, {e_tm}")
     total = e_te + e_tm
     if not total > 0:
         raise DegenerateInputError(

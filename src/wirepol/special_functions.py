@@ -8,10 +8,8 @@ J alone it would be unstable there).  The derivatives follow from
 C'_m = (C_{m-1} - C_{m+1}) / 2 over orders -1..m_max+1.  At the complex
 interior argument n*k*a only D_m = J'_m / J_m is computed, by a downward
 recurrence from order m_max + 1, seeded there by a continued fraction;
-it stays O(1) where J_m(n*k*a) overflows.  J_m(x) itself
-(``bessel_j_all_orders``) is needed only by ``transition_amplitude`` and
-the tests; it calls AMOS through scipy.special, imported on first use, so
-the emissivity path loads no scipy.
+it stays O(1) where J_m(n*k*a) overflows.  J_m(x) (``bessel_j_all_orders``)
+follows from H_m(x) and D_m(x) by the Wronskian.
 
 How many orders a sum needs is not decided here: ``scattering`` sizes
 every request.  All functions are pure and thread-safe.
@@ -26,20 +24,6 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-
-
-def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """J_m(x) and J'_m(x) for m = 0..m_max at real x > 0, as arrays.
-
-    One jv call over orders -1..m_max+1; the derivatives follow from the
-    order recurrence J'_m = (J_{m-1} - J_{m+1}) / 2.
-    """
-    from scipy import special    # off the emissivity path: see module doc
-
-    if x <= 0.0 or not np.isfinite(x):
-        raise DomainError(f"bessel_j_all_orders: need x > 0, got {x}")
-    c = special.jv(np.arange(-1, m_max + 2), x)
-    return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
 # H_0 and H_1 in three regimes of x:
@@ -248,3 +232,17 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
         append(d)
         above = below
     return np.array(values[::-1])
+
+
+def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """J_m(x) and J'_m(x) for m = 0..m_max at real x > 0, as arrays.  With
+    Y = Im H and W = J_m Y'_m - J'_m Y_m = 2/(pi x) (A&S 9.1.16), J_m =
+    W / (Y'_m - D_m Y_m), both parts divided by max(|Y_m|, 1) so that none
+    overflows, and 0.0 where H_m does; J'_m = (J_{m-1} - J_{m+1}) / 2."""
+    h, hp = hankel1_all_orders(m_max + 1, x)    # DomainError unless x > 0
+    d = bessel_j_log_derivative(x, m_max + 1).real
+    s = np.maximum(np.abs(h.imag), 1.0)    # nan where H overflowed
+    j = (2.0 / (math.pi * x) / s) / (hp.imag / s - d * (h.imag / s))
+    j[np.isnan(j)] = 0.0
+    c = np.concatenate(([-j[1]], j))
+    return j[:-1], 0.5 * (c[:-2] - c[2:])

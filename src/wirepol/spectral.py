@@ -118,10 +118,9 @@ def _log_emittance(lam_um, temperature_k):
 def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
     """Planck spectral emittance 2 pi h c^2 / lambda^5 / (exp(hc/(lambda kB T)) - 1)
     in W m^-3 (power per emitting area per wavelength)."""
-    if wavelength_um <= 0:
-        raise DomainError(f"wavelength must be > 0, got {wavelength_um}")
-    if temperature_k <= 0:
-        raise DomainError(f"temperature must be > 0, got {temperature_k}")
+    if not (0 < wavelength_um < math.inf and 0 < temperature_k < math.inf):
+        raise DomainError("wavelength and temperature must be finite and > 0, "
+                          f"got {wavelength_um}, {temperature_k}")
     return float(np.exp(_log_emittance(wavelength_um, temperature_k)))
 
 
@@ -166,8 +165,9 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     Raises ConvergenceError if the re-evaluation with 2 * ``nodes``
     differs from the primary result by more than QUADRATURE_TOLERANCE.
     """
-    if a_um <= 0:
-        raise DomainError(f"radius must be > 0, got {a_um}")
+    if not (0 < a_um < math.inf and 0 < temperature_k < math.inf):
+        raise DomainError("radius and temperature must be finite and > 0, "
+                          f"got {a_um}, {temperature_k}")
     if not 2 <= nodes <= MAX_NODES:
         raise DomainError(f"quadrature needs 2 to {MAX_NODES} nodes, got {nodes}")
     if emissivity_fn is None:

@@ -21,7 +21,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
-from scipy import constants, integrate
+from scipy import constants, integrate, special
 
 from wirepol.asymptotic import fresnel_coefficients, thick_wire_polarization
 from wirepol.cli import main as cli_main
@@ -42,7 +42,7 @@ from wirepol.scattering import (
     linear_polarization,
     transition_amplitude,
 )
-from wirepol.special_functions import bessel_j_all_orders, hankel1_all_orders
+from wirepol.special_functions import hankel1_all_orders
 from wirepol.spectral import COMPUTED_BAND, band_averaged_polarization, planck_radiance
 
 DB = load_database()
@@ -156,13 +156,14 @@ def test_criterion_6_property_suite(report):
     rng = np.random.default_rng(2026)
     checks = []
 
-    # Wronskian of J and H1, randomized
+    # Wronskian of J and H1, randomized; J from AMOS, as the package's J
+    # is built from this identity
     for _ in range(200):
         x = float(rng.uniform(0.1, 400.0))
         m = int(rng.integers(0, 50))
-        j, jp = bessel_j_all_orders(m, x)
+        j_below, j, j_above = special.jv([m - 1, m, m + 1], x)
         h, hp = hankel1_all_orders(m, x)
-        w = j[m] * hp[m] - jp[m] * h[m]
+        w = j * hp[m] - 0.5 * (j_below - j_above) * h[m]
         checks.append(abs(w - 2j / (math.pi * x)) <= 1e-10 * abs(2 / (math.pi * x)))
 
     # passivity and m-fold symmetry of the transition amplitudes

@@ -761,3 +761,20 @@ def test_compare_warns_outside_fit(capsys):
                    "[0.365, 2.65] micron; the analytic model is extrapolated\n")
     rc, _, err = run(capsys, "compare")
     assert rc == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("point", "--config=", "--radius-um", "1", "--wavelength-um", "0.5"),
+    ("point", "--config", "", "--radius-um", "1", "--wavelength-um", "0.5"),
+    ("compare", "--measurements="),
+    ("compare", "--output="),
+    ("point", "--radius-um", "1", "--wavelength-um", "0.5", "--material-db="),
+    ("polsim", "--p-true", "0.2", "--output-prefix="),
+], ids=("config", "config-spaced", "measurements", "compare-output",
+        "material-db", "output-prefix"))
+def test_empty_file_path_is_a_usage_error(capsys, argv):
+    # an empty path named no file and was read as no flag at all
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("wirepol: error: ")

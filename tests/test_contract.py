@@ -84,6 +84,12 @@ def point_argv(draw):
 def sweep_argv(draw):
     kind = draw(st.sampled_from(("radius", "wavelength", "temperature",
                                  "figure1", None)))
+    # a band preset takes 0.2-0.4 s a run, figure4 at its two diameters 0.5
+    # and 120 um: drawn about once in 40, with no other flag (at 17, since
+    # hypothesis favours the ends of a range)
+    if draw(st.integers(0, 39)) == 17:
+        return ["sweep", *draw(st.sampled_from((["--preset=figure4", "--points=2"],
+                                                ["--preset=table2"])))]
     lo, hi = {"radius": (("0.05", "0.5"), ("1", "5")),
               "wavelength": (("0.4", "0.5"), ("0.6", "2")),
               "temperature": (("250", "1600"), ("2400", "3400")),
@@ -242,6 +248,9 @@ def _check_contract(capsys, tmp_path, argv, measurements=None):
 @settings(derandomize=True, max_examples=120, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(argv=ARGV, measurements=st.sampled_from((None, *MEASUREMENTS)))
+# every preset runs at least once
+@example(argv=["sweep", "--preset=figure4", "--points=2"], measurements=None)
+@example(argv=["sweep", "--preset=table2"], measurements=None)
 def test_cli_contract(capsys, tmp_path, argv, measurements):
     _check_contract(capsys, tmp_path, argv, measurements)
 
@@ -257,6 +266,11 @@ def test_cli_contract(capsys, tmp_path, argv, measurements):
                  "--wavelength-um=0.5"], "spacing = x\n", True), measurements=None)
 @example(drawn=(["polsim", "--p-true=0.2", "--seed=1"], ["polsim", "--seed=1"],
                 "p-true = 0.2\n", True), measurements=None)
+# each band preset, chosen in the file, and --points for figure4
+@example(drawn=(["sweep", "--preset=figure4", "--points=2"], ["sweep", "--preset=figure4"],
+                "points = 2\n", True), measurements=None)
+@example(drawn=(["sweep", "--preset=table2"], ["sweep"], "preset = table2\n", True),
+         measurements=None)
 def test_cli_contract_with_config(capsys, tmp_path, drawn, measurements):
     whole, argv, text, only_moved = drawn
     config = tmp_path / "run.cfg"

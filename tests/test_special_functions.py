@@ -16,7 +16,7 @@ from wirepol import special_functions as sf
 from wirepol.errors import ConvergenceError, DomainError
 from wirepol.materials import (load_database, model_for_temperature,
                                permittivity, refraction_index)
-from wirepol.scattering import emissivity_pair, order_ceiling
+from wirepol.scattering import emissivity_pair, order_ceiling, transition_amplitude
 from wirepol.special_functions import (
     bessel_j_all_orders,
     bessel_j_log_derivative,
@@ -89,8 +89,7 @@ def test_bessel_j_derivative_matches_finite_difference():
 
 
 def test_negative_order_symmetry_exact():
-    # C'_0 = (C_{-1} - C_1) / 2 takes order -1 from the same AMOS call;
-    # C_{-1} = -C_1 holds exactly, so C'_0 = -C_1
+    # C'_0 = (C_{-1} - C_1) / 2 with C_{-1} = -C_1 exactly, so C'_0 = -C_1
     for x in (0.3, 1.7, 7.3, 50.0):
         j, jp = bessel_j_all_orders(1, x)
         h, hp = hankel1_all_orders(1, x)
@@ -112,8 +111,11 @@ def test_conjugation_symmetry(re, im, m):
 @given(st.floats(0.1, 500.0), st.integers(0, 60))
 @settings(max_examples=120, deadline=None)
 def test_wronskian_identity(x, m):
-    # J_m(x) H'_m(x) - J'_m(x) H_m(x) = 2i / (pi x)
-    (j, jp), (h, hp) = j_at(m, x), h_at(m, x)
+    # J_m(x) H'_m(x) - J'_m(x) H_m(x) = 2i / (pi x); J from AMOS, as the
+    # package's J is built from this identity
+    j_below, j, j_above = scipy.special.jv([m - 1, m, m + 1], x)
+    jp = 0.5 * (j_below - j_above)
+    h, hp = h_at(m, x)
     w = j * hp - jp * h
     want = 2j / (math.pi * x)
     assert abs(w - want) <= 1e-10 * abs(want)
@@ -159,7 +161,7 @@ def test_log_derivative_survives_huge_imaginary_part():
 def test_block_values_and_recurrence_derivatives_match_oracle(x, m_max,
                                                              checked):
     # blocks that run from order 0 past the turning point m ~ x; the
-    # derivatives come from (C_{m-1} - C_{m+1}) / 2 of the same AMOS call
+    # derivatives come from (C_{m-1} - C_{m+1}) / 2 of the same block
     j, jp = bessel_j_all_orders(m_max, x)
     h, hp = hankel1_all_orders(m_max, x)
     assert len(j) == len(jp) == len(h) == len(hp) == m_max + 1
@@ -239,7 +241,9 @@ def test_hankel_block_calls_nothing_in_scipy_special(monkeypatch):
             monkeypatch.setattr(scipy.special, name, refuse)
     for x in (0.5, 3.0, 10.0, 300.0):    # every regime of H_0 and H_1
         h, _ = hankel1_all_orders(order_ceiling(x), x)
-        assert np.isfinite(h).all()
+        j, jp = bessel_j_all_orders(order_ceiling(x), x)
+        assert np.isfinite(h).all() and np.isfinite(j).all() and np.isfinite(jp).all()
+        assert all(map(cmath.isfinite, transition_amplitude(3, x, 1.0, 4 + 2j)))
 
 
 def test_overflowing_block_turns_non_finite_without_warning():
@@ -262,6 +266,25 @@ def test_overflowing_block_turns_non_finite_without_warning():
     last = first - 1
     assert abs(h[last]) > 1e300
     assert h[last] == pytest.approx(complex(mpmath.hankel1(last, x)), rel=1e-12)
+
+
+@pytest.mark.parametrize("x, m_max", [(1e-3, 400), (0.01, 60)])
+def test_bessel_j_block_below_the_double_range_matches_oracle(x, m_max):
+    # the block is built from Y_m, which overflows at x = 1e-3 from m = 66:
+    # J_m and J'_m are 0.0 from there on, and within 1e-12 of the oracle
+    # wherever |J_m| > 1e-290
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, jp = bessel_j_all_orders(m_max, x)
+        h, _ = hankel1_all_orders(m_max + 1, x)
+    over = ~np.isfinite(h[:-1])
+    assert over.any() == (x < 0.01)
+    assert not j[over].any() and not jp[over].any()
+    for m in range(m_max + 1):
+        want_j, want_jp = oracle_j(m, x).real, oracle_jp(m, x).real
+        if abs(want_j) > 1e-290:
+            assert j[m] == pytest.approx(want_j, rel=1e-12)
+            assert jp[m] == pytest.approx(want_jp, rel=1e-12)
 
 
 def test_log_derivative_values_unchanged_by_storage():

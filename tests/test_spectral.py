@@ -7,8 +7,10 @@ import pytest
 from scipy import constants, integrate, optimize
 
 from wirepol import materials, spectral
+from wirepol.asymptotic import thick_wire_polarization
 from wirepol.errors import ConvergenceError, DegenerateInputError, DomainError
 from wirepol.materials import load_database, model_for_temperature
+from wirepol.scattering import polarization_of
 from wirepol.spectral import (
     BandFilter,
     COMPUTED_BAND,
@@ -186,6 +188,37 @@ def test_quadrature_node_limit(model):
     with pytest.raises(DomainError, match="1024"):
         band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model,
                                    nodes=10 ** 8)
+
+
+def _refuse(lam):
+    raise AssertionError("a node was evaluated")
+
+
+NON_FINITE_INPUTS = {
+    **{f"band_T={t}": lambda model, t=t: band_averaged_polarization(
+        1.0, t, COMPUTED_BAND, model, emissivity_fn=_refuse)
+       for t in (0.0, -300.0, math.inf, math.nan)},
+    **{f"band_a={a}": lambda model, a=a: band_averaged_polarization(
+        a, 2400.0, COMPUTED_BAND, model, emissivity_fn=_refuse)
+       for a in (math.inf, math.nan)},
+    **{f"planck{args}": lambda model, args=args: planck_radiance(*args)
+       for args in ((math.nan, 2400.0), (0.5, math.nan), (math.inf, 2400.0),
+                    (0.5, math.inf))},
+    **{f"thick_eps={eps}": lambda model, eps=eps: thick_wire_polarization(eps)
+       for eps in (complex(math.nan, 1.0), complex(-20.0, math.nan),
+                   complex(math.inf, 1.0), complex(-20.0, math.inf))},
+    "thick_nodes=0": lambda model: thick_wire_polarization(-20.0 + 5.0j, nodes=0),
+    "thick_nodes=2048": lambda model: thick_wire_polarization(-20.0 + 5.0j, nodes=2048),
+    "polarization_of(inf, 1)": lambda model: polarization_of(math.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS)
+def test_non_finite_or_out_of_range_input_is_a_domain_error(model, call):
+    # a typed error before any node is evaluated, not a traceback, a
+    # numpy warning or a nan
+    with pytest.raises(DomainError):
+        call(model)
 
 
 @pytest.mark.parametrize("nodes", (2, 64, 128, 2048))
