@@ -528,11 +528,13 @@ def _with_config(parser, argv) -> list:
     after the subcommand, so argparse checks them like flags and a flag on
     the command line, coming later, wins.  Keys that name no option, or
     --help, are ignored."""
-    path = None
-    for before, token in zip(argv, argv[1:]):
-        if before == "--config" or token.startswith("--config="):
-            path = token.removeprefix("--config=")
-    if not path or argv[0] not in parser.commands:
+    if not argv or argv[0] not in parser.commands:
+        return argv
+    # argparse finds the path, so a flag after --config is a missing value
+    find = _Parser(add_help=False)
+    find.add_argument("--config", type=_path)
+    path = find.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
     options = {action.dest: action for action in parser.commands[argv[0]]._actions
                if action.option_strings and action.default is not argparse.SUPPRESS}

@@ -2,10 +2,12 @@
 
 Only integer orders m >= 0 are needed, in blocks 0..m_max at the real
 exterior argument x = k*a.  H^(1)_m comes from H_0 and H_1, evaluated
-here in plain Python (``_hankel1_01``), and the upward order recurrence,
-which is neutral for m < x and follows the dominant Y_m past m ~ x (for
-J alone it would be unstable there).  The derivatives follow from
-C'_m = (C_{m-1} - C_{m+1}) / 2 over orders -1..m_max+1.  At the complex
+here in plain Python (``_hankel1_01``: the power series below x = 2, a
+Chebyshev fit of Hankel's integral above, in ln x up to 17 and in 17/x
+beyond), and the upward order recurrence, which is neutral for m < x
+and follows the dominant Y_m past m ~ x (for J alone it would be
+unstable there).  The derivatives follow from C'_m = (C_{m-1} -
+C_{m+1}) / 2 over orders -1..m_max+1.  At the complex
 interior argument n*k*a only D_m = J'_m / J_m is computed, by a downward
 recurrence from order m_max + 1, seeded there by a continued fraction;
 it stays O(1) where J_m(n*k*a) overflows.  J_m(x) (``bessel_j_all_orders``)
@@ -23,27 +25,22 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, RangeError
 
 
-# H_0 and H_1 in three regimes of x:
+# H_0 and H_1 in two regimes of x:
 #   x < _SERIES_EDGE: the power series of J and Y (A&S 9.1.10-13);
 #   beyond it, H_nu = sqrt(2/(pi x)) e^{i(x - nu pi/2 - pi/4)} (P_nu + i Q_nu),
-#   where P_nu + i Q_nu is
-#   - below _ASYMPTOTIC_EDGE: 1 plus a Chebyshev series in ln x.  It
-#     interpolates, at import, Hankel's integral (Watson, Theory of Bessel
-#     Functions, 7.2)
-#       Gamma(nu+1/2)^-1 int_0^inf e^-u u^(nu-1/2) [(1 + iu/(2x))^(nu-1/2) - 1] du
-#     by the trapezoid rule in t = sqrt(u).  The bracket is formed without
-#     cancellation, so the integral is good to a few ulp of its own size,
-#     which is below 1/x.  P + iQ is analytic in the plane cut along
-#     x <= 0, so in ln x within |Im ln x| < pi, and 20 terms reach a few
-#     ulp over [2, 17];
-#   - from _ASYMPTOTIC_EDGE on: Hankel's asymptotic series (A&S 9.2.5-10),
-#     16 terms each of P and Q, by Horner in 1/x^2; its terms fall up to
-#     the order ~2x, and at x = 17 the last one kept is 3e-16.
+#   where P_nu + i Q_nu is 1 plus a Chebyshev series that interpolates, at
+#   import, Hankel's integral (Watson, Theory of Bessel Functions, 7.2)
+#     Gamma(nu+1/2)^-1 int_0^inf e^-u u^(nu-1/2) [(1 + iu/(2x))^(nu-1/2) - 1] du
+#   by the trapezoid rule in t = sqrt(u).  The bracket is formed without
+#   cancellation, so the integral is good to a few ulp of its own size,
+#   which is below 1/x.  P + iQ is analytic in the plane cut along x <= 0,
+#   and smooth in 1/x up to 1/x = 0: 20 terms in ln x reach a few ulp over
+#   [2, _FAR_EDGE], and 12 terms in _FAR_EDGE / x over [_FAR_EDGE, inf).
 _SERIES_EDGE = 2.0
-_ASYMPTOTIC_EDGE = 17.0
+_FAR_EDGE = 17.0
 _GAMMA_MINUS_LN2 = -0.11593151565841245    # Euler's gamma - ln 2
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
 
@@ -64,22 +61,6 @@ def _series_coefficients(terms: int) -> tuple[tuple[float, ...], ...]:
     return tuple(rows[::-1])
 
 
-def _asymptotic_coefficients(terms: int) -> tuple[tuple[float, ...], ...]:
-    """Per power y^k of y = 1/x^2, highest first: (-1)^k a_2k(nu) (P_nu)
-    and (-1)^k a_2k+1(nu) (x Q_nu) for nu = 0, 1, with a_k(nu) =
-    prod_{j=1..k} (4 nu^2 - (2j-1)^2) / (k! 8^k); each correctly rounded."""
-    columns = []
-    for nu in (0, 1):
-        a, num, den = [], 1, 1
-        for k in range(2 * terms):
-            a.append(num / den)
-            num *= 4 * nu * nu - (2 * k + 1) ** 2
-            den *= 8 * (k + 1)
-        columns += [[(-1) ** k * a[2 * k + odd] for k in range(terms)]
-                    for odd in (0, 1)]
-    return tuple(zip(*columns))[::-1]
-
-
 def _hankel_integral(x: float) -> tuple[complex, complex]:
     """P_nu + i Q_nu - 1 for nu = 0, 1 at x >= _SERIES_EDGE, by the
     trapezoid rule in t with step 0.2 to t = 6.4, where e^-t^2 is 1.6e-18;
@@ -98,13 +79,12 @@ def _hankel_integral(x: float) -> tuple[complex, complex]:
     return d0, d1
 
 
-def _chebyshev_coefficients(terms: int) -> tuple[tuple[complex, complex], ...]:
-    """Coefficients c_j, highest first, of the Chebyshev series in
-    u = (ln x - _LOG_MID) / _LOG_HALF that interpolates ``_hankel_integral``
-    at the zeros of T_terms(u); each sum is rounded once (math.fsum)."""
+def _chebyshev_coefficients(terms: int, x_of) -> tuple[tuple[complex, complex], ...]:
+    """Coefficients c_j, highest first, of the Chebyshev series in u on
+    [-1, 1] that interpolates ``_hankel_integral(x_of(u))`` at the zeros of
+    T_terms(u); each sum is rounded once (math.fsum)."""
     angles = [math.pi * (k + 0.5) / terms for k in range(terms)]
-    values = [_hankel_integral(math.exp(_LOG_MID + _LOG_HALF * math.cos(a)))
-              for a in angles]
+    values = [_hankel_integral(x_of(math.cos(a))) for a in angles]
     rows = []
     for j in range(terms):
         weights = [(1.0 if j else 0.5) * 2.0 / terms * math.cos(j * a) for a in angles]
@@ -117,10 +97,11 @@ def _chebyshev_coefficients(terms: int) -> tuple[tuple[complex, complex], ...]:
 
 # at x < 2 the first term left out, t^14 / 14!^2, is below 2e-22
 _SERIES = _series_coefficients(14)
-_ASYMPTOTIC = _asymptotic_coefficients(16)
-_LOG_MID = 0.5 * (math.log(_ASYMPTOTIC_EDGE) + math.log(_SERIES_EDGE))
-_LOG_HALF = 0.5 * (math.log(_ASYMPTOTIC_EDGE) - math.log(_SERIES_EDGE))
-_CHEBYSHEV = _chebyshev_coefficients(20)
+# u = (ln x - _LOG_MID) / _LOG_HALF below _FAR_EDGE, u = 2 _FAR_EDGE / x - 1 above
+_LOG_MID = 0.5 * (math.log(_FAR_EDGE) + math.log(_SERIES_EDGE))
+_LOG_HALF = 0.5 * (math.log(_FAR_EDGE) - math.log(_SERIES_EDGE))
+_NEAR = _chebyshev_coefficients(20, lambda u: math.exp(_LOG_MID + _LOG_HALF * u))
+_FAR = _chebyshev_coefficients(12, lambda u: 2.0 * _FAR_EDGE / (u + 1.0))
 
 
 def _hankel1_01(x: float) -> tuple[complex, complex]:
@@ -138,25 +119,18 @@ def _hankel1_01(x: float) -> tuple[complex, complex]:
         return (complex(j0, 2.0 / math.pi * (log_term * j0 + y0)),
                 complex(j1, 2.0 / math.pi * (log_term * j1 - 0.25 * x * y1)
                         - 2.0 / (math.pi * x)))
-    if x < _ASYMPTOTIC_EDGE:
-        # Clenshaw's recurrence, b_j = 2u b_{j+1} - b_{j+2} + c_j
-        u = (math.log(x) - _LOG_MID) / _LOG_HALF
-        u2 = u + u
-        b0 = b1 = c0 = c1 = 0j
-        for a0, a1 in _CHEBYSHEV[:-1]:
-            b0, c0 = u2 * b0 - c0 + a0, b0
-            b1, c1 = u2 * b1 - c1 + a1, b1
-        a0, a1 = _CHEBYSHEV[-1]
-        pq0, pq1 = (u * b0 - c0 + a0) + 1.0, (u * b1 - c1 + a1) + 1.0
+    if x < _FAR_EDGE:
+        u, table = (math.log(x) - _LOG_MID) / _LOG_HALF, _NEAR
     else:
-        y = 1.0 / (x * x)
-        p0 = q0 = p1 = q1 = 0.0
-        for c_p0, c_q0, c_p1, c_q1 in _ASYMPTOTIC:
-            p0 = p0 * y + c_p0
-            q0 = q0 * y + c_q0
-            p1 = p1 * y + c_p1
-            q1 = q1 * y + c_q1
-        pq0, pq1 = complex(p0, q0 / x), complex(p1, q1 / x)
+        u, table = 2.0 * _FAR_EDGE / x - 1.0, _FAR
+    # Clenshaw's recurrence, b_j = 2u b_{j+1} - b_{j+2} + c_j
+    u2 = u + u
+    b0 = b1 = c0 = c1 = 0j
+    for a0, a1 in table[:-1]:
+        b0, c0 = u2 * b0 - c0 + a0, b0
+        b1, c1 = u2 * b1 - c1 + a1, b1
+    a0, a1 = table[-1]
+    pq0, pq1 = (u * b0 - c0 + a0) + 1.0, (u * b1 - c1 + a1) + 1.0
     # sqrt(2/(pi x)) e^{i(x - pi/4)} from cos and sin of the exact x
     e = complex(math.cos(x), math.sin(x)) * (1.0 - 1.0j) * (_RSQRT_PI / math.sqrt(x))
     h0, h1 = pq0 * e, pq1 * e
@@ -181,7 +155,8 @@ def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
         append(h)
     c = np.array(c)
     if not cmath.isfinite(h):    # once inf or nan, H stays so at higher orders
-        c[np.logical_or.accumulate(~np.isfinite(c))] = np.nan
+        c[1:][np.logical_or.accumulate(~np.isfinite(c[1:]))] = np.nan
+        c[0] = -c[2]    # H_{-1} = -H_1: nan with it, so H'_0 is nan without a warning
     return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
@@ -191,9 +166,10 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     r_k = J_{k-1}(z) / J_k(z) at k = m_max + 1 is the continued fraction
     r_k = 2k/z - 1 / r_{k+1}, summed by modified Lentz (Appl. Opt. 15, 668,
     1976) to machine precision; it converges once k passes |z|, and raises
-    ConvergenceError if it has not well beyond.  From D_k = r_k - k/z the
-    recurrence D_{m-1} = (m - 1)/z - 1 / (D_m + m/z), stable downward,
-    runs k steps to D_0.  The ratio stays O(1) even when J_m(z) itself
+    ConvergenceError if it has not well beyond, and RangeError if 2k/z
+    overflows (subnormal |z|).  From D_k = r_k - k/z the recurrence
+    D_{m-1} = (m - 1)/z - 1 / (D_m + m/z), stable downward, runs k steps
+    to D_0.  The ratio stays O(1) even when J_m(z) itself
     would overflow (|Im z| large), which is exactly why the scattering
     code works with D rather than with J_m(n*k*a) directly.
     """
@@ -204,6 +180,8 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
         raise DomainError("bessel_j_log_derivative: non-finite argument")
     zi = 1.0 / z    # plain Python complex: each step multiplies
     top = m_max + 1
+    if not cmath.isfinite((2 * top + 2) * zi):    # the fraction's first step
+        raise RangeError(f"bessel_j_log_derivative: 2(m_max + 2)/z overflows at z = {z}")
     r = c = 2 * top * zi
     d = 0j
     eps = sys.float_info.epsilon

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,8 @@ def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
 @functools.lru_cache(maxsize=8)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of ``leggauss(nodes)``, built once, read-only."""
+    if not isinstance(nodes, numbers.Integral):    # numpy's integers pass
+        raise DomainError(f"quadrature needs an integer node count, got {nodes!r}")
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     xg.flags.writeable = wg.flags.writeable = False
     return xg, wg

@@ -778,3 +778,14 @@ def test_empty_file_path_is_a_usage_error(capsys, argv):
     assert rc == 1
     assert out == "" and err.count("\n") == 1
     assert err.startswith("wirepol: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("point", "--config", "--radius-um", "1", "--wavelength-um", "0.5"),
+    ("sweep", "--config", "-o", "out.csv", "--preset", "figure1"),
+], ids=("long-flag", "short-flag"))
+def test_flag_after_config_is_a_missing_value(capsys, argv):
+    # the flag was read as the path, and the run ended in an i/o error
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1
+    assert out == "" and err == "wirepol: error: argument --config: expected one argument\n"

@@ -3,6 +3,7 @@ series oracle (mpmath) and the classical identities."""
 
 import cmath
 import math
+import types
 import warnings
 
 import mpmath
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from wirepol import scattering
 from wirepol import special_functions as sf
-from wirepol.errors import ConvergenceError, DomainError
+from wirepol.errors import ConvergenceError, DomainError, RangeError
 from wirepol.materials import (load_database, model_for_temperature,
                                permittivity, refraction_index)
 from wirepol.scattering import emissivity_pair, order_ceiling, transition_amplitude
@@ -205,7 +206,7 @@ def _hankel_01_grid():
     it, and the first zeros of J_0, J_1, Y_0 and Y_1."""
     xs = set(np.geomspace(1e-4, 5e4, 241).tolist())
     xs.update(np.linspace(1.5, 30.0, 115).tolist())
-    for edge in (sf._SERIES_EDGE, sf._ASYMPTOTIC_EDGE):
+    for edge in (sf._SERIES_EDGE, sf._FAR_EDGE):
         xs.update((math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)))
     xs.update(float(zero(nu, 1)) for zero in (mpmath.besseljzero, mpmath.besselyzero)
               for nu in (0, 1))
@@ -376,8 +377,30 @@ def test_log_derivative_steps_over_a_vanishing_convergent(m_max):
         assert d[m] == pytest.approx(oracle_d(m, z), rel=1e-12)
 
 
-def test_log_derivative_gives_up_with_typed_error():
-    # 1/z overflows, so the continued fraction is nan and never converges:
-    # the bound on its length ends the loop
+def test_log_derivative_gives_up_with_typed_error(monkeypatch):
+    # with a zero tolerance the continued fraction never meets it: the
+    # bound on its length ends the loop
+    monkeypatch.setattr(sf, "sys", types.SimpleNamespace(
+        float_info=types.SimpleNamespace(epsilon=0.0)))
     with pytest.raises(ConvergenceError):
-        bessel_j_log_derivative(1e-320, 3)
+        bessel_j_log_derivative(3.0 + 0.5j, 3)
+
+
+@pytest.mark.parametrize("z", (1e-310, 1e-320, 1e-310j, 5e-308))
+def test_log_derivative_below_the_double_range_is_a_range_error(z):
+    # 2k/z overflows at the fraction's first step; it used to run to the
+    # bound on its length and raise ConvergenceError
+    with pytest.raises(RangeError):
+        bessel_j_log_derivative(z, 3)
+    with pytest.raises(RangeError):
+        bessel_j_all_orders(3, abs(z))
+
+
+def test_hankel_block_keeps_order_0_where_order_1_overflows():
+    # H_1(1e-310) ~ -2i/(pi x) overflows, H_0 = 1 - 454.49i does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, hp = hankel1_all_orders(3, 1e-310)
+    want = complex(mpmath.hankel1(0, mpmath.mpf(1e-310)))
+    assert abs(h[0] - want) <= 1e-15 * abs(want)
+    assert np.isnan(h[1:]).all() and np.isnan(hp).all()

@@ -209,6 +209,9 @@ NON_FINITE_INPUTS = {
                    complex(math.inf, 1.0), complex(-20.0, math.inf))},
     "thick_nodes=0": lambda model: thick_wire_polarization(-20.0 + 5.0j, nodes=0),
     "thick_nodes=2048": lambda model: thick_wire_polarization(-20.0 + 5.0j, nodes=2048),
+    "thick_nodes=2.5": lambda model: thick_wire_polarization(-20.0 + 5.0j, nodes=2.5),
+    "band_nodes=2.5": lambda model: band_averaged_polarization(
+        1.0, 2400.0, COMPUTED_BAND, model, nodes=2.5, emissivity_fn=_refuse),
     "polarization_of(inf, 1)": lambda model: polarization_of(math.inf, 1.0),
 }
 
@@ -232,6 +235,16 @@ def test_gauss_legendre_is_leggauss_built_once(nodes):
         xg[0] = 0.0
     with pytest.raises(ValueError):
         wg *= 2.0
+
+
+@pytest.mark.parametrize("nodes", (np.int64(8), np.int32(8), np.uint16(8)))
+def test_numpy_integer_node_count_is_accepted(model, nodes):
+    assert thick_wire_polarization(-20.0 + 5.0j, nodes=nodes) \
+        == thick_wire_polarization(-20.0 + 5.0j, nodes=8)
+    result = band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model, nodes=nodes,
+                                        emissivity_fn=lambda lam: (1.0 + lam, 1.0))
+    assert result == band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model, nodes=8,
+                                                emissivity_fn=lambda lam: (1.0 + lam, 1.0))
 
 
 def test_band_average_does_not_depend_on_cached_rules(model):
