@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
     """
     if not (cmath.isfinite(eps) and complex(eps).imag > 0):
         raise DomainError(f"thick-wire limit needs a finite absorber, Im(eps) > 0; got {eps}")
-    if not 1 <= nodes <= MAX_NODES:
-        raise DomainError(f"quadrature needs 1 to {MAX_NODES} nodes, got {nodes}")
+    if not (isinstance(nodes, numbers.Integral) and 1 <= nodes <= MAX_NODES):
+        raise DomainError(f"quadrature needs a node count from 1 to {MAX_NODES}, got {nodes!r}")
     xg, wg = gauss_legendre(nodes)
     phi = (xg + 1.0) * (math.pi / 4.0)
     w = wg * (math.pi / 4.0)

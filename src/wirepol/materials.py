@@ -60,8 +60,8 @@ class BoundTerm:
     estimated: bool = False
 
     def __post_init__(self):
-        if self.lambda_s_um <= 0 or self.delta <= 0:
-            raise MaterialDataError(f"bound term requires lambda_s, delta > 0: {self}")
+        if not all(0 < v < math.inf for v in (self.k0, self.lambda_s_um, self.delta)):
+            raise MaterialDataError(f"bound term requires finite K0, lambda_s, delta > 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class FreeTerm:
     estimated: bool = False
 
     def __post_init__(self):
-        if self.sigma <= 0 or self.lambda_r_um <= 0:
-            raise MaterialDataError(f"free term requires sigma, lambda_r > 0: {self}")
+        if not all(0 < v < math.inf for v in (self.sigma, self.lambda_r_um)):
+            raise MaterialDataError(f"free term requires finite sigma, lambda_r > 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -160,28 +160,31 @@ def _parse_record(raw: dict, index: int) -> DrudePermittivityModel:
     try:
         bound = []
         for j, b in enumerate(raw.get("bound_terms", [])):
-            _reject_unknown(b, _BOUND_KEYS, f"{where} bound term {j}")
+            _reject_unknown(b, _BOUND_KEYS, f"bound term {j}")
             bound.append(BoundTerm(float(b["K0"]), float(b["lambda_s"]),
                                    float(b["delta"]), bool(b.get("estimated", False))))
         free = []
         for j, f in enumerate(raw.get("free_terms", [])):
-            _reject_unknown(f, _FREE_KEYS, f"{where} free term {j}")
+            _reject_unknown(f, _FREE_KEYS, f"free term {j}")
             free.append(FreeTerm(float(f["sigma"]), float(f["lambda_r"]),
                                  bool(f.get("tentative", False)),
                                  bool(f.get("estimated", False))))
+        temperature = float(raw["temperature_K"])
+        sigma0 = float(raw["sigma0"]) if raw.get("sigma0") is not None else None
+        if not all(0 < v < math.inf for v in (temperature, 1.0 if sigma0 is None else sigma0)):
+            raise MaterialDataError("temperature_K and sigma0 must be finite and > 0, "
+                                    f"got {temperature}, {sigma0}")
         return DrudePermittivityModel(
             element=str(raw["element"]),
-            temperature_k=float(raw["temperature_K"]),
+            temperature_k=temperature,
             bound_terms=tuple(bound),
             free_terms=tuple(free),
-            sigma0=float(raw["sigma0"]) if raw.get("sigma0") is not None else None,
+            sigma0=sigma0,
             note=str(raw.get("note", "")),
         )
     except KeyError as exc:
         raise MaterialDataError(f"{where}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, MaterialDataError):
-            raise
+    except (TypeError, ValueError) as exc:    # MaterialDataError among them
         raise MaterialDataError(f"{where}: {exc}") from exc
 
 

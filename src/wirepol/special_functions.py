@@ -3,8 +3,8 @@
 Only integer orders m >= 0 are needed, in blocks 0..m_max at the real
 exterior argument x = k*a.  H^(1)_m comes from H_0 and H_1, evaluated
 here in plain Python (``_hankel1_01``: the power series below x = 2, a
-Chebyshev fit of Hankel's integral above, in ln x up to 17 and in 17/x
-beyond), and the upward order recurrence, which is neutral for m < x
+Chebyshev fit of Hankel's integral in 2/x above), and the upward order
+recurrence, which is neutral for m < x
 and follows the dominant Y_m past m ~ x (for J alone it would be
 unstable there).  The derivatives follow from C'_m = (C_{m-1} -
 C_{m+1}) / 2 over orders -1..m_max+1.  At the complex
@@ -31,18 +31,21 @@ from .errors import ConvergenceError, DomainError, RangeError
 # H_0 and H_1 in two regimes of x:
 #   x < _SERIES_EDGE: the power series of J and Y (A&S 9.1.10-13);
 #   beyond it, H_nu = sqrt(2/(pi x)) e^{i(x - nu pi/2 - pi/4)} (P_nu + i Q_nu),
-#   where P_nu + i Q_nu is 1 plus a Chebyshev series that interpolates, at
-#   import, Hankel's integral (Watson, Theory of Bessel Functions, 7.2)
-#     Gamma(nu+1/2)^-1 int_0^inf e^-u u^(nu-1/2) [(1 + iu/(2x))^(nu-1/2) - 1] du
-#   by the trapezoid rule in t = sqrt(u).  The bracket is formed without
+#   where P_nu + i Q_nu is 1 plus a Chebyshev series in u = 2 _SERIES_EDGE / x - 1
+#   that interpolates, at import, Hankel's integral (Watson, Theory of
+#   Bessel Functions, 7.2)
+#     Gamma(nu+1/2)^-1 int_0^inf e^-s s^(nu-1/2) [(1 + is/(2x))^(nu-1/2) - 1] ds
+#   by the trapezoid rule in t = sqrt(s).  The bracket is formed without
 #   cancellation, so the integral is good to a few ulp of its own size,
 #   which is below 1/x.  P + iQ is analytic in the plane cut along x <= 0,
-#   and smooth in 1/x up to 1/x = 0: 20 terms in ln x reach a few ulp over
-#   [2, _FAR_EDGE], and 12 terms in _FAR_EDGE / x over [_FAR_EDGE, inf).
+#   and smooth in 1/x up to 1/x = 0: with 27 terms H is within 5.3e-16 of
+#   |H| (40-digit mpmath, x from 2 to 1e8), with 26 only within 6.5e-16.
 _SERIES_EDGE = 2.0
-_FAR_EDGE = 17.0
 _GAMMA_MINUS_LN2 = -0.11593151565841245    # Euler's gamma - ln 2
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
+# Most terms of D's continued fraction (about 0.5 s): |z| = 6e5 needs 6.02e5,
+# and bundled tungsten (|n| <= 11.8) stays below that up to x = scattering.MAX_ORDER
+_FRACTION_TERMS = 10 ** 6
 
 
 def _series_coefficients(terms: int) -> tuple[tuple[float, ...], ...]:
@@ -79,12 +82,12 @@ def _hankel_integral(x: float) -> tuple[complex, complex]:
     return d0, d1
 
 
-def _chebyshev_coefficients(terms: int, x_of) -> tuple[tuple[complex, complex], ...]:
+def _chebyshev_coefficients(terms: int) -> tuple[tuple[complex, complex], ...]:
     """Coefficients c_j, highest first, of the Chebyshev series in u on
-    [-1, 1] that interpolates ``_hankel_integral(x_of(u))`` at the zeros of
-    T_terms(u); each sum is rounded once (math.fsum)."""
+    [-1, 1] that interpolates ``_hankel_integral(2 _SERIES_EDGE / (u + 1))``
+    at the zeros of T_terms(u); each sum is rounded once (math.fsum)."""
     angles = [math.pi * (k + 0.5) / terms for k in range(terms)]
-    values = [_hankel_integral(x_of(math.cos(a))) for a in angles]
+    values = [_hankel_integral(2.0 * _SERIES_EDGE / (math.cos(a) + 1.0)) for a in angles]
     rows = []
     for j in range(terms):
         weights = [(1.0 if j else 0.5) * 2.0 / terms * math.cos(j * a) for a in angles]
@@ -97,11 +100,7 @@ def _chebyshev_coefficients(terms: int, x_of) -> tuple[tuple[complex, complex], 
 
 # at x < 2 the first term left out, t^14 / 14!^2, is below 2e-22
 _SERIES = _series_coefficients(14)
-# u = (ln x - _LOG_MID) / _LOG_HALF below _FAR_EDGE, u = 2 _FAR_EDGE / x - 1 above
-_LOG_MID = 0.5 * (math.log(_FAR_EDGE) + math.log(_SERIES_EDGE))
-_LOG_HALF = 0.5 * (math.log(_FAR_EDGE) - math.log(_SERIES_EDGE))
-_NEAR = _chebyshev_coefficients(20, lambda u: math.exp(_LOG_MID + _LOG_HALF * u))
-_FAR = _chebyshev_coefficients(12, lambda u: 2.0 * _FAR_EDGE / (u + 1.0))
+_CHEBYSHEV = _chebyshev_coefficients(27)
 
 
 def _hankel1_01(x: float) -> tuple[complex, complex]:
@@ -119,17 +118,14 @@ def _hankel1_01(x: float) -> tuple[complex, complex]:
         return (complex(j0, 2.0 / math.pi * (log_term * j0 + y0)),
                 complex(j1, 2.0 / math.pi * (log_term * j1 - 0.25 * x * y1)
                         - 2.0 / (math.pi * x)))
-    if x < _FAR_EDGE:
-        u, table = (math.log(x) - _LOG_MID) / _LOG_HALF, _NEAR
-    else:
-        u, table = 2.0 * _FAR_EDGE / x - 1.0, _FAR
     # Clenshaw's recurrence, b_j = 2u b_{j+1} - b_{j+2} + c_j
+    u = 2.0 * _SERIES_EDGE / x - 1.0
     u2 = u + u
     b0 = b1 = c0 = c1 = 0j
-    for a0, a1 in table[:-1]:
+    for a0, a1 in _CHEBYSHEV[:-1]:
         b0, c0 = u2 * b0 - c0 + a0, b0
         b1, c1 = u2 * b1 - c1 + a1, b1
-    a0, a1 = table[-1]
+    a0, a1 = _CHEBYSHEV[-1]
     pq0, pq1 = (u * b0 - c0 + a0) + 1.0, (u * b1 - c1 + a1) + 1.0
     # sqrt(2/(pi x)) e^{i(x - pi/4)} from cos and sin of the exact x
     e = complex(math.cos(x), math.sin(x)) * (1.0 - 1.0j) * (_RSQRT_PI / math.sqrt(x))
@@ -165,9 +161,11 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
 
     r_k = J_{k-1}(z) / J_k(z) at k = m_max + 1 is the continued fraction
     r_k = 2k/z - 1 / r_{k+1}, summed by modified Lentz (Appl. Opt. 15, 668,
-    1976) to machine precision; it converges once k passes |z|, and raises
-    ConvergenceError if it has not well beyond, and RangeError if 2k/z
-    overflows (subnormal |z|).  From D_k = r_k - k/z the recurrence
+    1976) to machine precision; it converges once k passes |z|, at real z
+    near k = |z| + 7.3 |z|^(1/3), far sooner where Im z is large.  It
+    raises ConvergenceError if it has not converged in _FRACTION_TERMS
+    terms (|z| beyond about 10^6 with little absorption), and RangeError
+    if 2k/z overflows (subnormal |z|).  From D_k = r_k - k/z the recurrence
     D_{m-1} = (m - 1)/z - 1 / (D_m + m/z), stable downward, runs k steps
     to D_0.  The ratio stays O(1) even when J_m(z) itself
     would overflow (|Im z| large), which is exactly why the scattering
@@ -185,9 +183,7 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     r = c = 2 * top * zi
     d = 0j
     eps = sys.float_info.epsilon
-    # at real z it ends near k = |z| + 7.3 |z|^(1/3); allow twice that
-    k_end = int(max(top, abs(z)) + 16 * abs(z) ** (1 / 3)) + 64
-    for k2 in range(2 * top + 2, 2 * k_end, 2):    # k2 = 2k
+    for k2 in range(2 * top + 2, 2 * (top + _FRACTION_TERMS) + 2, 2):    # k2 = 2k
         b = k2 * zi
         d = 1.0 / ((b - d) or 1e-300)
         c = (b - 1.0 / c) or 1e-300
@@ -196,7 +192,8 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
         if abs(delta - 1.0) < eps:
             break
     else:
-        raise ConvergenceError("continued fraction for J_m / J_(m+1) did not converge",
+        raise ConvergenceError("continued fraction for J_m / J_(m+1) did not converge "
+                               f"in {_FRACTION_TERMS} terms",
                                order=m_max, nka=z)
     above = top * zi
     d = r - above

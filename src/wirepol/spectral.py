@@ -127,9 +127,8 @@ def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
 
 @functools.lru_cache(maxsize=8)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``leggauss(nodes)``, built once, read-only."""
-    if not isinstance(nodes, numbers.Integral):    # numpy's integers pass
-        raise DomainError(f"quadrature needs an integer node count, got {nodes!r}")
+    """Nodes and weights of ``leggauss(nodes)``, built once, read-only; callers
+    check ``nodes`` (numpy's integers pass)."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     xg.flags.writeable = wg.flags.writeable = False
     return xg, wg
@@ -171,8 +170,8 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     if not (0 < a_um < math.inf and 0 < temperature_k < math.inf):
         raise DomainError("radius and temperature must be finite and > 0, "
                           f"got {a_um}, {temperature_k}")
-    if not 2 <= nodes <= MAX_NODES:
-        raise DomainError(f"quadrature needs 2 to {MAX_NODES} nodes, got {nodes}")
+    if not (isinstance(nodes, numbers.Integral) and 2 <= nodes <= MAX_NODES):
+        raise DomainError(f"quadrature needs a node count from 2 to {MAX_NODES}, got {nodes!r}")
     if emissivity_fn is None:
         def emissivity_fn(lam):
             pairs = [emissivity_pair(2.0 * math.pi / lam_i, a_um,

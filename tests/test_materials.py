@@ -149,6 +149,28 @@ def test_conductivity_sum_checked(tmp_path):
         load_database(str(path))
 
 
+# json.loads reads NaN, Infinity and 1e999 (as inf); each field of the
+# room-temperature record must be finite and > 0
+@pytest.mark.parametrize("term, key, value", [
+    ("bound_terms", "K0", "NaN"), ("bound_terms", "K0", "-240"),
+    ("bound_terms", "K0", "0"), ("bound_terms", "K0", "1e999"),
+    ("bound_terms", "lambda_s", "NaN"), ("bound_terms", "delta", "Infinity"),
+    ("free_terms", "sigma", "NaN"), ("free_terms", "lambda_r", "Infinity"),
+    (None, "temperature_K", "0"), (None, "temperature_K", "NaN"),
+    (None, "sigma0", "NaN"), (None, "sigma0", "Infinity"),
+])
+def test_non_finite_or_non_positive_parameter_is_a_data_error(tmp_path, term, key, value):
+    import importlib.resources as res
+    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
+    record = raw["records"][0]
+    assert record["temperature_K"] == 298
+    (record[term][0] if term else record)[key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw).replace('"@"', value))
+    with pytest.raises(MaterialDataError, match="^record 0: "):
+        load_database(str(path))
+
+
 def test_database_that_is_not_utf8_is_a_data_error(tmp_path):
     path = tmp_path / "db.json"
     path.write_bytes(b'{"records": []}\xff')

@@ -202,11 +202,13 @@ def test_recurrence_block_matches_amos_at_every_order(x):
 
 
 def _hankel_01_grid():
-    """x from 1e-4 to 5e4, both sides of every regime edge and 1 ulp off
-    it, and the first zeros of J_0, J_1, Y_0 and Y_1."""
+    """x from 1e-4 to 1e8, the series edge and 1 ulp to either side, the
+    same at x = 17 (where an earlier fit was split), and the first zeros
+    of J_0, J_1, Y_0 and Y_1."""
     xs = set(np.geomspace(1e-4, 5e4, 241).tolist())
     xs.update(np.linspace(1.5, 30.0, 115).tolist())
-    for edge in (sf._SERIES_EDGE, sf._FAR_EDGE):
+    xs.update(np.geomspace(5e4, 1e8, 41).tolist())
+    for edge in (sf._SERIES_EDGE, 17.0):
         xs.update((math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)))
     xs.update(float(zero(nu, 1)) for zero in (mpmath.besseljzero, mpmath.besselyzero)
               for nu in (0, 1))
@@ -384,6 +386,13 @@ def test_log_derivative_gives_up_with_typed_error(monkeypatch):
         float_info=types.SimpleNamespace(epsilon=0.0)))
     with pytest.raises(ConvergenceError):
         bessel_j_log_derivative(3.0 + 0.5j, 3)
+
+
+def test_log_derivative_of_huge_nearly_lossless_argument_is_refused():
+    # the fraction converges only past k = |z|: at |z| = 1e7 that was
+    # 6.7 s; the fixed bound on its length ends it within about 0.5 s
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        bessel_j_log_derivative(1e7 + 1j, 3)
 
 
 @pytest.mark.parametrize("z", (1e-310, 1e-320, 1e-310j, 5e-308))

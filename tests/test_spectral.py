@@ -212,6 +212,9 @@ NON_FINITE_INPUTS = {
     "thick_nodes=2.5": lambda model: thick_wire_polarization(-20.0 + 5.0j, nodes=2.5),
     "band_nodes=2.5": lambda model: band_averaged_polarization(
         1.0, 2400.0, COMPUTED_BAND, model, nodes=2.5, emissivity_fn=_refuse),
+    "thick_nodes='64'": lambda model: thick_wire_polarization(-20.0 + 5.0j, nodes="64"),
+    "band_nodes='64'": lambda model: band_averaged_polarization(
+        1.0, 2400.0, COMPUTED_BAND, model, nodes="64", emissivity_fn=_refuse),
     "polarization_of(inf, 1)": lambda model: polarization_of(math.inf, 1.0),
 }
 
