@@ -30,7 +30,6 @@ from .scattering import (
     emissivity_pair,
     linear_polarization,
     polarization_of,
-    transition_amplitude,
 )
 from .spectral import (
     BandAveragedResult,
@@ -93,7 +92,6 @@ __all__ = [
     "refraction_index",
     "simulate_scan",
     "thick_wire_polarization",
-    "transition_amplitude",
     "vacuum_model",
     "write_scan",
 ]

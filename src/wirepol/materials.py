@@ -30,6 +30,7 @@ import cmath
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -135,10 +136,23 @@ def refraction_index(eps: complex) -> complex:
 # --------------------------------------------------------------------------
 # database loading
 
-_RECORD_KEYS = {"element", "temperature_K", "bound_terms", "free_terms", "sigma0", "note"}
-_BOUND_KEYS = {"K0", "lambda_s", "delta", "estimated"}
-_FREE_KEYS = {"sigma", "lambda_r", "tentative", "estimated"}
-_TOP_KEYS = {"format", "version", "units", "provenance", "records"}
+# The kind of each field of the database, of its records and of their terms.
+# A number is a JSON int or float, never a bool; sigma0 may also be null.
+_NUMBER, _FLAG, _TEXT, _ARRAY = "a finite number > 0", "true or false", "a string", "an array"
+_KINDS = {
+    _NUMBER: lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max,
+    _NUMBER + " or null": lambda v: v is None or _KINDS[_NUMBER](v),
+    _FLAG: lambda v: type(v) is bool,
+    _TEXT: lambda v: type(v) is str,
+    _ARRAY: lambda v: type(v) is list,
+    "an object": lambda v: type(v) is dict,
+}
+_RECORD_FIELDS = {"element": _TEXT, "temperature_K": _NUMBER, "bound_terms": _ARRAY,
+                  "free_terms": _ARRAY, "sigma0": _NUMBER + " or null", "note": _TEXT}
+_BOUND_FIELDS = {"K0": _NUMBER, "lambda_s": _NUMBER, "delta": _NUMBER, "estimated": _FLAG}
+_FREE_FIELDS = {"sigma": _NUMBER, "lambda_r": _NUMBER, "tentative": _FLAG, "estimated": _FLAG}
+_DATABASE_FIELDS = {"format": _TEXT, "version": _NUMBER, "units": "an object",
+                    "provenance": _TEXT, "records": _ARRAY}
 
 
 @dataclass(frozen=True)
@@ -146,45 +160,42 @@ class MaterialDatabase:
     records: tuple[DrudePermittivityModel, ...]
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
+def _fields(raw, kinds: dict, where: str) -> dict:
+    """The fields of one JSON object, each of the kind that ``kinds`` names
+    for it, with every number as a float."""
+    if type(raw) is not dict:
+        raise MaterialDataError(f"{where}: expected an object")
+    unknown = raw.keys() - kinds.keys()
     if unknown:
         raise MaterialDataError(f"unknown field(s) {sorted(unknown)} in {where}")
+    for key, value in raw.items():
+        if not _KINDS[kinds[key]](value):
+            raise MaterialDataError(
+                f"{where}: {key} must be {kinds[key]}, got {json.dumps(value)}")
+    return {key: float(v) if type(v) is int else v for key, v in raw.items()}
 
 
-def _parse_record(raw: dict, index: int) -> DrudePermittivityModel:
+def _parse_record(raw, index: int) -> DrudePermittivityModel:
     where = f"record {index}"
-    if not isinstance(raw, dict):
-        raise MaterialDataError(f"{where}: expected an object")
-    _reject_unknown(raw, _RECORD_KEYS, where)
+    rec = _fields(raw, _RECORD_FIELDS, where)
     try:
-        bound = []
-        for j, b in enumerate(raw.get("bound_terms", [])):
-            _reject_unknown(b, _BOUND_KEYS, f"bound term {j}")
-            bound.append(BoundTerm(float(b["K0"]), float(b["lambda_s"]),
-                                   float(b["delta"]), bool(b.get("estimated", False))))
-        free = []
-        for j, f in enumerate(raw.get("free_terms", [])):
-            _reject_unknown(f, _FREE_KEYS, f"free term {j}")
-            free.append(FreeTerm(float(f["sigma"]), float(f["lambda_r"]),
-                                 bool(f.get("tentative", False)),
-                                 bool(f.get("estimated", False))))
-        temperature = float(raw["temperature_K"])
-        sigma0 = float(raw["sigma0"]) if raw.get("sigma0") is not None else None
-        if not all(0 < v < math.inf for v in (temperature, 1.0 if sigma0 is None else sigma0)):
-            raise MaterialDataError("temperature_K and sigma0 must be finite and > 0, "
-                                    f"got {temperature}, {sigma0}")
+        bound = [_fields(b, _BOUND_FIELDS, f"bound term {j}")
+                 for j, b in enumerate(rec.get("bound_terms", []))]
+        free = [_fields(f, _FREE_FIELDS, f"free term {j}")
+                for j, f in enumerate(rec.get("free_terms", []))]
         return DrudePermittivityModel(
-            element=str(raw["element"]),
-            temperature_k=temperature,
-            bound_terms=tuple(bound),
-            free_terms=tuple(free),
-            sigma0=sigma0,
-            note=str(raw.get("note", "")),
+            element=rec["element"],
+            temperature_k=rec["temperature_K"],
+            bound_terms=tuple(BoundTerm(b["K0"], b["lambda_s"], b["delta"],
+                                        b.get("estimated", False)) for b in bound),
+            free_terms=tuple(FreeTerm(f["sigma"], f["lambda_r"], f.get("tentative", False),
+                                      f.get("estimated", False)) for f in free),
+            sigma0=rec.get("sigma0"),
+            note=rec.get("note", ""),
         )
     except KeyError as exc:
         raise MaterialDataError(f"{where}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:    # MaterialDataError among them
+    except MaterialDataError as exc:
         raise MaterialDataError(f"{where}: {exc}") from exc
 
 
@@ -208,9 +219,7 @@ def load_database(path: str | None = None) -> MaterialDatabase:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MaterialDataError(f"material database is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise MaterialDataError("material database: top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "database")
+    raw = _fields(raw, _DATABASE_FIELDS, "material database")
     records = tuple(_parse_record(r, i) for i, r in enumerate(raw.get("records", [])))
     if not records:
         raise MaterialDataError("material database contains no records")

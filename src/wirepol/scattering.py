@@ -55,13 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, DomainError, RangeError
-from .special_functions import (
-    bessel_j_all_orders,
-    bessel_j_log_derivative,
-    hankel1_all_orders,
-)
+from .special_functions import bessel_j_log_derivative, hankel1_all_orders
 
-# Largest partial-wave order of any sum or amplitude; order_ceiling keeps
+# Largest partial-wave order of any sum; order_ceiling keeps
 # the sums below it up to x ~ 49 600 (d ~ 7.9 mm at lambda = 0.5 um).
 MAX_ORDER = 50_000
 # Smallest size parameter of a sum (a = 0.04 nm at lambda = 2.65 um):
@@ -84,11 +80,6 @@ class PolarizedEmissivity:
     truncation_error_estimate: float
 
 
-def _check_order(m: int) -> None:
-    if m > MAX_ORDER:
-        raise RangeError(f"order |m|={m} exceeds ceiling {MAX_ORDER}")
-
-
 def order_ceiling(x: float) -> int:
     """Highest partial-wave order of the sum at size parameter x, where the
     sum stops: Wiscombe's x + 4x^(1/3) with a wide margin.  The index n
@@ -99,7 +90,8 @@ def order_ceiling(x: float) -> int:
         raise RangeError(
             f"order at size parameter x={x} exceeds ceiling {MAX_ORDER}")
     m = int(math.ceil(x)) + int(math.ceil(10.0 * x ** (1.0 / 3.0))) + 20
-    _check_order(m)
+    if m > MAX_ORDER:
+        raise RangeError(f"order |m|={m} exceeds ceiling {MAX_ORDER}")
     return m
 
 
@@ -110,37 +102,6 @@ def _check_inputs(k: float, a: float, n: complex) -> None:
         raise DomainError(f"radius a must be > 0, got {a}")
     if complex(n).imag < 0:
         raise DomainError(f"refraction index must have Im(n) >= 0, got {n}")
-
-
-def transition_amplitude(m: int, k: float, a: float,
-                         n: complex) -> tuple[complex, complex]:
-    """Transition amplitudes (T_m(TE), T_m(TM)) of one order.
-
-    T_{-m} = T_m by parity, so negative orders map to |m|.  A wire with
-    n = 1 is indistinguishable from vacuum and yields exactly 0.
-    """
-    _check_inputs(k, a, n)
-    n = complex(n)
-    m = abs(int(m))
-    _check_order(m)
-    if n == 1.0:
-        return 0.0j, 0.0j
-    x = k * a
-    # one-element arrays: numpy's array and scalar complex arithmetic
-    # may round differently
-    d = bessel_j_log_derivative(n * x, m)[m:]
-    j, jp = (c[m:] for c in bessel_j_all_orders(m, x))
-    h, hp = (c[m:] for c in hankel1_all_orders(m, x))
-    # the Hankel block is nan where H_m(x) overflows; there J_m(x) and
-    # J'_m(x) have underflowed, and |T_m| <~ |J_m / H_m| < 1e-600 is 0
-    if not (np.isfinite(h[0]) and np.isfinite(hp[0])):
-        return 0.0j, 0.0j
-    t_te = (d * j - n * jp) / (d * h - n * hp)
-    t_tm = (jp - n * d * j) / (hp - n * d * h)
-    if not (np.isfinite(t_te[0]) and np.isfinite(t_tm[0])):
-        raise ConvergenceError("transition amplitude is not finite",
-                               order=m, ka=x, nka=n * x)
-    return complex(t_te[0]), complex(t_tm[0])
 
 
 def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:

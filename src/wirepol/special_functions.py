@@ -209,6 +209,7 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     return np.array(values[::-1])
 
 
+# nothing in the package calls it, but bench/tracing.py binds it on import
 def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """J_m(x) and J'_m(x) for m = 0..m_max at real x > 0, as arrays.  With
     Y = Im H and W = J_m Y'_m - J'_m Y_m = 2/(pi x) (A&S 9.1.16), J_m =

@@ -37,13 +37,11 @@ from wirepol.polarimetry import (
     fit_cos_squared,
     simulate_scan,
 )
-from wirepol.scattering import (
-    emissivity_pair,
-    linear_polarization,
-    transition_amplitude,
-)
+from wirepol.scattering import emissivity_pair, linear_polarization
 from wirepol.special_functions import hankel1_all_orders
 from wirepol.spectral import COMPUTED_BAND, band_averaged_polarization, planck_radiance
+
+from oracles import transition_amplitude
 
 DB = load_database()
 MODEL_HOT = model_for_temperature(DB, 2400.0)

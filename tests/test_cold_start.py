@@ -27,10 +27,9 @@ WITHOUT_SCIPY = f"""\
 import sys
 sys.modules["scipy"] = None
 import wirepol, wirepol.cli
-from wirepol.scattering import transition_amplitude
 from wirepol.special_functions import bessel_j_all_orders
 {CLI_RUNS}
-print(transition_amplitude(3, 12.0, 0.5, 3.5 + 2.8j), bessel_j_all_orders(2, 1.5)[0])
+print(bessel_j_all_orders(2, 1.5)[0].tolist())
 """
 
 
@@ -48,4 +47,4 @@ def test_cli_evaluation_loads_no_scipy():
 
 
 def test_evaluation_runs_where_scipy_cannot_be_imported():
-    assert _run(WITHOUT_SCIPY).startswith("((")
+    assert _run(WITHOUT_SCIPY).startswith("[0.5118276717359")

@@ -171,6 +171,36 @@ def test_non_finite_or_non_positive_parameter_is_a_data_error(tmp_path, term, ke
         load_database(str(path))
 
 
+# each field is read by its JSON type: a number is an int or a float, not
+# a bool or a string; a flag is true or false; element and note are
+# strings, and the term lists and the record list are arrays
+@pytest.mark.parametrize("term, key, value", [
+    ("bound_terms", "K0", "true"), ("bound_terms", "K0", '"12.0"'),
+    ("bound_terms", "estimated", "0"),
+    ("free_terms", "tentative", "1"), ("free_terms", "estimated", '"no"'),
+    (None, "element", "74"), (None, "note", "7"),
+    (None, "temperature_K", '"298"'), (None, "sigma0", '"17.7e6"'),
+    (None, "bound_terms", '""'), (None, "free_terms", "{}"),
+    ("top", "records", "5"), ("top", "records", "null"),
+])
+def test_wrong_json_type_is_a_data_error(tmp_path, capsys, term, key, value):
+    import importlib.resources as res
+    from wirepol.cli import main
+    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
+    record = raw["records"][0]
+    assert record["temperature_K"] == 298
+    (raw if term == "top" else record[term][0] if term else record)[key] = "@"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw).replace('"@"', value))
+    where = ("material database: " if term == "top" else
+             f"record 0: {term[:-6]} term 0: " if term else "record 0: ")
+    with pytest.raises(MaterialDataError, match=f"^{where}{key} must be "):
+        load_database(str(path))
+    assert main(["material", "show", "--temp-k", "298", "--material-db", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"wirepol: {where}{key} must be ") and err.count("\n") == 1
+
+
 def test_database_that_is_not_utf8_is_a_data_error(tmp_path):
     path = tmp_path / "db.json"
     path.write_bytes(b'{"records": []}\xff')

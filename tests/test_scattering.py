@@ -12,7 +12,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wirepol.errors import (ConvergenceError, DegenerateInputError, DomainError,
                             RangeError)
@@ -22,8 +22,9 @@ from wirepol.scattering import (
     emissivity_pair,
     linear_polarization,
     order_ceiling,
-    transition_amplitude,
 )
+
+from oracles import transition_amplitude
 
 mpmath.mp.dps = 40
 
@@ -290,6 +291,45 @@ def test_thick_wire_polarization_approaches_fresnel():
     assert gaps[-1] > 0.0
     assert all(g0 > g1 for g0, g1 in zip(gaps, gaps[1:]))
     assert gaps[-1] < 4e-4
+
+
+# from just above the size floor (1e-4 / k * k may round below it) to 1e-2
+THIN_SIZES = np.geomspace(1.001 * MIN_SIZE, 1e-2, 5)
+
+
+def assert_thin_wire_limit(eps, lam):
+    # quasi-static cylinder (Bohren & Huffman 1983, 8.4): e_TM -> pi x^2 Im eps
+    # and e_TE -> 4 pi x^2 Im eps / |eps + 1|^2, so P -> P_0 below, with an
+    # error x^2 (a + b ln x) + o(x^2).  So r = (P - P_0) / x^2 stays O(1),
+    # on the scale of scattering against absorption, and drifts only
+    # logarithmically: its slope in ln x settles as x falls.  A wrong P_0 or
+    # a lower order of convergence makes r grow as a power of 1/x.
+    from wirepol.materials import refraction_index
+    q = abs(eps + 1) ** 2
+    p0 = (4 - q) / (4 + q)
+    n, k = refraction_index(eps), 2 * math.pi / lam
+    r = np.array([(linear_polarization(k, x / k, n) - p0) / x ** 2
+                  for x in THIN_SIZES])
+    assert np.abs(r).max() <= 4.0 * (1.0 + abs(eps - 1) ** 2 / eps.imag)
+    slopes = np.diff(r) / np.diff(np.log(THIN_SIZES))
+    # 1e-6 covers the rounding of P: eps_mach / x^2 ~ 2e-8 at x = 1e-4
+    assert abs(slopes[1] - slopes[0]) <= 4e-3 * np.abs(r).max() + 1e-6
+
+
+@pytest.mark.parametrize("temp", [298.0, 1600.0, 2400.0])
+@pytest.mark.parametrize("lam", [0.5, 0.75, 2.0])
+def test_thin_wire_polarization_approaches_quasi_static_limit(temp, lam):
+    from wirepol.materials import load_database, model_for_temperature, permittivity
+    eps = permittivity(model_for_temperature(load_database(), temp), lam)
+    assert_thin_wire_limit(eps, lam)
+
+
+@given(st.floats(-300.0, 50.0), st.floats(1e-2, 300.0))
+@settings(max_examples=50, deadline=None)
+def test_thin_wire_limit_for_any_absorber(re, im):
+    eps = complex(re, im)
+    assume(abs(eps + 1) >= 1.0)    # away from the surface resonance eps = -1
+    assert_thin_wire_limit(eps, 1.0)
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.625, 0.75])

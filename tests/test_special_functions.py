@@ -17,12 +17,14 @@ from wirepol import special_functions as sf
 from wirepol.errors import ConvergenceError, DomainError, RangeError
 from wirepol.materials import (load_database, model_for_temperature,
                                permittivity, refraction_index)
-from wirepol.scattering import emissivity_pair, order_ceiling, transition_amplitude
+from wirepol.scattering import emissivity_pair, order_ceiling
 from wirepol.special_functions import (
     bessel_j_all_orders,
     bessel_j_log_derivative,
     hankel1_all_orders,
 )
+
+from oracles import transition_amplitude
 
 mpmath.mp.dps = 50
 
