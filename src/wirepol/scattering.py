@@ -29,19 +29,22 @@ The band average in ``spectral`` weights by this sum, not by Q_abs; its
 docstring derives the extra 1/lambda that this carries.
 
 Re(T) - |T|^2 cancels where a partial wave is barely absorbed
-(Re T ~ |T|^2), so the sum is taken in the equivalent Wronskian form,
-with W = J Y' - J' Y = 2/(pi x), which needs only D_m, H_m and H'_m:
+(Re T ~ |T|^2), so the sum is taken in the equivalent Wronskian form, in
+xD_m = x D_m(nx) and p_m = x H'_m / H_m alone: the Wronskian J Y' - J' Y =
+2/(pi x) (A&S 9.1.16) gives |H_m|^-2 = (pi/2) Im p_m, and
 
-    TE:  4 [Re T_m - |T_m|^2] = -4W Im(D_m conj(n)) / |D_m H_m - n H'_m|^2
-    TM:  4 [Re T_m - |T_m|^2] = -4W Im(n D_m)       / |H'_m - n D_m H_m|^2
+    TE:  4 [Re T_m - |T_m|^2] = -4 Im(xD_m conj(n)) Im p_m / |xD_m - n p_m|^2
+    TM:  4 [Re T_m - |T_m|^2] = -4 Im(n xD_m)       Im p_m / |p_m - n xD_m|^2
 
-Each term is >= 0 for Im n >= 0 (a rounding-level negative is clipped to
-0) and exactly 0 for a lossless (real) n.  TE and TM are the two rows
-of one array, so each step of the sum is written once.  Every sum runs
-over the fixed orders 0..order_ceiling(x), as Mie codes since Wiscombe
-(Appl. Opt. 19, 1505, 1980) do: D_m, H_m and H'_m come from one pass each
-(``special_functions``), and ``emissivity_pair`` checks that the last
-three terms lie below the machine epsilon of the sum.
+Neither overflows for any x > 0 (H_m does from x ~ 1e-6), so the sums hold
+until the emissivities (~ x^2) underflow.  Each term is >= 0 for Im n >= 0
+(a rounding-level negative is clipped to 0), and a lossless (real) n gives
+exactly 0 without a sum.  TE and TM are the two rows of one array, so each
+step of the sum is written once.  Every sum runs over the fixed orders
+0..order_ceiling(x), as Mie codes since Wiscombe (Appl. Opt. 19, 1505,
+1980) do: D_m and p_m come from one pass each (``special_functions``), and
+``emissivity_pair`` checks that the last three terms lie below the machine
+epsilon of the sum.
 
 All functions are pure.
 """
@@ -55,14 +58,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, DomainError, RangeError
-from .special_functions import bessel_j_log_derivative, hankel1_all_orders
+from .special_functions import bessel_j_log_derivative, hankel1_log_derivative
 
 # Largest partial-wave order of any sum; order_ceiling keeps
 # the sums below it up to x ~ 49 600 (d ~ 7.9 mm at lambda = 0.5 um).
 MAX_ORDER = 50_000
-# Smallest size parameter of a sum (a = 0.04 nm at lambda = 2.65 um):
-# below it H_m(x) at order_ceiling(x) passes the double range.
-MIN_SIZE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,10 @@ class PolarizedEmissivity:
 def order_ceiling(x: float) -> int:
     """Highest partial-wave order of the sum at size parameter x, where the
     sum stops: Wiscombe's x + 4x^(1/3) with a wide margin.  The index n
-    does not enter.  Raises RangeError below MIN_SIZE and above MAX_ORDER."""
-    if not x >= MIN_SIZE:
-        raise RangeError(f"size parameter x={x} below floor {MIN_SIZE}")
-    if x > MAX_ORDER:    # also keeps x = inf out of the integer arithmetic
-        raise RangeError(
-            f"order at size parameter x={x} exceeds ceiling {MAX_ORDER}")
+    does not enter.  Raises RangeError unless 0 < x <= MAX_ORDER."""
+    if not 0.0 < x <= MAX_ORDER:    # nan and k a underflowed to 0 too; no inf in int()
+        beyond = ": order exceeds ceiling" if x > MAX_ORDER else ""
+        raise RangeError(f"size parameter x={x} outside 0 < x <= {MAX_ORDER}{beyond}")
     m = int(math.ceil(x)) + int(math.ceil(10.0 * x ** (1.0 / 3.0))) + 20
     if m > MAX_ORDER:
         raise RangeError(f"order |m|={m} exceeds ceiling {MAX_ORDER}")
@@ -105,23 +103,23 @@ def _check_inputs(k: float, a: float, n: complex) -> None:
 
 
 def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:
-    """Per-order emissivity terms 4(Re T - |T|^2) for both polarizations,
-    in the Wronskian form of the module docstring, as the rows TE and TM
-    of one (2, M+1) array over m = 0..M, M = order_ceiling(x).  D_m(nx)
-    and H_m(x) come in one pass each, both over m = 0..M.
-    """
+    """Per-order emissivity terms 4(Re T - |T|^2) in the Wronskian form of
+    the module docstring, as the rows TE and TM of one (2, M+1) array over
+    m = 0..M, M = order_ceiling(x), from one pass each of D_m(nx) and p_m(x)."""
     x = k * a
     n = complex(n)
     m_max = order_ceiling(x)
-    d = bessel_j_log_derivative(n * x, m_max)
-    h, hp = hankel1_all_orders(m_max, x)
-    w4 = 8.0 / (math.pi * x)            # 4W, W = J Y' - J' Y = 2 / (pi x)
-    nd = n * d
-    den = np.array((d * h - n * hp, hp - nd * h))
+    if n.imag == 0.0:    # every term is exactly 0, and D_m(nx) may have a pole
+        return np.zeros((2, m_max + 1))
+    xd = x * bessel_j_log_derivative(n * x, m_max)
+    p = hankel1_log_derivative(m_max, x)
+    nxd = n * xd
+    den = np.array((xd - n * p, p - nxd))
     # >= 0 in exact arithmetic for Im n >= 0; rounding in D_m can give a
-    # term far below the sum's resolution the wrong sign, so clip
-    terms = np.maximum(-w4 * np.array(((d * n.conjugate()).imag, nd.imag))
-                       / (den.real ** 2 + den.imag ** 2), 0.0)
+    # term far below the sum's resolution the wrong sign, so clip.  Im p_m
+    # meets |den|^2 first, as Im(xD_m) Im p_m can go subnormal
+    terms = np.maximum(-4.0 * np.array(((xd * n.conjugate()).imag, nxd.imag))
+                       * (p.imag / (den.real ** 2 + den.imag ** 2)), 0.0)
     if not np.isfinite(terms).all():
         finite = np.isfinite(terms).all(axis=0)
         raise ConvergenceError("non-finite partial-wave term",
@@ -159,14 +157,15 @@ def polarization_of(e_te: float, e_tm: float) -> float:
     band-averaged emissivities alike.
 
     Raises DomainError unless both are finite, and DegenerateInputError
-    unless their sum is > 0: a vacuum wire emits nothing, and P is undefined.
+    unless their sum is >= sys.float_info.min (P of subnormal sums is noise).
     """
     if not (math.isfinite(e_te) and math.isfinite(e_tm)):
         raise DomainError(f"emissivities must be finite, got {e_te}, {e_tm}")
     total = e_te + e_tm
-    if not total > 0:
+    if not total >= sys.float_info.min:
         raise DegenerateInputError(
-            "both emissivities vanish (vacuum wire?); polarization undefined")
+            "both emissivities vanish or underflow (vacuum wire, or size "
+            "parameter below about 1e-154?); polarization undefined")
     return (e_te - e_tm) / total
 
 

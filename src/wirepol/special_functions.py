@@ -7,7 +7,11 @@ Chebyshev fit of Hankel's integral in 2/x above), and the upward order
 recurrence, which is neutral for m < x
 and follows the dominant Y_m past m ~ x (for J alone it would be
 unstable there).  The derivatives follow from C'_m = (C_{m-1} -
-C_{m+1}) / 2 over orders -1..m_max+1.  At the complex
+C_{m+1}) / 2 over orders -1..m_max+1.  The scattering sums need only
+p_m = x H'_m / H_m (``hankel1_log_derivative``), the same recurrence divided
+through by H_m; by the Wronskian J Y' - J' Y = 2/(pi x) (Abramowitz &
+Stegun 9.1.16) Im p_m = 2 / (pi |H_m|^2).  p never overflows: Re p_m ~ -m
+at high order, and Im p_m underflows to 0 where H_m overflows.  At the complex
 interior argument n*k*a only D_m = J'_m / J_m is computed, by a downward
 recurrence from order m_max + 1, seeded there by a continued fraction;
 it stays O(1) where J_m(n*k*a) overflows.  J_m(x) (``bessel_j_all_orders``)
@@ -156,6 +160,26 @@ def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     return c[1:-1], 0.5 * (c[:-2] - c[2:])
 
 
+def hankel1_log_derivative(m_max: int, x: float) -> np.ndarray:
+    """p_m = x H^(1)'_m(x) / H^(1)_m(x) for m = 0..m_max at real x > 0:
+    p_0 = -x H_1 / H_0 from ``_hankel1_01``, then p_{m+1} = x^2 / (m - p_m)
+    - (m + 1).  RangeError where H_1(x) overflows (x below about 3.5e-309)."""
+    x = float(x)
+    if x <= 0.0 or not math.isfinite(x):
+        raise DomainError(f"hankel1_log_derivative: need x > 0, got {x}")
+    h0, h1 = _hankel1_01(x)
+    p = -x * h1 / h0
+    if not cmath.isfinite(p):
+        raise RangeError(f"hankel1_log_derivative: H_1(x) overflows at x = {x}")
+    x2 = x * x
+    values = [p]
+    append = values.append
+    for m in range(m_max):    # Python complex, as in hankel1_all_orders
+        p = x2 / (m - p) - (m + 1)
+        append(p)
+    return np.array(values)
+
+
 def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     """Logarithmic derivatives D_m(z) = J'_m(z) / J_m(z) for m = 0..m_max.
 
@@ -165,9 +189,10 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     near k = |z| + 7.3 |z|^(1/3), far sooner where Im z is large.  It
     raises ConvergenceError if it has not converged in _FRACTION_TERMS
     terms (|z| beyond about 10^6 with little absorption), and RangeError
-    if 2k/z overflows (subnormal |z|).  From D_k = r_k - k/z the recurrence
-    D_{m-1} = (m - 1)/z - 1 / (D_m + m/z), stable downward, runs k steps
-    to D_0.  The ratio stays O(1) even when J_m(z) itself
+    if 2k/z nears overflow (|z| below about 1e-306).  From D_k = r_k - k/z
+    the recurrence D_{m-1} = (m - 1)/z - 1 / (D_m + m/z), stable downward,
+    runs k steps to D_0; DomainError if it meets a real zero of J_m, where
+    D_m has a pole.  The ratio stays O(1) even when J_m(z) itself
     would overflow (|Im z| large), which is exactly why the scattering
     code works with D rather than with J_m(n*k*a) directly.
     """
@@ -178,7 +203,7 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
         raise DomainError("bessel_j_log_derivative: non-finite argument")
     zi = 1.0 / z    # plain Python complex: each step multiplies
     top = m_max + 1
-    if not cmath.isfinite((2 * top + 2) * zi):    # the fraction's first step
+    if not 2 * top + 2 < 2.0 ** 1020 * abs(z):    # 2k/z, with room for later steps
         raise RangeError(f"bessel_j_log_derivative: 2(m_max + 2)/z overflows at z = {z}")
     r = c = 2 * top * zi
     d = 0j
@@ -201,15 +226,20 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     # m * zi serves two steps
     values = []
     append = values.append
-    for m in range(m_max, -1, -1):
-        below = m * zi
-        d = below - 1.0 / (d + above)
-        append(d)
-        above = below
+    try:    # free unless it fires: D_{m+1} + (m+1)/z = J_m / J_{m+1}
+        for m in range(m_max, -1, -1):
+            below = m * zi
+            d = below - 1.0 / (d + above)
+            append(d)
+            above = below
+    except ZeroDivisionError:
+        raise DomainError(f"bessel_j_log_derivative: D_{m} has a pole at z = {z}, "
+                          f"a zero of J_{m}") from None
     return np.array(values[::-1])
 
 
-# nothing in the package calls it, but bench/tracing.py binds it on import
+# nothing in the package calls this or hankel1_all_orders any more: the tests
+# use them as the reference J and H blocks, and bench/tracing.py binds both
 def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     """J_m(x) and J'_m(x) for m = 0..m_max at real x > 0, as arrays.  With
     Y = Im H and W = J_m Y'_m - J'_m Y_m = 2/(pi x) (A&S 9.1.16), J_m =

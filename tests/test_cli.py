@@ -485,13 +485,39 @@ def test_thick_wire_point(capsys):
 
 
 def test_wire_below_size_floor_is_numerical_failure(capsys):
-    # x = 1.3e-299 is below scattering.MIN_SIZE: one error line, no warning
+    # x = 1.3e-299: both emissivities (~ x^2) underflow to 0, so P is
+    # refused: one error line, no warning
     rc, out, err = run(capsys, "point", "--radius-um", "1e-300",
                        "--wavelength-um", "0.5")
     assert rc == 2
     assert out == ""
     assert err.startswith("wirepol: ") and err.count("\n") == 1
-    assert "below floor" in err
+    assert "underflow" in err
+
+
+def test_tiny_wire_point_meets_quasi_static_limit(capsys):
+    # x = 1.3e-149, far below where H_m(x) overflows: P is P_0 of the
+    # quasi-static cylinder, (4 - |eps + 1|^2) / (4 + |eps + 1|^2)
+    from wirepol.materials import load_database, model_for_temperature, permittivity
+    rc, out, err = run(capsys, "point", "--radius-um", "1e-150",
+                       "--wavelength-um", "0.5")
+    assert rc == 0, err
+    eps = permittivity(model_for_temperature(load_database(), 2400.0), 0.5)
+    q = abs(eps + 1) ** 2
+    assert abs(float(parse_kv(out)["p"]) - (4 - q) / (4 + q)) <= 1e-15
+
+
+def test_vacuum_wire_at_a_zero_of_j0_is_degenerate(capsys, tmp_path):
+    # a term-less record is vacuum, n = 1; k a = 2.4048 is the first zero
+    # of J_0, where the D recurrence divides by zero: exit 2, one line
+    db = tmp_path / "vac.json"
+    db.write_text('{"records": [{"element": "vac", "temperature_K": 2400, '
+                  '"bound_terms": [], "free_terms": []}]}')
+    rc, out, err = run(capsys, "point", "--radius-um", "0.1913699373905031",
+                       "--wavelength-um", "0.5", "--material-db", str(db))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("wirepol: ") and err.count("\n") == 1
 
 
 def test_figure4_preset(capsys, tmp_path):

@@ -7,6 +7,7 @@ symmetry, and the perfectly conducting limit.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -15,13 +16,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from wirepol.errors import (ConvergenceError, DegenerateInputError, DomainError,
-                            RangeError)
+                            RangeError, WirepolError)
 from wirepol.scattering import (
     MAX_ORDER,
-    MIN_SIZE,
     emissivity_pair,
     linear_polarization,
     order_ceiling,
+    polarization_of,
 )
 
 from oracles import transition_amplitude
@@ -184,29 +185,105 @@ def test_order_ceiling_raises_above_max_order():
         transition_amplitude(MAX_ORDER + 1, k, 1.0, N_TUNGSTEN)
 
 
-def test_sizes_below_floor_raise_range_error():
-    # a sum to order_ceiling(x) would overflow H_m(x) from x ~ 1e-6 on
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+def test_order_ceiling_refuses_sizes_outside_its_range(x):
+    # k a can underflow to 0; the message names the range, not the ceiling
+    with pytest.raises(RangeError, match=f"outside 0 < x <= {MAX_ORDER}$"):
+        order_ceiling(x)
+
+
+def oracle_emissivities(x, n, top=4):
+    """Both folded sums 4 sum_m (Re T_m - |T_m|^2) from the textbook
+    amplitudes of the scattering docstring, at 60 digits.  At x <= 1e-18 the
+    terms fall as x^(2m), so orders above 4 lie far below 1e-13 of the sum."""
+    with mpmath.workdps(60):
+        x, n = mpmath.mpf(x), mpmath.mpc(n)
+        # C_v for v = -1..top+1: C_m is c[m + 1], C'_m = (c[m] - c[m + 2]) / 2
+        j, jn, h = ([f(v, z) for v in range(-1, top + 2)] for f, z in (
+            (mpmath.besselj, x), (mpmath.besselj, n * x), (mpmath.hankel1, x)))
+        sums = [0, 0]
+        for m in range(top + 1):
+            jm, jnm, hm = j[m + 1], jn[m + 1], h[m + 1]
+            jp, jnp, hp = ((c[m] - c[m + 2]) / 2 for c in (j, jn, h))
+            t_te = (jnp * jm - n * jp * jnm) / (jnp * hm - n * jnm * hp)
+            t_tm = (jnm * jp - n * jnp * jm) / (jnm * hp - n * jnp * hm)
+            for i, t in enumerate((t_te, t_tm)):
+                sums[i] += (1 if m == 0 else 2) * 4 * (t.real - abs(t) ** 2)
+        return float(sums[0]), float(sums[1])
+
+
+@pytest.mark.parametrize("x", [1e-18, 1e-50, 1e-100])
+@pytest.mark.parametrize("n", ["tungsten", 1 + 40j])
+def test_tiny_wire_emissivities_match_oracle(x, n):
+    # far below x ~ 1e-6, where H_m(x) at order_ceiling(x) overflows
+    n = _tungsten(0.5) if n == "tungsten" else n
+    pair = emissivity_pair(1.0, x, n)
+    want_te, want_tm = oracle_emissivities(x, n)
+    assert pair.e_te == pytest.approx(want_te, rel=1e-13, abs=0.0)
+    assert pair.e_tm == pytest.approx(want_tm, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("temp", [298.0, 1600.0, 2400.0])
+@pytest.mark.parametrize("lam", [0.5, 0.75, 2.0])
+def test_tiny_wire_meets_quasi_static_closed_forms(temp, lam):
+    # Bohren & Huffman (1983) 8.4: e_TM -> pi x^2 Im eps, e_TE -> 4 pi x^2
+    # Im eps / |eps + 1|^2 and P -> P_0, all with relative errors O(x^2 ln x)
+    n = _tungsten(lam, temp)
+    eps = n * n
+    q = abs(eps + 1) ** 2
+    p0 = (4 - q) / (4 + q)
+    for x in (1e-10, 1e-50, 1e-100, 1e-150):
+        pair = emissivity_pair(1.0, x, n)
+        assert abs(polarization_of(pair.e_te, pair.e_tm) - p0) <= 1e-15
+        assert abs(pair.e_tm / (math.pi * x * x * eps.imag) - 1.0) <= 1e-14
+        assert abs(pair.e_te / (4 * math.pi * x * x * eps.imag / q) - 1.0) <= 1e-14
+
+
+def test_subnormal_emissivities_have_no_polarization():
+    # P from subnormal sums is rounding noise: at Im n = 1e-320 it read
+    # -0.0915256, 2.1e-5 from its value at Im n = 1e-300
+    with pytest.raises(DegenerateInputError, match="underflow"):
+        linear_polarization(1.0, 1.0, 3 + 1e-320j)
+    for x in (1e-158, 1e-300):    # e ~ x^2: subnormal, then 0
+        with pytest.raises(DegenerateInputError, match="underflow"):
+            linear_polarization(1.0, x, N_TUNGSTEN)
+    # e_TE subnormal, e_TM normal: P is still good to the last digits
+    pair = emissivity_pair(1.0, 1e-154, N_TUNGSTEN)
+    assert 0.0 < pair.e_te < sys.float_info.min <= pair.e_tm
+    q = abs(N_TUNGSTEN ** 2 + 1) ** 2
+    assert polarization_of(pair.e_te, pair.e_tm) == pytest.approx(
+        (4 - q) / (4 + q), abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [N_TUNGSTEN, 1 + 40j, 1000 + 1000j, 1e6 + 1e6j])
+def test_sizes_at_the_bottom_of_the_double_range_end_typed(n):
+    # a value, or a typed error (D's or H_1's range, or P's precision
+    # rule), and no numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in (9.99e-5, 1e-18, 1e-100, 1e-300):
-            with pytest.raises(RangeError, match="below floor"):
-                emissivity_pair(1.0, x, N_TUNGSTEN)
+        for x in np.geomspace(1e-320, 1e-300, 41).tolist():
+            try:
+                p = linear_polarization(1.0, x, n)
+            except WirepolError:
+                continue
+            assert -1.0 <= p <= 1.0
 
 
 @pytest.mark.parametrize("n", [3.38 + 2.65j, 1 + 40j, 1000 + 1000j])
 def test_smallest_size_is_finite(n):
-    pair = emissivity_pair(1.0, MIN_SIZE, n)
-    for e in (pair.e_te, pair.e_tm):
-        assert math.isfinite(e) and e >= 0.0
+    for x in (1e-4, 1e-18, 1e-100, 1e-300):
+        pair = emissivity_pair(1.0, x, n)
+        for e in (pair.e_te, pair.e_tm):
+            assert math.isfinite(e) and e >= 0.0
 
 
 def test_tail_below_epsilon_on_tungsten_grid():
     # the terms at order_ceiling(x) are below the rounding of the sum for
-    # tungsten from just above the size floor up to 4 mm wires
+    # tungsten from x = 1e-150 up to 4 mm wires
     for temp in (298.0, 2400.0):
         for lam in (0.5, 0.75):
             n, k = _tungsten(lam, temp), 2 * math.pi / lam
-            for x in np.geomspace(1.001 * MIN_SIZE, 4.9e4, 10):
+            for x in np.geomspace(1e-150, 4.9e4, 10):
                 pair = emissivity_pair(k, x / k, n)
                 assert pair.terms_used == order_ceiling(k * (x / k)) + 1
                 assert pair.truncation_error_estimate <= 2.0 ** -52
@@ -224,7 +301,7 @@ def test_kernel_call_shape(monkeypatch):
     # order_ceiling(x) = 175
     import wirepol.scattering as scattering
     calls = {"hankel": [], "log_derivative": []}
-    real_h, real_d = scattering.hankel1_all_orders, scattering.bessel_j_log_derivative
+    real_h, real_d = scattering.hankel1_log_derivative, scattering.bessel_j_log_derivative
 
     def hankel(m_max, x):
         calls["hankel"].append(m_max)
@@ -234,7 +311,7 @@ def test_kernel_call_shape(monkeypatch):
         calls["log_derivative"].append(m_max)
         return real_d(z, m_max)
 
-    monkeypatch.setattr(scattering, "hankel1_all_orders", hankel)
+    monkeypatch.setattr(scattering, "hankel1_log_derivative", hankel)
     monkeypatch.setattr(scattering, "bessel_j_log_derivative", log_derivative)
     k, a, n = 2 * math.pi / 0.5, 8.5, 3.38 + 2.65j
     assert order_ceiling(k * a) == 175
@@ -293,8 +370,8 @@ def test_thick_wire_polarization_approaches_fresnel():
     assert gaps[-1] < 4e-4
 
 
-# from just above the size floor (1e-4 / k * k may round below it) to 1e-2
-THIN_SIZES = np.geomspace(1.001 * MIN_SIZE, 1e-2, 5)
+# two decades, where the rounding of P over x^2 stays below 1e-6
+THIN_SIZES = np.geomspace(1.001e-4, 1e-2, 5)
 
 
 def assert_thin_wire_limit(eps, lam):
@@ -370,6 +447,19 @@ def test_lossless_wire_emits_exactly_nothing(n):
             linear_polarization(k, a, n)
 
 
+@pytest.mark.parametrize("x, n", [(2.404825557695773, 1 + 0j),
+                                  (1.2024127788478864, 2.0)])
+def test_lossless_wire_at_a_zero_of_j0_emits_exactly_nothing(x, n):
+    # n x rounds to the first zero of J_0, where D_0(n x) has a pole; a
+    # lossless wire needs no sum at all
+    pair = emissivity_pair(1.0, x, n)
+    assert (pair.e_te, pair.e_tm) == (0.0, 0.0)
+    assert math.copysign(1.0, pair.e_te) == math.copysign(1.0, pair.e_tm) == 1.0
+    assert pair.terms_used == order_ceiling(x) + 1
+    with pytest.raises(DegenerateInputError):
+        linear_polarization(1.0, x, n)
+
+
 @given(st.floats(1e-3, 5.0), st.floats(0.05, 10.0),
        st.one_of(st.just(0.0), st.floats(1e-12, 20.0)))
 @settings(max_examples=80, deadline=None)
@@ -429,25 +519,24 @@ def test_terms_match_per_order_loop(a):
     # reference: the per-order loop over the same Wronskian terms, to
     # order_ceiling(x), and the tail estimate from its running sums.  Each
     # order is a one-element array: numpy's scalar complex product rounds
-    # differently, and Im(n D_m) cancels at high orders of a thin wire, so
+    # differently, and Im(n xD_m) cancels at high orders of a thin wire, so
     # scalar rounding alone moves such a term by ~1e-13 (a = 0.01, m > 18)
     from wirepol.scattering import _emissivity_terms
     from wirepol.special_functions import (bessel_j_log_derivative,
-                                           hankel1_all_orders)
+                                           hankel1_log_derivative)
     k, n = 2 * math.pi / 0.5, N_TUNGSTEN
     x = k * a
     m_max = order_ceiling(x)
-    d = bessel_j_log_derivative(n * x, m_max)
-    h, hp = hankel1_all_orders(m_max, x)
-    w4 = 8.0 / (math.pi * x)
+    xd = x * bessel_j_log_derivative(n * x, m_max)
+    p = hankel1_log_derivative(m_max, x)
     sum_te = sum_tm = 0.0
     ref_te, ref_tm = [], []
     for m in range(m_max + 1):
-        dm, hm, hpm = d[m:m + 1], h[m:m + 1], hp[m:m + 1]
-        den_te = dm * hm - n * hpm
-        den_tm = hpm - n * dm * hm
-        te = max(-w4 * (dm * n.conjugate()).imag[0] / abs(den_te[0]) ** 2, 0.0)
-        tm = max(-w4 * (n * dm).imag[0] / abs(den_tm[0]) ** 2, 0.0)
+        xdm, pm = xd[m:m + 1], p[m:m + 1]
+        den_te = xdm - n * pm
+        den_tm = pm - n * xdm
+        te = max(-4.0 * (xdm * n.conjugate()).imag[0] * pm.imag[0] / abs(den_te[0]) ** 2, 0.0)
+        tm = max(-4.0 * (n * xdm).imag[0] * pm.imag[0] / abs(den_tm[0]) ** 2, 0.0)
         ref_te.append(te)
         ref_tm.append(tm)
         w = 1.0 if m == 0 else 2.0

@@ -22,6 +22,7 @@ from wirepol.special_functions import (
     bessel_j_all_orders,
     bessel_j_log_derivative,
     hankel1_all_orders,
+    hankel1_log_derivative,
 )
 
 from oracles import transition_amplitude
@@ -397,14 +398,50 @@ def test_log_derivative_of_huge_nearly_lossless_argument_is_refused():
         bessel_j_log_derivative(1e7 + 1j, 3)
 
 
-@pytest.mark.parametrize("z", (1e-310, 1e-320, 1e-310j, 5e-308))
+@pytest.mark.parametrize("z", (1e-310, 1e-320, 1e-310j, 5e-308, 6e-308))
 def test_log_derivative_below_the_double_range_is_a_range_error(z):
-    # 2k/z overflows at the fraction's first step; it used to run to the
-    # bound on its length and raise ConvergenceError
+    # 2k/z overflows at the fraction's first step (at 6e-308, at its second
+    # step); it used to run to the bound on its length and raise
+    # ConvergenceError
     with pytest.raises(RangeError):
         bessel_j_log_derivative(z, 3)
     with pytest.raises(RangeError):
         bessel_j_all_orders(3, abs(z))
+
+
+@pytest.mark.parametrize("z", (2.404825557695773, 5.520078110286311))
+def test_log_derivative_at_a_zero_of_j0_names_the_pole(z):
+    # the first two zeros of J_0, rounded: J_0 / J_1 is exactly 0 there,
+    # and the step to D_0 divides by it
+    with pytest.raises(DomainError, match="D_0 has a pole"):
+        bessel_j_log_derivative(z, 3)
+
+
+@pytest.mark.parametrize("x", (1e-300, 1e-100, 1e-10, 0.1, 1.0, 2.0, 17.0, 300.0))
+def test_hankel_log_derivative_matches_oracle(x):
+    # p_m = x H'_m / H_m, with Im p_m = 2 / (pi |H_m|^2) (the Wronskian):
+    # finite at every order, and Im p_m underflows where H_m overflows
+    m_top = order_ceiling(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = hankel1_log_derivative(m_top, x)
+    assert p.shape == (m_top + 1,) and np.isfinite(p).all()
+    near_x = range(max(int(x) - 2, 0), min(int(x) + 3, m_top))
+    for m in {0, 1, 2, m_top // 2, m_top, *near_x}:
+        h = [mpmath.hankel1(v, x) for v in (m - 1, m, m + 1)]
+        want = x * (h[0] - h[2]) / 2 / h[1]
+        assert abs(p[m] - complex(want)) <= 1e-14 * abs(want)
+        assert abs(p[m].imag - float(want.imag)) <= 1e-13 * want.imag + 1e-300
+
+
+def test_hankel_log_derivative_domain():
+    for x in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            hankel1_log_derivative(3, x)
+    # H_1(x) ~ -2i/(pi x) passes the double range below x ~ 3.5e-309
+    with pytest.raises(RangeError, match="overflows"):
+        hankel1_log_derivative(3, 1e-310)
+    assert hankel1_log_derivative(0, 1e-300).shape == (1,)
 
 
 def test_hankel_block_keeps_order_0_where_order_1_overflows():
