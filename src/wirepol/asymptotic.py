@@ -4,19 +4,18 @@ polarization, used as an independent cross-check on the partial-wave sum.
 When a >> lambda the wire surface is locally flat and each surface
 element emits like a plane with emissivity 1 - |R|^2 (Kirchhoff).
 Averaging over the visible half of the circumference with the
-foreshortening weight cos(phi) gives
-
-    P = integral cos(phi) (|R_TM|^2 - |R_TE|^2) dphi
-        / integral cos(phi) (2 - |R_TE|^2 - |R_TM|^2) dphi
-
-over phi in (-pi/2, pi/2).  Here TE labels the field orthogonal to the
-wire axis, i.e. in the local plane of incidence, so
+foreshortening weight cos(phi) gives e = integral cos(phi) (1 - |R|^2) dphi
+over phi in (-pi/2, pi/2) for each polarization, and P from them
+(``polarization_of``).  TE labels the field orthogonal to the wire axis,
+i.e. in the local plane of incidence, so
 
     R_TE = (eps cos(phi) - s) / (eps cos(phi) + s)
     R_TM = (cos(phi) - s) / (cos(phi) + s),     s = sqrt(eps - 1 + cos^2(phi))
 
 with the square root on the Im >= 0 branch, matching the refraction
-index convention used elsewhere in the package.
+index convention used elsewhere in the package.  For R = (a - b)/(a + b),
+1 - |R|^2 = 4 Re(a conj(b)) / |a + b|^2, which does not cancel where
+|R| ~ 1 (a good conductor), so no eps is refused as a mirror.
 """
 
 from __future__ import annotations
@@ -28,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DomainError
+from .scattering import polarization_of
 from .spectral import MAX_NODES, gauss_legendre
 
 
@@ -36,6 +36,12 @@ from .spectral import MAX_NODES, gauss_legendre
 class FresnelPair:
     r_te: complex | np.ndarray
     r_tm: complex | np.ndarray
+
+
+def _cos_and_s(eps: complex, phi):
+    c = np.cos(phi)
+    s = np.sqrt(eps - 1.0 + c * c)
+    return c, np.where(s.imag < 0, -s, s)
 
 
 def fresnel_coefficients(eps: complex, phi) -> FresnelPair:
@@ -47,33 +53,24 @@ def fresnel_coefficients(eps: complex, phi) -> FresnelPair:
     if not np.all(np.abs(phi) < math.pi / 2):
         raise DomainError(f"incidence angle must satisfy |phi| < pi/2, got {phi}")
     eps = complex(eps)
-    c = np.cos(phi)
-    s = np.sqrt(eps - 1.0 + c * c)
-    s = np.where(s.imag < 0, -s, s)
-    r_te = (eps * c - s) / (eps * c + s)
-    r_tm = (c - s) / (c + s)
-    return FresnelPair(r_te=r_te, r_tm=r_tm)
+    c, s = _cos_and_s(eps, phi)
+    return FresnelPair(r_te=(eps * c - s) / (eps * c + s), r_tm=(c - s) / (c + s))
 
 
 def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
     """Linear polarization of a wire much thicker than the wavelength.
 
-    The integrand is even in phi, so the quadrature runs on [0, pi/2]
-    and doubles; the doubling cancels between numerator and denominator.
+    The integrands are even in phi, so the quadrature runs on [0, pi/2];
+    the doubling and the rule's scale pi/4 cancel in P.
     """
     if not (cmath.isfinite(eps) and complex(eps).imag > 0):
         raise DomainError(f"thick-wire limit needs a finite absorber, Im(eps) > 0; got {eps}")
     if not (isinstance(nodes, numbers.Integral) and 1 <= nodes <= MAX_NODES):
         raise DomainError(f"quadrature needs a node count from 1 to {MAX_NODES}, got {nodes!r}")
     xg, wg = gauss_legendre(nodes)
-    phi = (xg + 1.0) * (math.pi / 4.0)
-    w = wg * (math.pi / 4.0)
-    c = np.cos(phi)
-    pair = fresnel_coefficients(eps, phi)
-    r_te2 = np.abs(pair.r_te) ** 2
-    r_tm2 = np.abs(pair.r_tm) ** 2
-    num = math.fsum(w * c * (r_tm2 - r_te2))
-    den = math.fsum(w * c * (2.0 - r_te2 - r_tm2))
-    if abs(den) < 1e-15:
-        raise DegenerateInputError("perfect mirror: emissivity integral vanishes")
-    return num / den
+    c, s = _cos_and_s(eps, (xg + 1.0) * (math.pi / 4.0))
+    # |a|, |s| <= |a + s| for a passive surface; halving keeps |a + s| finite
+    a, s = 0.5 * np.array((eps * c, c)), 0.5 * s
+    d = np.abs(a + s)
+    absorbed = 4.0 * (a / d * (s / d).conjugate()).real
+    return polarization_of(*(math.fsum(wg * c * row) for row in absorbed))

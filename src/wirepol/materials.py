@@ -109,7 +109,7 @@ def permittivity(model: DrudePermittivityModel, wavelength_um: float) -> complex
     """Complex relative permittivity at the given vacuum wavelength.
 
     Im(eps) >= 0 for any model with at least one absorbing term;
-    equality only in the vacuum limit.
+    equality only in the vacuum limit.  RangeError where eps overflows.
     """
     if wavelength_um <= 0 or not math.isfinite(wavelength_um):
         raise DomainError(f"permittivity: wavelength must be > 0, got {wavelength_um}")
@@ -121,16 +121,18 @@ def permittivity(model: DrudePermittivityModel, wavelength_um: float) -> complex
     for t in model.active_free_terms():
         lr = t.lambda_r_um * 1e-6
         eps -= lam * lam / _2PI_C_EPS0 * t.sigma / (lr + 1j * lam)
+    if not cmath.isfinite(eps):    # lam * lam overflows from about 1e156 um
+        raise RangeError(f"permittivity: not finite at wavelength {wavelength_um} um")
     return eps
 
 
 def refraction_index(eps: complex) -> complex:
     """n = sqrt(eps) on the branch with Im(n) >= 0 (decaying wave inside
     the absorber)."""
+    if not cmath.isfinite(eps):
+        raise DomainError(f"refraction index: permittivity must be finite, got {eps}")
     n = cmath.sqrt(eps)
-    if n.imag < 0:
-        n = -n
-    return n
+    return -n if n.imag < 0 else n
 
 
 # --------------------------------------------------------------------------

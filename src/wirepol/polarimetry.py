@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, IdentifiabilityError
+from .errors import DegenerateInputError, DomainError, IdentifiabilityError, RangeError
+from .scattering import polarization_of
 
 # Most samples of one simulated rotation: 0.001 deg steps over a full turn.
 MAX_SAMPLES = 360_000
@@ -61,10 +62,11 @@ class SourceModel:
 
     @property
     def polarization(self) -> float:
-        total = self.i_polarized + self.i_unpolarized
-        if total <= 0:
+        scale = 0.5 if self.i_polarized + self.i_unpolarized == math.inf else 1.0
+        i_p, i_u = scale * self.i_polarized, scale * self.i_unpolarized    # exact
+        if i_p + i_u <= 0:
             raise DegenerateInputError("dark source: polarization undefined")
-        return self.i_polarized / total
+        return i_p / (i_p + i_u)
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,9 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
         raise DomainError(f"polarizer angle must be finite, got {polarizer_angle_deg}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
+    if not (source.i_polarized + 0.5 * source.i_unpolarized + source.ir_background
+            + 10.0 * noise_rms) < math.inf:    # the largest intensity, noise at 10 rms
+        raise RangeError(f"simulated intensities overflow: {source}, noise rms {noise_rms:g}")
     theta = np.arange(0.0, span_deg, step_deg)
     axis = math.radians(source.polarization_axis_deg)
     th = np.radians(theta)
@@ -166,9 +171,9 @@ def fit_cos_squared(scan: PolarimeterScan) -> CosineSquaredFit:
     coef, *_ = np.linalg.lstsq(design, scan.intensities, rcond=None)
     c0, c1, c2 = (float(v) for v in coef)
     amplitude = 2.0 * math.hypot(c1, c2)
-    resid = scan.intensities - design @ coef
-    # hypot scales its arguments, so intensities near 1e300 do not overflow
-    rms = math.hypot(*resid.tolist()) / math.sqrt(resid.size)
+    # halved (exactly): the fitted curve overflows near 1.8e308; hypot scales
+    resid = 0.5 * scan.intensities - design @ (0.5 * coef)
+    rms = 2.0 * math.hypot(*resid.tolist()) / math.sqrt(resid.size)
     scale = max(abs(c0), float(np.max(np.abs(scan.intensities))), 1e-300)
     if amplitude < 1e-12 * scale:
         return CosineSquaredFit(0.0, 0.0, c0, rms, degenerate_phase=True)
@@ -193,9 +198,6 @@ def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
     """
     fit_a = fit_cos_squared(scan_a)
     fit_b = fit_cos_squared(scan_b)
-    total = fit_a.amplitude + fit_b.amplitude
-    if total <= 0:
-        raise DegenerateInputError("fitted amplitudes sum to zero")
     warnings = []
     err_a = err_b = None
     if theta_star_deg is not None:
@@ -210,7 +212,7 @@ def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
                 warnings.append(
                     f"scan B phase off the polarizer setting by {err_b:.3g} deg")
     return PolarizationExtraction(
-        p=(fit_a.amplitude - fit_b.amplitude) / total,
+        p=polarization_of(fit_a.amplitude, fit_b.amplitude),
         fit_a=fit_a, fit_b=fit_b,
         phase_error_a_deg=err_a, phase_error_b_deg=err_b,
         warnings=tuple(warnings))

@@ -114,12 +114,12 @@ def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:
     xd = x * bessel_j_log_derivative(n * x, m_max)
     p = hankel1_log_derivative(m_max, x)
     nxd = n * xd
-    den = np.array((xd - n * p, p - nxd))
+    den = np.abs(np.array((xd - n * p, p - nxd)))
     # >= 0 in exact arithmetic for Im n >= 0; rounding in D_m can give a
-    # term far below the sum's resolution the wrong sign, so clip.  Im p_m
-    # meets |den|^2 first, as Im(xD_m) Im p_m can go subnormal
-    terms = np.maximum(-4.0 * np.array(((xd * n.conjugate()).imag, nxd.imag))
-                       * (p.imag / (den.real ** 2 + den.imag ** 2)), 0.0)
+    # term far below the sum's resolution the wrong sign, so clip.  Each factor
+    # meets |den| alone: Im(xD_m) Im p_m can underflow, |den|^2 overflow
+    terms = np.maximum(-4.0 * (np.array(((xd * n.conjugate()).imag, nxd.imag)) / den)
+                       * (p.imag / den), 0.0)
     if not np.isfinite(terms).all():
         finite = np.isfinite(terms).all(axis=0)
         raise ConvergenceError("non-finite partial-wave term",
@@ -153,19 +153,23 @@ def emissivity_pair(k: float, a: float, n: complex) -> PolarizedEmissivity:
 
 
 def polarization_of(e_te: float, e_tm: float) -> float:
-    """P = (e_TE - e_TM) / (e_TE + e_TM), for one wavelength or for
-    band-averaged emissivities alike.
+    """P = (a - b) / (a + b) of a = e_TE and b = e_TM, or of any two such
+    intensities: band averages, thick-wire integrals, fitted amplitudes.
 
-    Raises DomainError unless both are finite, and DegenerateInputError
-    unless their sum is >= sys.float_info.min (P of subnormal sums is noise).
+    Raises DomainError unless both are finite and >= 0 (so |P| <= 1), and
+    DegenerateInputError unless a + b >= sys.float_info.min (P of a subnormal
+    sum is noise).  Where a + b overflows, both are halved first, which is
+    exact wherever it can change P; elsewhere P is (a - b) / (a + b) as is.
     """
-    if not (math.isfinite(e_te) and math.isfinite(e_tm)):
-        raise DomainError(f"emissivities must be finite, got {e_te}, {e_tm}")
+    if not (0.0 <= e_te < math.inf and 0.0 <= e_tm < math.inf):
+        raise DomainError(f"intensities must be finite and >= 0, got {e_te}, {e_tm}")
+    if e_te + e_tm == math.inf:
+        e_te, e_tm = 0.5 * e_te, 0.5 * e_tm
     total = e_te + e_tm
     if not total >= sys.float_info.min:
         raise DegenerateInputError(
-            "both emissivities vanish or underflow (vacuum wire, or size "
-            "parameter below about 1e-154?); polarization undefined")
+            "both intensities vanish or underflow (vacuum wire, dark source, or "
+            "size parameter below about 1e-154?); polarization undefined")
     return (e_te - e_tm) / total
 
 

@@ -188,12 +188,12 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     1976) to machine precision; it converges once k passes |z|, at real z
     near k = |z| + 7.3 |z|^(1/3), far sooner where Im z is large.  It
     raises ConvergenceError if it has not converged in _FRACTION_TERMS
-    terms (|z| beyond about 10^6 with little absorption), and RangeError
-    if 2k/z nears overflow (|z| below about 1e-306).  From D_k = r_k - k/z
-    the recurrence D_{m-1} = (m - 1)/z - 1 / (D_m + m/z), stable downward,
-    runs k steps to D_0; DomainError if it meets a real zero of J_m, where
-    D_m has a pole.  The ratio stays O(1) even when J_m(z) itself
-    would overflow (|Im z| large), which is exactly why the scattering
+    terms (|z| beyond about 10^6 with little absorption; at once beyond
+    |z| ~ 1e12), and RangeError if 2k/z nears overflow (|z| below about
+    1e-306).  From D_k = r_k - k/z the recurrence D_{m-1} = (m - 1)/z -
+    1 / (D_m + m/z), stable downward, runs k steps to D_0; DomainError if
+    it meets a real zero of J_m, where D_m has a pole.  The ratio stays O(1)
+    even when J_m(z) itself would overflow (|Im z| large), which is exactly why the scattering
     code works with D rather than with J_m(n*k*a) directly.
     """
     z = complex(z)
@@ -201,6 +201,9 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
         raise DomainError("bessel_j_log_derivative: z must be nonzero")
     if not cmath.isfinite(z):
         raise DomainError("bessel_j_log_derivative: non-finite argument")
+    if not abs(z.real) + abs(z.imag) <= 1e12:    # needs >= 6 |z|^(1/2) terms
+        raise ConvergenceError("continued fraction for J_m / J_(m+1) cannot converge "
+                               f"in {_FRACTION_TERMS} terms", order=m_max, nka=z)
     zi = 1.0 / z    # plain Python complex: each step multiplies
     top = m_max + 1
     if not 2 * top + 2 < 2.0 ** 1020 * abs(z):    # 2k/z, with room for later steps

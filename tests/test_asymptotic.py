@@ -3,6 +3,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -108,12 +109,12 @@ def test_node_count_convergence():
 def test_thick_wire_takes_the_leggauss_rule(nodes):
     # the same arithmetic on a freshly built rule gives the same bits
     xg, wg = np.polynomial.legendre.leggauss(nodes)
-    phi = (xg + 1.0) * (math.pi / 4.0)
-    w, c = wg * (math.pi / 4.0), np.cos(phi)
-    pair = fresnel_coefficients(EPS_W, phi)
-    r_te2, r_tm2 = np.abs(pair.r_te) ** 2, np.abs(pair.r_tm) ** 2
-    expected = (math.fsum(w * c * (r_tm2 - r_te2))
-                / math.fsum(w * c * (2.0 - r_te2 - r_tm2)))
+    c = np.cos((xg + 1.0) * (math.pi / 4.0))
+    s = 0.5 * np.sqrt(EPS_W - 1.0 + c * c)    # Im > 0 here
+    a = 0.5 * np.array((EPS_W * c, c))
+    d = np.abs(a + s)
+    e_te, e_tm = (math.fsum(wg * c * row) for row in 4.0 * (a / d * (s / d).conjugate()).real)
+    expected = (e_te - e_tm) / (e_te + e_tm)
     assert thick_wire_polarization(EPS_W, nodes) == expected
     assert thick_wire_polarization(EPS_W, nodes) == expected
 
@@ -125,7 +126,26 @@ def test_thick_wire_requires_absorption():
     assert thick_wire_polarization(1.0 + 1e-12j) == pytest.approx(0.0, abs=1e-9)
 
 
-def test_perfect_mirror_is_degenerate():
-    # |r| rounds to 1 at every node, so the emissivity integral vanishes
-    with pytest.raises(DegenerateInputError):
-        thick_wire_polarization(-1e12 + 1j)
+def _thick_wire_oracle(eps, nodes=64):
+    # the same Gauss-Legendre rule and angles, summed at 50 digits in the
+    # textbook form 1 - |R|^2
+    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    with mpmath.workdps(50):
+        eps, e = mpmath.mpc(eps), [0, 0]
+        for phi, w in zip(((xg + 1.0) * (math.pi / 4.0)).tolist(), wg.tolist()):
+            c = mpmath.cos(phi)
+            s = mpmath.sqrt(eps - 1 + c * c)
+            s = -s if s.imag < 0 else s
+            for i, r in enumerate(((eps * c - s) / (eps * c + s), (c - s) / (c + s))):
+                e[i] += w * c * (1 - abs(r) ** 2)
+        return float((e[0] - e[1]) / (e[0] + e[1]))
+
+
+def test_good_conductor_matches_the_50_digit_rule():
+    # 2 - |R_TE|^2 - |R_TM|^2 cancelled here: 2.9e-12 off at -1e8 + 1e6i, and
+    # refused as a perfect mirror at the other two
+    for eps in (-1e8 + 1e6j, -1e12 + 1j, -1e20 + 1e10j):
+        assert abs(thick_wire_polarization(eps) - _thick_wire_oracle(eps)) <= 1e-14
+    # Im eps / |eps| ~ 1e-600: both integrals underflow, and P is refused
+    with pytest.raises(DegenerateInputError, match="underflow"):
+        thick_wire_polarization(-1e300 + 1e-300j)

@@ -201,6 +201,15 @@ def test_polsim_noiseless(capsys):
     assert float(values["p_extracted"]) == pytest.approx(0.208, abs=1e-9)
 
 
+def test_polsim_intensities_whose_sum_overflows(capsys):
+    # P_true and P_extracted both read 0.0 here
+    rc, out, err = run(capsys, "polsim", "--i-polarized", "1e308", "--i-unpolarized", "1e308")
+    assert rc == 0 and err == ""
+    values = parse_kv(out)
+    assert values["p_true"] == "0.5"
+    assert float(values["p_extracted"]) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_polsim_seed_determinism(capsys, tmp_path):
     prefix = str(tmp_path / "run")
     args = ("polsim", "--p-true", "0.3", "--noise-rms", "0.01",

@@ -3,12 +3,13 @@
 import cmath
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants
 
-from wirepol.errors import MaterialDataError, RangeError
+from wirepol.errors import DomainError, MaterialDataError, RangeError
 from wirepol.materials import (
     FITTED_RANGE_UM,
     load_database,
@@ -91,6 +92,21 @@ def test_refraction_index_round_trip():
         n = refraction_index(eps)
         assert n * n == pytest.approx(eps, rel=1e-14)
         assert n.imag >= 0.0
+
+
+@pytest.mark.parametrize("lam", [1.6e156, 1e200, 1e300, sys.float_info.max])
+def test_permittivity_beyond_the_double_range_is_a_range_error(db, lam):
+    # lambda^2 overflows: eps read -inf + inf i from 1.6e156 um, nan + nan i at 1e300
+    with pytest.raises(RangeError):
+        permittivity(model_for_temperature(db, 2400.0), lam)
+    assert cmath.isfinite(permittivity(model_for_temperature(db, 2400.0), 1e150))
+
+
+@pytest.mark.parametrize("eps", [math.nan, complex(1.0, math.nan), math.inf,
+                                 complex(-math.inf, 1.0), complex(0.0, math.inf)])
+def test_refraction_index_of_a_non_finite_permittivity_is_a_domain_error(eps):
+    with pytest.raises(DomainError):
+        refraction_index(eps)
 
 
 @given(st.floats(-100.0, 100.0), st.floats(1e-9, 100.0))

@@ -10,6 +10,7 @@ from wirepol.errors import (
     DegenerateInputError,
     DomainError,
     IdentifiabilityError,
+    RangeError,
 )
 from wirepol.polarimetry import (
     PolarimeterScan,
@@ -126,6 +127,20 @@ def test_dark_source_rejected():
         SourceModel(0.0, 0.0).polarization
     with pytest.raises(DomainError):
         SourceModel(-1.0, 1.0)
+
+
+def test_polarization_of_a_source_whose_sum_overflows():
+    # I_P + I_U overflows: P read 0.0; halving both is exact
+    assert SourceModel(1e308, 1e308).polarization == 0.5
+    assert SourceModel(1.5e308, 0.5e308).polarization == 0.75
+    assert SourceModel(0.221, 0.779).polarization == 0.221 / (0.221 + 0.779)
+
+
+def test_intensities_that_overflow_the_scan_are_a_range_error():
+    source = SourceModel(0.0, 0.0, 0.0, 1e308)
+    with pytest.raises(RangeError):
+        simulate_scan(source, noise_rms=1e308)
+    simulate_scan(source, noise_rms=1e306)
 
 
 def test_fit_of_huge_intensities_is_finite():

@@ -269,6 +269,15 @@ def test_sizes_at_the_bottom_of_the_double_range_end_typed(n):
             assert -1.0 <= p <= 1.0
 
 
+@pytest.mark.parametrize("n", [1e-170 + 1e-170j, 1e-300 + 1e-300j, 1e-160j])
+def test_refraction_index_of_tiny_modulus_does_not_overflow(n):
+    # xD_m ~ m/n: |xD_m - n p_m|^2 overflowed with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = emissivity_pair(1.0, 1.0, n)
+    assert 0 <= pair.e_te < math.inf and 0 <= pair.e_tm < math.inf
+
+
 @pytest.mark.parametrize("n", [3.38 + 2.65j, 1 + 40j, 1000 + 1000j])
 def test_smallest_size_is_finite(n):
     for x in (1e-4, 1e-18, 1e-100, 1e-300):

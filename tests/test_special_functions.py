@@ -3,6 +3,7 @@ series oracle (mpmath) and the classical identities."""
 
 import cmath
 import math
+import time
 import types
 import warnings
 
@@ -396,6 +397,17 @@ def test_log_derivative_of_huge_nearly_lossless_argument_is_refused():
     # 6.7 s; the fixed bound on its length ends it within about 0.5 s
     with pytest.raises(ConvergenceError, match="did not converge"):
         bessel_j_log_derivative(1e7 + 1j, 3)
+
+
+@pytest.mark.parametrize("z", (1e12 + 1e12j, 1e150j, -1e300 + 1.0, 1.7e308 + 1.7e308j))
+def test_log_derivative_beyond_the_reach_of_its_fraction_is_refused_at_once(z):
+    # the fraction needs at least 6 |z|^(1/2) terms, even on the imaginary
+    # axis, so beyond |z| ~ 1e12 it cannot converge within its bound: that
+    # took 0.4 s to find out, and abs(z) overflowed at the last z
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="cannot converge"):
+        bessel_j_log_derivative(z, 3)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("z", (1e-310, 1e-320, 1e-310j, 5e-308, 6e-308))
