@@ -10,7 +10,7 @@ over phi in (-pi/2, pi/2) for each polarization, and P from them
 i.e. in the local plane of incidence, so
 
     R_TE = (eps cos(phi) - s) / (eps cos(phi) + s)
-    R_TM = (cos(phi) - s) / (cos(phi) + s),     s = sqrt(eps - 1 + cos^2(phi))
+    R_TM = (cos(phi) - s) / (cos(phi) + s),     s = sqrt(eps - sin^2(phi))
 
 with the square root on the Im >= 0 branch, matching the refraction
 index convention used elsewhere in the package.  For R = (a - b)/(a + b),
@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateInputError, DomainError
 from .scattering import polarization_of
-from .spectral import MAX_NODES, gauss_legendre
+from .spectral import check_nodes, gauss_legendre
 
 
 @dataclass(frozen=True)
@@ -39,8 +38,9 @@ class FresnelPair:
 
 
 def _cos_and_s(eps: complex, phi):
+    # eps - sin^2, not eps - 1 + cos^2: where |eps| << 1 the latter loses eps
     c = np.cos(phi)
-    s = np.sqrt(eps - 1.0 + c * c)
+    s = np.sqrt(eps - np.sin(phi) ** 2)
     return c, np.where(s.imag < 0, -s, s)
 
 
@@ -49,12 +49,21 @@ def fresnel_coefficients(eps: complex, phi) -> FresnelPair:
     |phi| < pi/2) off a half-space of permittivity eps.
 
     phi may be an array of angles; r_te and r_tm then have its shape.
+    eps must be finite and passive (Im eps >= 0), so |R| <= 1; each ratio
+    is formed from quartered (exactly) terms, so that no intermediate of
+    the complex division overflows.  R_TE is 0/0, a DegenerateInputError,
+    where eps c + s vanishes (eps = 0 at normal incidence).
     """
     if not np.all(np.abs(phi) < math.pi / 2):
         raise DomainError(f"incidence angle must satisfy |phi| < pi/2, got {phi}")
+    if not (cmath.isfinite(eps) and complex(eps).imag >= 0):
+        raise DomainError(f"Fresnel coefficients need a finite eps with Im(eps) >= 0; got {eps}")
     eps = complex(eps)
     c, s = _cos_and_s(eps, phi)
-    return FresnelPair(r_te=(eps * c - s) / (eps * c + s), r_tm=(c - s) / (c + s))
+    a, b, s = 0.25 * eps * c, 0.25 * c, 0.25 * s
+    if np.any(a + s == 0):
+        raise DegenerateInputError(f"R_TE is 0/0 at eps = {eps}, phi = {phi}")
+    return FresnelPair(r_te=(a - s) / (a + s), r_tm=(b - s) / (b + s))
 
 
 def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
@@ -65,8 +74,7 @@ def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
     """
     if not (cmath.isfinite(eps) and complex(eps).imag > 0):
         raise DomainError(f"thick-wire limit needs a finite absorber, Im(eps) > 0; got {eps}")
-    if not (isinstance(nodes, numbers.Integral) and 1 <= nodes <= MAX_NODES):
-        raise DomainError(f"quadrature needs a node count from 1 to {MAX_NODES}, got {nodes!r}")
+    check_nodes(nodes, 1)
     xg, wg = gauss_legendre(nodes)
     c, s = _cos_and_s(eps, (xg + 1.0) * (math.pi / 4.0))
     # |a|, |s| <= |a + s| for a passive surface; halving keeps |a + s| finite

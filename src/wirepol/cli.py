@@ -29,13 +29,7 @@ import numpy as np
 
 from . import __version__
 from .errors import WirepolError
-from .materials import (
-    FITTED_RANGE_UM,
-    load_database,
-    model_for_temperature,
-    permittivity,
-    refraction_index,
-)
+from .materials import FITTED_RANGE_UM, load_database, model_for_temperature
 from .polarimetry import (
     SourceModel,
     extract_polarization,
@@ -43,8 +37,9 @@ from .polarimetry import (
     simulate_scan,
     write_scan,
 )
-from .scattering import emissivity_pair, polarization_of
-from .spectral import BandFilter, COMPUTED_BAND, band_averaged_polarization
+from .scattering import polarization_of
+from .spectral import (BandFilter, COMPUTED_BAND, band_averaged_polarization,
+                       wire_emissivities)
 
 # Bundled reference measurements: (diameter_um, P_measured, standard error)
 # for incandescent tungsten wires observed through the 0.45-0.75 micron
@@ -197,8 +192,7 @@ class _Evaluator:
                     "e_tm_bar": res.e_tm_bar,
                     "quadrature_nodes": res.quadrature_nodes,
                     "quadrature_error": res.est_quadrature_error}
-        n = refraction_index(permittivity(model, spectrum))
-        pair = emissivity_pair(2.0 * math.pi / spectrum, radius, n)
+        pair, = wire_emissivities(radius, model, (spectrum,))
         return {**values, "p": polarization_of(pair.e_te, pair.e_tm),
                 "e_te": pair.e_te, "e_tm": pair.e_tm,
                 "terms_used": pair.terms_used,
@@ -418,7 +412,7 @@ def _cmd_material(args) -> int:
         given["include_tentative"] = True
     if given.pop("action") == "list":
         _reject_unread("material list", given)
-        for rec in load_database(args.material_db).records:
+        for rec in load_database(args.material_db):
             print(f"{rec.element} {rec.temperature_k:g} K  "
                   f"({len(rec.bound_terms)} bound, {len(rec.free_terms)} free terms)")
         return 0

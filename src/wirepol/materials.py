@@ -15,13 +15,14 @@ Wavelengths are microns at the interface, metres internally;
 conductivities are ohm^-1 m^-1 throughout.
 
 The tungsten parameter table (fit to reflectance data measured between
-0.365 and 2.65 micron) ships as a JSON database next to this module; see
-``load_database``.  Some free-electron relaxation wavelengths in that
-table are known only as an upper bound; such terms carry
-``tentative=True`` and are excluded from the permittivity sum unless the
-model is built with ``include_tentative=True``.  Their conductivity
-still counts toward ``dc_conductivity`` (at dc every conduction channel
-contributes regardless of its relaxation wavelength).
+0.365 and 2.65 micron) ships as a JSON database inside this package;
+``load_database`` reads it as a tuple of models, one per temperature, and
+``model_for_temperature`` picks one.  Some free-electron relaxation
+wavelengths in that table are known only as an upper bound; such terms
+carry ``tentative=True`` and are excluded from the permittivity sum
+unless the model is built with ``include_tentative=True``.  Their
+conductivity still counts toward ``dc_conductivity`` (at dc every
+conduction channel contributes regardless of its relaxation wavelength).
 """
 
 from __future__ import annotations
@@ -102,6 +103,8 @@ class DrudePermittivityModel:
 
 def vacuum_model(temperature_k: float = 300.0) -> DrudePermittivityModel:
     """Trivial model with no material response: eps = 1 identically."""
+    if not 0 < temperature_k < math.inf:
+        raise DomainError(f"temperature must be finite and > 0, got {temperature_k}")
     return DrudePermittivityModel("vacuum", temperature_k, (), (), sigma0=None)
 
 
@@ -157,11 +160,6 @@ _DATABASE_FIELDS = {"format": _TEXT, "version": _NUMBER, "units": "an object",
                     "provenance": _TEXT, "records": _ARRAY}
 
 
-@dataclass(frozen=True)
-class MaterialDatabase:
-    records: tuple[DrudePermittivityModel, ...]
-
-
 def _fields(raw, kinds: dict, where: str) -> dict:
     """The fields of one JSON object, each of the kind that ``kinds`` names
     for it, with every number as a float."""
@@ -201,8 +199,9 @@ def _parse_record(raw, index: int) -> DrudePermittivityModel:
         raise MaterialDataError(f"{where}: {exc}") from exc
 
 
-def load_database(path: str | None = None) -> MaterialDatabase:
-    """Load a material database.
+def load_database(path: str | None = None) -> tuple[DrudePermittivityModel, ...]:
+    """The records of a material database, one model per temperature, in
+    file order.
 
     Resolution order: explicit ``path`` argument, the WIREPOL_MATERIAL_DB
     environment variable, then the bundled tungsten table.
@@ -210,7 +209,7 @@ def load_database(path: str | None = None) -> MaterialDatabase:
     if path is None:
         path = os.environ.get(ENV_DATABASE_PATH) or None
     if path is None:
-        text = resources.files("wirepol.data").joinpath("tungsten.json").read_text()
+        text = resources.files(__package__).joinpath("data/tungsten.json").read_text()
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -225,7 +224,6 @@ def load_database(path: str | None = None) -> MaterialDatabase:
     records = tuple(_parse_record(r, i) for i, r in enumerate(raw.get("records", [])))
     if not records:
         raise MaterialDataError("material database contains no records")
-    db = MaterialDatabase(records=records)
     for rec in records:
         if rec.sigma0 is not None:
             total = rec.dc_conductivity()
@@ -233,10 +231,10 @@ def load_database(path: str | None = None) -> MaterialDatabase:
                 raise MaterialDataError(
                     f"record at {rec.temperature_k} K: sum of sigma_q = {total:g} "
                     f"disagrees with sigma0 = {rec.sigma0:g} by more than 2%")
-    return db
+    return records
 
 
-def model_for_temperature(db: MaterialDatabase, temperature_k: float,
+def model_for_temperature(db: tuple[DrudePermittivityModel, ...], temperature_k: float,
                           include_tentative: bool = False) -> DrudePermittivityModel:
     """Model at the tabulated temperature nearest to ``temperature_k``.
 
@@ -249,5 +247,5 @@ def model_for_temperature(db: MaterialDatabase, temperature_k: float,
     if not (lo <= temperature_k <= hi):
         raise RangeError(
             f"temperature {temperature_k} K outside snap range [{lo:g}, {hi:g}] K")
-    best = min(db.records, key=lambda r: abs(r.temperature_k - temperature_k))
+    best = min(db, key=lambda r: abs(r.temperature_k - temperature_k))
     return replace(best, include_tentative=include_tentative)

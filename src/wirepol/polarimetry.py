@@ -20,7 +20,9 @@ throughput), hence
 
     P = (A_a - A_b) / (A_a + A_b) = I_P / (I_P + I_U),
 
-with the infrared residual absorbed into the fitted offsets.  All fits
+with the infrared residual absorbed into the fitted offsets.  Given theta*,
+the phase of each step-2 fit is checked against its polarizer setting,
+theta* for scan A and theta* + 90 deg for scan B.  All fits
 use the exact linear least squares of the harmonic reparameterization
 
     A cos^2(theta - theta0) + F = c0 + c1 cos(2 theta) + c2 sin(2 theta),
@@ -83,12 +85,16 @@ class PolarimeterScan:
         object.__setattr__(self, "intensities", intens)
         if angles.ndim != 1 or angles.shape != intens.shape:
             raise DomainError("scan needs matching 1-d angle and intensity arrays")
-        if len(angles) >= 2 and not np.all(np.diff(angles) > 0):
+        if not (np.isfinite(angles).all() and np.isfinite(intens).all()
+                and 0 < self.step_deg < math.inf):
+            raise DomainError("scan needs finite angles and intensities and a finite step > 0")
+        if not np.all(angles[1:] > angles[:-1]):
             raise DomainError("scan angles must be strictly increasing")
 
     @property
     def span_deg(self) -> float:
-        return float(self.angles_deg[-1] - self.angles_deg[0])
+        # Python floats: an overflowing span is inf, with no numpy warning
+        return float(self.angles_deg[-1]) - float(self.angles_deg[0])
 
 
 @dataclass(frozen=True)
@@ -123,6 +129,8 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
     """
     if not 0 < step_deg < math.inf:
         raise DomainError(f"step must be finite and > 0, got {step_deg}")
+    if not span_deg > 0:
+        raise DomainError(f"span must be > 0, got {span_deg}")
     if not span_deg / step_deg <= MAX_SAMPLES:
         raise DomainError(f"a {span_deg:g} deg span in {step_deg:g} deg steps "
                           f"exceeds {MAX_SAMPLES} samples")
@@ -158,7 +166,8 @@ def fit_cos_squared(scan: PolarimeterScan) -> CosineSquaredFit:
     Linear in (c0, c1, c2) after the double-angle substitution; mapped
     back via A = 2 sqrt(c1^2 + c2^2), theta0 = atan2(c2, c1)/2, and
     F = c0 - A/2.  A constant scan is reported with amplitude 0 and the
-    ``degenerate_phase`` flag instead of failing.
+    ``degenerate_phase`` flag instead of failing; RangeError where A, F or
+    the residual rms is beyond the double range.
     """
     if len(scan.angles_deg) < 6:
         raise IdentifiabilityError(f"need at least 6 samples, got {len(scan.angles_deg)}")
@@ -171,9 +180,14 @@ def fit_cos_squared(scan: PolarimeterScan) -> CosineSquaredFit:
     coef, *_ = np.linalg.lstsq(design, scan.intensities, rcond=None)
     c0, c1, c2 = (float(v) for v in coef)
     amplitude = 2.0 * math.hypot(c1, c2)
-    # halved (exactly): the fitted curve overflows near 1.8e308; hypot scales
-    resid = 0.5 * scan.intensities - design @ (0.5 * coef)
-    rms = 2.0 * math.hypot(*resid.tolist()) / math.sqrt(resid.size)
+    if not math.isfinite(c0 - 0.5 * amplitude):    # and so A and c0
+        raise RangeError("cos^2 parameters of this scan exceed the double range")
+    # quartered (exactly): the fitted curve and the residual may overflow
+    # near 1.8e308, their quarters cannot for finite A and F; hypot scales
+    resid = 0.25 * scan.intensities - design @ (0.25 * coef)
+    rms = 4.0 * math.hypot(*resid.tolist()) / math.sqrt(resid.size)
+    if not rms < math.inf:
+        raise RangeError("residual rms of this cos^2 fit exceeds the double range")
     scale = max(abs(c0), float(np.max(np.abs(scan.intensities))), 1e-300)
     if amplitude < 1e-12 * scale:
         return CosineSquaredFit(0.0, 0.0, c0, rms, degenerate_phase=True)
@@ -199,22 +213,16 @@ def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
     fit_a = fit_cos_squared(scan_a)
     fit_b = fit_cos_squared(scan_b)
     warnings = []
-    err_a = err_b = None
-    if theta_star_deg is not None:
-        if not fit_a.degenerate_phase:
-            err_a = _phase_distance_deg(fit_a.phase_deg, theta_star_deg)
-            if err_a > 0.5:
-                warnings.append(
-                    f"scan A phase off the polarizer setting by {err_a:.3g} deg")
-        if not fit_b.degenerate_phase:
-            err_b = _phase_distance_deg(fit_b.phase_deg, theta_star_deg + 90.0)
-            if err_b > 0.5:
-                warnings.append(
-                    f"scan B phase off the polarizer setting by {err_b:.3g} deg")
+    errors = {"A": None, "B": None}
+    for name, fit, offset in (("A", fit_a, 0.0), ("B", fit_b, 90.0)):
+        if theta_star_deg is not None and not fit.degenerate_phase:
+            err = errors[name] = _phase_distance_deg(fit.phase_deg, theta_star_deg + offset)
+            if err > 0.5:
+                warnings.append(f"scan {name} phase off the polarizer setting by {err:.3g} deg")
     return PolarizationExtraction(
         p=polarization_of(fit_a.amplitude, fit_b.amplitude),
         fit_a=fit_a, fit_b=fit_b,
-        phase_error_a_deg=err_a, phase_error_b_deg=err_b,
+        phase_error_a_deg=errors["A"], phase_error_b_deg=errors["B"],
         warnings=tuple(warnings))
 
 

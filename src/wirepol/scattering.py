@@ -63,6 +63,10 @@ from .special_functions import bessel_j_log_derivative, hankel1_log_derivative
 # Largest partial-wave order of any sum; order_ceiling keeps
 # the sums below it up to x ~ 49 600 (d ~ 7.9 mm at lambda = 0.5 um).
 MAX_ORDER = 50_000
+# Smallest |n| of an absorbing wire.  Below it n xD_m ~ m cancels in its
+# imaginary part, and the emissivities' relative error grows as eps/|n|^2:
+# 2.7e-13 at |n| = 0.03 over x in [1e-3, 1e3], 1.6e-9 at 1.4e-4.
+MIN_INDEX_MODULUS = 0.03
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,12 @@ def _check_inputs(k: float, a: float, n: complex) -> None:
         raise DomainError(f"wavenumber k must be > 0, got {k}")
     if a <= 0 or not math.isfinite(a):
         raise DomainError(f"radius a must be > 0, got {a}")
-    if complex(n).imag < 0:
+    n = complex(n)
+    if n.imag < 0:
         raise DomainError(f"refraction index must have Im(n) >= 0, got {n}")
+    if n.imag > 0 and math.hypot(n.real, n.imag) < MIN_INDEX_MODULUS:
+        raise DomainError(f"absorbing refraction index {n} has |n| < {MIN_INDEX_MODULUS}, "
+                          "where the partial-wave terms lose their precision")
 
 
 def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:

@@ -39,7 +39,9 @@ comes from the rule with 2 * nodes; an estimate above
 QUADRATURE_TOLERANCE raises ConvergenceError.  Each rule is built once
 per node count (``gauss_legendre``) and shared, read-only, by later bands;
 a band is array arithmetic over its nodes, and only the emissivities are
-evaluated node by node.  Node sums are reduced with math.fsum, which
+evaluated node by node, by ``wire_emissivities``: the one path from a
+wavelength to the partial-wave kernel, which the CLI's single-wavelength
+rows take too.  Node sums are reduced with math.fsum, which
 rounds the exact sum once.
 """
 
@@ -48,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +58,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, RangeError
 from .materials import (SPEED_OF_LIGHT, DrudePermittivityModel, permittivity,
                         refraction_index)
-from .scattering import emissivity_pair, polarization_of
+from .scattering import PolarizedEmissivity, emissivity_pair, polarization_of
 
 # Largest accepted |P(nodes) - P(2 * nodes)| of a band average.
 QUADRATURE_TOLERANCE = 1e-6
@@ -106,14 +109,22 @@ BOLTZMANN_CONSTANT = 1.380649e-23              # J K^-1
 # and the second radiation constant hc/kB in micron kelvin
 _LOG_2PI_HC2 = math.log(2.0 * math.pi * PLANCK_CONSTANT * SPEED_OF_LIGHT ** 2 / 1e-30)
 _HC_OVER_KB = PLANCK_CONSTANT * SPEED_OF_LIGHT / BOLTZMANN_CONSTANT * 1e6
+# the largest log E whose exp is finite
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _log_emittance(lam_um, temperature_k):
     # x = (hc/kB/T)/lambda: no T * lambda product to overflow; x is inf
-    # only where E is below the double range, and log E is then -inf
+    # only where E is below the double range, and log E is then -inf.
+    # Below 1e-300, where x may underflow, log(1 - exp(-x)) is log x to
+    # the last digit, formed from its factors
+    log_lam = np.log(lam_um)
     with np.errstate(over="ignore"):
         x = _HC_OVER_KB / temperature_k / lam_um
-    return _LOG_2PI_HC2 - 5.0 * np.log(lam_um) - x - np.log(-np.expm1(-x))
+    log_1mexp = np.where(x < 1e-300,
+                         math.log(_HC_OVER_KB / temperature_k) - log_lam,
+                         np.log(-np.expm1(-np.maximum(x, 1e-300))))
+    return _LOG_2PI_HC2 - 5.0 * log_lam - x - log_1mexp
 
 
 def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
@@ -122,21 +133,45 @@ def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
     if not (0 < wavelength_um < math.inf and 0 < temperature_k < math.inf):
         raise DomainError("wavelength and temperature must be finite and > 0, "
                           f"got {wavelength_um}, {temperature_k}")
-    return float(np.exp(_log_emittance(wavelength_um, temperature_k)))
+    log_e = _log_emittance(wavelength_um, temperature_k)
+    if not log_e <= _LOG_MAX:
+        raise RangeError(f"Planck emittance beyond the double range at {wavelength_um} um, "
+                         f"{temperature_k} K")
+    return float(np.exp(log_e))
+
+
+def check_nodes(nodes, least: int) -> None:
+    """DomainError unless ``nodes`` is an integer from ``least`` to MAX_NODES
+    (numpy's integers pass; a bool does not)."""
+    if not (isinstance(nodes, numbers.Integral) and not isinstance(nodes, bool)
+            and least <= nodes <= MAX_NODES):
+        raise DomainError(f"quadrature needs a node count from {least} to {MAX_NODES}, "
+                          f"got {nodes!r}")
 
 
 @functools.lru_cache(maxsize=8)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of ``leggauss(nodes)``, built once, read-only; callers
-    check ``nodes`` (numpy's integers pass)."""
+    check ``nodes`` (``check_nodes``)."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     xg.flags.writeable = wg.flags.writeable = False
     return xg, wg
 
 
+def wire_emissivities(a_um: float, model: DrudePermittivityModel,
+                      wavelengths_um) -> list[PolarizedEmissivity]:
+    """``emissivity_pair`` of a wire of radius ``a_um`` at each vacuum
+    wavelength (micron) of ``wavelengths_um``, with n from ``model``: the
+    one path from a wavelength to the kernel's (k, n), for the band's
+    nodes and for a single wavelength alike."""
+    return [emissivity_pair(2.0 * math.pi / lam, a_um,
+                            refraction_index(permittivity(model, lam)))
+            for lam in wavelengths_um]
+
+
 def _band_integrals(temperature_k, band, nodes, emissivity_fn):
     """The two emissivity integrals over the band with the Planck weight
-    divided by its largest node value, and that value."""
+    divided by its largest node value, and the log of that value."""
     xg, wg = gauss_legendre(nodes)
     half = 0.5 * (band.lambda_hi_um - band.lambda_lo_um)
     lam = band.lambda_lo_um + (xg + 1.0) * half
@@ -147,7 +182,7 @@ def _band_integrals(temperature_k, band, nodes, emissivity_fn):
     if peak == -math.inf:
         raise RangeError(f"Planck weight below the double range over all of {band}")
     weight = wg * half * np.exp(log_e - peak)
-    return math.fsum(weight * e_te), math.fsum(weight * e_tm), math.exp(peak)
+    return math.fsum(weight * e_te), math.fsum(weight * e_tm), peak
 
 
 def band_averaged_polarization(a_um: float, temperature_k: float,
@@ -170,16 +205,13 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     if not (0 < a_um < math.inf and 0 < temperature_k < math.inf):
         raise DomainError("radius and temperature must be finite and > 0, "
                           f"got {a_um}, {temperature_k}")
-    if not (isinstance(nodes, numbers.Integral) and 2 <= nodes <= MAX_NODES):
-        raise DomainError(f"quadrature needs a node count from 2 to {MAX_NODES}, got {nodes!r}")
+    check_nodes(nodes, 2)
     if emissivity_fn is None:
         def emissivity_fn(lam):
-            pairs = [emissivity_pair(2.0 * math.pi / lam_i, a_um,
-                                     refraction_index(permittivity(model, lam_i)))
-                     for lam_i in lam.tolist()]
-            return np.array([(pair.e_te, pair.e_tm) for pair in pairs]).T
-    e_te, e_tm, scale = _band_integrals(temperature_k, band, nodes,
-                                        emissivity_fn)
+            return np.array([(pair.e_te, pair.e_tm)
+                             for pair in wire_emissivities(a_um, model, lam.tolist())]).T
+    e_te, e_tm, log_scale = _band_integrals(temperature_k, band, nodes,
+                                            emissivity_fn)
     p = polarization_of(e_te, e_tm)
     p2 = polarization_of(*_band_integrals(temperature_k, band, 2 * nodes,
                                           emissivity_fn)[:2])
@@ -188,6 +220,10 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
         raise ConvergenceError(
             f"band quadrature error estimate {est:g} exceeds "
             f"tolerance {QUADRATURE_TOLERANCE:g}", nodes=nodes)
-    return BandAveragedResult(p_avg=p, e_te_bar=e_te * scale,
-                              e_tm_bar=e_tm * scale, quadrature_nodes=nodes,
-                              est_quadrature_error=est)
+    scale = math.exp(log_scale) if log_scale <= _LOG_MAX else math.inf
+    e_te_bar, e_tm_bar = e_te * scale, e_tm * scale
+    if not (e_te_bar < math.inf and e_tm_bar < math.inf):
+        raise RangeError(f"band-integrated emittance beyond the double range over {band} "
+                         f"at {temperature_k} K")
+    return BandAveragedResult(p_avg=p, e_te_bar=e_te_bar, e_tm_bar=e_tm_bar,
+                              quadrature_nodes=nodes, est_quadrature_error=est)

@@ -453,14 +453,14 @@ def test_config_key_that_is_no_option(capsys, tmp_path, key):
 
 
 def test_convergence_error_context_in_message(capsys, monkeypatch):
-    from wirepol import cli
+    from wirepol import spectral
     from wirepol.errors import ConvergenceError
 
     def diverge(k, a, n):
         raise ConvergenceError("partial-wave sum did not converge",
                                order=601, ka=12.5, nka=(40 + 3j))
 
-    monkeypatch.setattr(cli, "emissivity_pair", diverge)
+    monkeypatch.setattr(spectral, "emissivity_pair", diverge)
     rc, out, err = run(capsys, "point", "--radius-um", "1",
                        "--wavelength-um", "0.5")
     assert rc == 2

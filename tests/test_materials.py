@@ -141,8 +141,8 @@ def test_env_var_override(tmp_path, monkeypatch, db):
     path.write_text(json.dumps(raw))
     monkeypatch.setenv("WIREPOL_MATERIAL_DB", str(path))
     small = load_database()
-    assert len(small.records) == 1
-    assert len(bundled.records) > 1
+    assert len(small) == 1
+    assert len(bundled) > 1
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -222,3 +222,39 @@ def test_database_that_is_not_utf8_is_a_data_error(tmp_path):
     path.write_bytes(b'{"records": []}\xff')
     with pytest.raises(MaterialDataError, match="db.json"):
         load_database(str(path))
+
+
+@pytest.mark.parametrize("wirepol_importable", [True, False])
+def test_copy_of_the_package_reads_its_own_table(tmp_path, monkeypatch,
+                                                 wirepol_importable):
+    # a copy loaded under another name, as an A/B run of two trees does: at
+    # the parent the bundled table was read from whatever "wirepol" imported,
+    # or failed with ModuleNotFoundError where none could be
+    import importlib.util
+    import shutil
+    from pathlib import Path
+
+    import wirepol.materials
+    root = tmp_path / "wirepol_copy"
+    shutil.copytree(Path(wirepol.materials.__file__).parent, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    table = root / "data" / "tungsten.json"
+    raw = json.loads(table.read_text())
+    raw["records"] = [r for r in raw["records"] if r["temperature_K"] == 298]
+    table.write_text(json.dumps(raw))
+    monkeypatch.delenv("WIREPOL_MATERIAL_DB", raising=False)
+    if not wirepol_importable:
+        for name in [m for m in sys.modules if m.partition(".")[0] == "wirepol"]:
+            monkeypatch.setitem(sys.modules, name, None)
+        monkeypatch.setitem(sys.modules, "wirepol", None)
+    spec = importlib.util.spec_from_file_location(
+        "wirepol_copy", root / "__init__.py", submodule_search_locations=[str(root)])
+    copy = importlib.util.module_from_spec(spec)
+    sys.modules["wirepol_copy"] = copy
+    try:
+        spec.loader.exec_module(copy)
+        # the copy's table holds only its 298 K record
+        assert copy.model_for_temperature(copy.load_database(), 2400.0).temperature_k == 298.0
+    finally:
+        for name in [m for m in sys.modules if m.partition(".")[0] == "wirepol_copy"]:
+            del sys.modules[name]

@@ -6,6 +6,7 @@ the structural invariants: passivity of each term, the m -> -m
 symmetry, and the perfectly conducting limit.
 """
 
+import cmath
 import math
 import sys
 import warnings
@@ -19,6 +20,7 @@ from wirepol.errors import (ConvergenceError, DegenerateInputError, DomainError,
                             RangeError, WirepolError)
 from wirepol.scattering import (
     MAX_ORDER,
+    MIN_INDEX_MODULUS,
     emissivity_pair,
     linear_polarization,
     order_ceiling,
@@ -271,11 +273,32 @@ def test_sizes_at_the_bottom_of_the_double_range_end_typed(n):
 
 @pytest.mark.parametrize("n", [1e-170 + 1e-170j, 1e-300 + 1e-300j, 1e-160j])
 def test_refraction_index_of_tiny_modulus_does_not_overflow(n):
-    # xD_m ~ m/n: |xD_m - n p_m|^2 overflowed with a numpy warning
+    # xD_m ~ m/n: |xD_m - n p_m|^2 overflowed with a numpy warning; such an
+    # n is now refused before the sum (MIN_INDEX_MODULUS), still unwarned
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pair = emissivity_pair(1.0, 1.0, n)
-    assert 0 <= pair.e_te < math.inf and 0 <= pair.e_tm < math.inf
+        with pytest.raises(DomainError, match=r"\|n\| < 0.03"):
+            emissivity_pair(1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("deg", [5.0, 45.0, 89.5])
+def test_absorbing_index_at_the_modulus_bound_matches_the_oracle(deg):
+    # n xD_m ~ m cancels in its imaginary part, so the relative error grows
+    # as eps/|n|^2: 0.18 in e_TM at n = 1e-8 (1 + i), x = 1.  At the bound
+    # it stays within 1e-12 of the 60-digit textbook sum
+    x = 1.0
+    n = cmath.rect(MIN_INDEX_MODULUS, math.radians(deg))
+    pair = emissivity_pair(1.0, x, n)
+    want_te, want_tm = oracle_emissivities(x, n, top=order_ceiling(x))
+    assert pair.e_te == pytest.approx(want_te, rel=1e-12, abs=0.0)
+    assert pair.e_tm == pytest.approx(want_tm, rel=1e-12, abs=0.0)
+    below = cmath.rect(0.999 * MIN_INDEX_MODULUS, math.radians(deg))
+    with pytest.raises(DomainError, match=r"\|n\| < 0.03"):
+        emissivity_pair(1.0, x, below)
+    # a lossless n of any modulus still emits exactly nothing
+    for lossless in (abs(below), 1e-300, 0.0):
+        pair = emissivity_pair(1.0, x, lossless)
+        assert pair.e_te == pair.e_tm == 0.0
 
 
 @pytest.mark.parametrize("n", [3.38 + 2.65j, 1 + 40j, 1000 + 1000j])
