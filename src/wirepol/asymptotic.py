@@ -5,8 +5,9 @@ When a >> lambda the wire surface is locally flat and each surface
 element emits like a plane with emissivity 1 - |R|^2 (Kirchhoff).
 Averaging over the visible half of the circumference with the
 foreshortening weight cos(phi) gives e = integral cos(phi) (1 - |R|^2) dphi
-over phi in (-pi/2, pi/2) for each polarization, and P from them
-(``polarization_of``).  TE labels the field orthogonal to the wire axis,
+over phi in (-pi/2, pi/2) for each polarization, and P from them; the
+integrals take the band average's doubling Gauss-Legendre loop
+(``spectral.settle``).  TE labels the field orthogonal to the wire axis,
 i.e. in the local plane of incidence, so
 
     R_TE = (eps cos(phi) - s) / (eps cos(phi) + s)
@@ -27,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .scattering import polarization_of
-from .spectral import check_nodes, gauss_legendre
+from .spectral import settle
 
 
 @dataclass(frozen=True)
@@ -66,19 +66,21 @@ def fresnel_coefficients(eps: complex, phi) -> FresnelPair:
     return FresnelPair(r_te=(a - s) / (a + s), r_tm=(b - s) / (b + s))
 
 
-def thick_wire_polarization(eps: complex, nodes: int = 64) -> float:
+def thick_wire_polarization(eps: complex) -> float:
     """Linear polarization of a wire much thicker than the wavelength.
 
     The integrands are even in phi, so the quadrature runs on [0, pi/2];
-    the doubling and the rule's scale pi/4 cancel in P.
+    the doubling and the rule's scale pi/4 cancel in P.  The node count is
+    the first that ``spectral.settle`` accepts.
     """
     if not (cmath.isfinite(eps) and complex(eps).imag > 0):
         raise DomainError(f"thick-wire limit needs a finite absorber, Im(eps) > 0; got {eps}")
-    check_nodes(nodes, 1)
-    xg, wg = gauss_legendre(nodes)
-    c, s = _cos_and_s(eps, (xg + 1.0) * (math.pi / 4.0))
-    # |a|, |s| <= |a + s| for a passive surface; halving keeps |a + s| finite
-    a, s = 0.5 * np.array((eps * c, c)), 0.5 * s
-    d = np.abs(a + s)
-    absorbed = 4.0 * (a / d * (s / d).conjugate()).real
-    return polarization_of(*(math.fsum(wg * c * row) for row in absorbed))
+
+    def absorbed(xg, wg):
+        c, s = _cos_and_s(eps, (xg + 1.0) * (math.pi / 4.0))
+        # |a|, |s| <= |a + s| for a passive surface; halving keeps |a + s| finite
+        a, s = 0.5 * np.array((eps * c, c)), 0.5 * s
+        d = np.abs(a + s)
+        return [math.fsum(wg * c * row) for row in 4.0 * (a / d * (s / d).conjugate()).real]
+
+    return settle(absorbed)[0]

@@ -173,10 +173,9 @@ class _Evaluator:
     database is loaded once, when the evaluator is made.
     """
 
-    def __init__(self, args, nodes=64):
+    def __init__(self, args):
         self._db = load_database(args.material_db)
         self._tentative = args.include_tentative
-        self._nodes = nodes
 
     def model(self, temp_k):
         return model_for_temperature(self._db, float(temp_k), self._tentative)
@@ -186,8 +185,7 @@ class _Evaluator:
         values = {"radius_um": float(radius),
                   "model_temperature_K": model.temperature_k}
         if isinstance(spectrum, BandFilter):
-            res = band_averaged_polarization(
-                radius, float(temp_k), spectrum, model, nodes=self._nodes)
+            res = band_averaged_polarization(radius, float(temp_k), spectrum, model)
             return {**values, "p_avg": res.p_avg, "e_te_bar": res.e_te_bar,
                     "e_tm_bar": res.e_tm_bar,
                     "quadrature_nodes": res.quadrature_nodes,
@@ -206,9 +204,8 @@ def _cmd_point(args) -> int:
     radius = _radius_from(given)
     dest, spectrum = _take(given, "wavelength_um", "band")
     temp_k = given.pop("temp_k", 2400.0)
-    nodes = given.pop("nodes", 64) if dest == "band" else 64
     _reject_unread(f"point {_flag(dest)}", given)
-    evaluate = _Evaluator(args, nodes)
+    evaluate = _Evaluator(args)
     _warn_outside_fit(spectrum)
     values = evaluate(radius, spectrum, temp_k)
     for key in BAND_COLUMNS if dest == "band" else LINE_COLUMNS:
@@ -464,7 +461,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("point", help="P at a point (single wavelength or band)")
     _add_wire(p)
-    p.add_argument("--nodes", type=int, help="with --band only (default 64)")
     _add_material(p)
     p.set_defaults(func=_cmd_point)
 

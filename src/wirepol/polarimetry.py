@@ -83,8 +83,8 @@ class PolarimeterScan:
         intens = np.asarray(self.intensities, dtype=float)
         object.__setattr__(self, "angles_deg", angles)
         object.__setattr__(self, "intensities", intens)
-        if angles.ndim != 1 or angles.shape != intens.shape:
-            raise DomainError("scan needs matching 1-d angle and intensity arrays")
+        if angles.ndim != 1 or angles.shape != intens.shape or not angles.size:
+            raise DomainError("scan needs matching non-empty 1-d angle and intensity arrays")
         if not (np.isfinite(angles).all() and np.isfinite(intens).all()
                 and 0 < self.step_deg < math.inf):
             raise DomainError("scan needs finite angles and intensities and a finite step > 0")

@@ -33,23 +33,20 @@ detector weights by chi E Q_abs.  e_alpha, the sum that
 +3.5e-4 for d = 5-120 um and by -1.7e-3 at d = 0.5 um; the presets and the
 benchmark reference keep the present weight until the choice is settled.
 
-Quadrature is fixed-order Gauss-Legendre on the band (the integrand is
-smooth and the band narrow).  The error estimate is |P - P'|, where P'
-comes from the rule with 2 * nodes; an estimate above
-QUADRATURE_TOLERANCE raises ConvergenceError.  Each rule is built once
-per node count (``gauss_legendre``) and shared, read-only, by later bands;
-a band is array arithmetic over its nodes, and only the emissivities are
-evaluated node by node, by ``wire_emissivities``: the one path from a
-wavelength to the partial-wave kernel, which the CLI's single-wavelength
-rows take too.  Node sums are reduced with math.fsum, which
-rounds the exact sum once.
+Quadrature is Gauss-Legendre on the band, doubling the node count from 64
+until P settles (``settle``, which the thick-wire limit takes too).  Each
+rule is built once per node count (``gauss_legendre``) and shared,
+read-only, by later bands; a band is array arithmetic over its nodes, and
+only the emissivities are evaluated node by node, by ``wire_emissivities``:
+the one path from a wavelength to the partial-wave kernel, which the CLI's
+single-wavelength rows take too.  Node sums are reduced with math.fsum,
+which rounds the exact sum once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -60,11 +57,11 @@ from .materials import (SPEED_OF_LIGHT, DrudePermittivityModel, permittivity,
                         refraction_index)
 from .scattering import PolarizedEmissivity, emissivity_pair, polarization_of
 
-# Largest accepted |P(nodes) - P(2 * nodes)| of a band average.
+# Largest accepted |P(n nodes) - P(2n nodes)| of a quadrature (``settle``).
 QUADRATURE_TOLERANCE = 1e-6
-# Most Gauss-Legendre nodes of a band average's primary rule: the rule
-# costs an n x n eigenproblem, and its check rule has 2 * MAX_NODES.
-MAX_NODES = 1024
+# Most Gauss-Legendre nodes of a rule that ``settle`` keeps: a rule costs an
+# n x n eigenproblem, and the check of this one has 2 * MAX_NODES.
+MAX_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -140,22 +137,36 @@ def planck_radiance(wavelength_um: float, temperature_k: float) -> float:
     return float(np.exp(log_e))
 
 
-def check_nodes(nodes, least: int) -> None:
-    """DomainError unless ``nodes`` is an integer from ``least`` to MAX_NODES
-    (numpy's integers pass; a bool does not)."""
-    if not (isinstance(nodes, numbers.Integral) and not isinstance(nodes, bool)
-            and least <= nodes <= MAX_NODES):
-        raise DomainError(f"quadrature needs a node count from {least} to {MAX_NODES}, "
-                          f"got {nodes!r}")
-
-
 @functools.lru_cache(maxsize=8)
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of ``leggauss(nodes)``, built once, read-only; callers
-    check ``nodes`` (``check_nodes``)."""
+    """Nodes and weights of ``leggauss(nodes)``, built once, read-only."""
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     xg.flags.writeable = wg.flags.writeable = False
     return xg, wg
+
+
+def settle(evaluate):
+    """Gauss-Legendre quadrature of two emissivity integrals and their P.
+
+    ``evaluate(xg, wg)`` takes a rule on [-1, 1] and returns the integrals
+    of e_te and e_tm (and, for a band, the log of its weight scale).  The
+    rules of 64, 128, 256, ... nodes are evaluated in turn, and the first
+    whose P is within QUADRATURE_TOLERANCE of the next rule's P is kept:
+    returns (its P, its ``evaluate`` value, its node count, |P - P'|).
+    ConvergenceError if the rule of MAX_NODES has not settled.
+    """
+    nodes = 64
+    value = evaluate(*gauss_legendre(nodes))
+    p = polarization_of(*value[:2])
+    while nodes <= MAX_NODES:
+        check = evaluate(*gauss_legendre(2 * nodes))
+        p_check = polarization_of(*check[:2])
+        est = abs(p - p_check)
+        if est <= QUADRATURE_TOLERANCE:
+            return p, value, nodes, est
+        nodes, value, p = 2 * nodes, check, p_check
+    raise ConvergenceError(f"quadrature error estimate {est:g} exceeds "
+                           f"tolerance {QUADRATURE_TOLERANCE:g}", nodes=MAX_NODES)
 
 
 def wire_emissivities(a_um: float, model: DrudePermittivityModel,
@@ -169,10 +180,9 @@ def wire_emissivities(a_um: float, model: DrudePermittivityModel,
             for lam in wavelengths_um]
 
 
-def _band_integrals(temperature_k, band, nodes, emissivity_fn):
-    """The two emissivity integrals over the band with the Planck weight
-    divided by its largest node value, and the log of that value."""
-    xg, wg = gauss_legendre(nodes)
+def _band_integrals(temperature_k, band, emissivity_fn, xg, wg):
+    """The two emissivity integrals on the rule (xg, wg) with the Planck
+    weight divided by its largest node value, and the log of that value."""
     half = 0.5 * (band.lambda_hi_um - band.lambda_lo_um)
     lam = band.lambda_lo_um + (xg + 1.0) * half
     # the hook first: a band out of the kernel's range fails there
@@ -188,7 +198,6 @@ def _band_integrals(temperature_k, band, nodes, emissivity_fn):
 def band_averaged_polarization(a_um: float, temperature_k: float,
                                band: BandFilter,
                                model: DrudePermittivityModel,
-                               nodes: int = 64,
                                emissivity_fn=None) -> BandAveragedResult:
     """Band-averaged linear polarization of a wire of radius ``a_um``.
 
@@ -199,27 +208,18 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     the array of quadrature wavelengths and returns the emissivities at
     each, as two arrays or as scalars that broadcast.
 
-    Raises ConvergenceError if the re-evaluation with 2 * ``nodes``
-    differs from the primary result by more than QUADRATURE_TOLERANCE.
+    The node count is the first that ``settle`` accepts; raises
+    ConvergenceError if the rule of MAX_NODES has not settled.
     """
     if not (0 < a_um < math.inf and 0 < temperature_k < math.inf):
         raise DomainError("radius and temperature must be finite and > 0, "
                           f"got {a_um}, {temperature_k}")
-    check_nodes(nodes, 2)
     if emissivity_fn is None:
         def emissivity_fn(lam):
             return np.array([(pair.e_te, pair.e_tm)
                              for pair in wire_emissivities(a_um, model, lam.tolist())]).T
-    e_te, e_tm, log_scale = _band_integrals(temperature_k, band, nodes,
-                                            emissivity_fn)
-    p = polarization_of(e_te, e_tm)
-    p2 = polarization_of(*_band_integrals(temperature_k, band, 2 * nodes,
-                                          emissivity_fn)[:2])
-    est = abs(p - p2)
-    if est > QUADRATURE_TOLERANCE:
-        raise ConvergenceError(
-            f"band quadrature error estimate {est:g} exceeds "
-            f"tolerance {QUADRATURE_TOLERANCE:g}", nodes=nodes)
+    p, (e_te, e_tm, log_scale), nodes, est = settle(
+        functools.partial(_band_integrals, temperature_k, band, emissivity_fn))
     scale = math.exp(log_scale) if log_scale <= _LOG_MAX else math.inf
     e_te_bar, e_tm_bar = e_te * scale, e_tm * scale
     if not (e_te_bar < math.inf and e_tm_bar < math.inf):

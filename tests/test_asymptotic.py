@@ -14,6 +14,8 @@ from wirepol.asymptotic import (
     fresnel_coefficients,
     thick_wire_polarization,
 )
+from wirepol.materials import load_database, model_for_temperature, permittivity
+from wirepol.spectral import gauss_legendre
 
 EPS_W = -4.9 + 19.8j  # representative visible-band tungsten permittivity
 
@@ -99,24 +101,24 @@ def test_thick_wire_matches_direct_quadrature():
             polarization_by_quad(eps), rel=1e-8)
 
 
-def test_node_count_convergence():
-    a = thick_wire_polarization(EPS_W, nodes=32)
-    b = thick_wire_polarization(EPS_W, nodes=128)
-    assert a == pytest.approx(b, abs=1e-10)
+# node count of the rule that the doubling loop keeps -> an eps it keeps it for
+SETTLES_AT = {64: EPS_W, 256: -1e8 + 1e6j}
 
 
-@pytest.mark.parametrize("nodes", (16, 64))
+@pytest.mark.parametrize("nodes", SETTLES_AT)
 def test_thick_wire_takes_the_leggauss_rule(nodes):
-    # the same arithmetic on a freshly built rule gives the same bits
+    # the same arithmetic on a freshly built rule of the settled node
+    # count gives the same bits
+    eps = SETTLES_AT[nodes]
     xg, wg = np.polynomial.legendre.leggauss(nodes)
     c = np.cos((xg + 1.0) * (math.pi / 4.0))
-    s = 0.5 * np.sqrt(EPS_W - 1.0 + c * c)    # Im > 0 here
-    a = 0.5 * np.array((EPS_W * c, c))
+    s = 0.5 * np.sqrt(eps - 1.0 + c * c)    # Im > 0 here
+    a = 0.5 * np.array((eps * c, c))
     d = np.abs(a + s)
     e_te, e_tm = (math.fsum(wg * c * row) for row in 4.0 * (a / d * (s / d).conjugate()).real)
     expected = (e_te - e_tm) / (e_te + e_tm)
-    assert thick_wire_polarization(EPS_W, nodes) == expected
-    assert thick_wire_polarization(EPS_W, nodes) == expected
+    assert thick_wire_polarization(eps) == expected
+    assert thick_wire_polarization(eps) == expected
 
 
 def test_thick_wire_requires_absorption():
@@ -126,10 +128,11 @@ def test_thick_wire_requires_absorption():
     assert thick_wire_polarization(1.0 + 1e-12j) == pytest.approx(0.0, abs=1e-9)
 
 
-def _thick_wire_oracle(eps, nodes=64):
+def _thick_wire_oracle(eps, nodes):
     # the same Gauss-Legendre rule and angles, summed at 50 digits in the
-    # textbook form 1 - |R|^2
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+    # textbook form 1 - |R|^2 (the rule as the package caches it: a rule of
+    # 1024 nodes is slow to build)
+    xg, wg = gauss_legendre(nodes)
     with mpmath.workdps(50):
         eps, e = mpmath.mpc(eps), [0, 0]
         for phi, w in zip(((xg + 1.0) * (math.pi / 4.0)).tolist(), wg.tolist()):
@@ -143,9 +146,25 @@ def _thick_wire_oracle(eps, nodes=64):
 
 def test_good_conductor_matches_the_50_digit_rule():
     # 2 - |R_TE|^2 - |R_TM|^2 cancelled here: 2.9e-12 off at -1e8 + 1e6i, and
-    # refused as a perfect mirror at the other two
-    for eps in (-1e8 + 1e6j, -1e12 + 1j, -1e20 + 1e10j):
-        assert abs(thick_wire_polarization(eps) - _thick_wire_oracle(eps)) <= 1e-14
+    # refused as a perfect mirror at the other two; the oracle takes the
+    # rule that the doubling loop keeps
+    for eps, nodes in ((-1e8 + 1e6j, 256), (-1e12 + 1j, 64), (-1e20 + 1e10j, 64)):
+        assert abs(thick_wire_polarization(eps) - _thick_wire_oracle(eps, nodes)) <= 1e-14
     # Im eps / |eps| ~ 1e-600: both integrals underflow, and P is refused
     with pytest.raises(DegenerateInputError, match="underflow"):
         thick_wire_polarization(-1e300 + 1e-300j)
+
+
+# Good conductors whose 64-node rule was up to 3.0e-5 off: -1e8 + 1e6i,
+# and tungsten's eps at 298 K and 300 and 1000 um
+GOOD_CONDUCTORS = {
+    "-1e8+1e6i": lambda: -1e8 + 1e6j,
+    **{f"W-298K-{lam:g}um": lambda lam=lam: permittivity(
+        model_for_temperature(load_database(), 298.0), lam) for lam in (300.0, 1000.0)},
+}
+
+
+@pytest.mark.parametrize("eps", GOOD_CONDUCTORS.values(), ids=GOOD_CONDUCTORS)
+def test_thick_wire_matches_a_1024_node_rule(eps):
+    eps = eps()
+    assert abs(thick_wire_polarization(eps) - _thick_wire_oracle(eps, 1024)) <= 1e-6

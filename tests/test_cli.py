@@ -475,14 +475,24 @@ def test_band_convergence_error_reports_nodes(capsys, monkeypatch):
     from wirepol.errors import ConvergenceError
 
     def unsettled(*args, **kwargs):
-        raise ConvergenceError("band quadrature error estimate too large",
-                               nodes=64)
+        raise ConvergenceError("quadrature error estimate too large",
+                               nodes=512)
 
     monkeypatch.setattr(cli, "band_averaged_polarization", unsettled)
     rc, _, err = run(capsys, "point", "--diameter-um", "17", "--band",
                      "0.5:0.75")
     assert rc == 2
-    assert "(nodes=64)" in err
+    assert "(nodes=512)" in err
+
+
+def test_wide_band_settles_on_a_larger_rule(capsys):
+    # 3.8e-6 apart at 64 and 128 nodes; 6.9e-8 at 128 and 256
+    rc, out, err = run(capsys, "point", "--diameter-um", "5", "--band", "0.3:5",
+                       "--temp-k", "2400")
+    assert rc == 0 and "outside the fitted optical range" in err
+    values = parse_kv(out)
+    assert values["quadrature_nodes"] == "128"
+    assert float(values["quadrature_error"]) < 1e-7
 
 
 def test_thick_wire_point(capsys):
@@ -607,26 +617,38 @@ GRID = ("--lo", "0.5", "--hi", "0.6", "--points", "2")
      "--nodes"),
     (("point", "--radius-um", "1", "--wavelength-um", "0.5", "--nodes", "16"),
      "--nodes"),
+    # the node count settles by itself: no kind takes --nodes
+    (("point", "--radius-um", "1", "--band", "0.5:0.75", "--nodes", "64"), "--nodes"),
     (("point", "--radius-um", "1", "--diameter-um", "2", "--band", "0.5:0.75"),
      "--diameter-um"),
 ], ids=("figure1-temp-k", "radius-radius-um", "wavelength-band",
         "radius-band", "temperature-wavelength-um", "point-nodes-5000",
-        "point-nodes-16", "point-diameter-um"))
+        "point-nodes-16", "point-band-nodes-64", "point-diameter-um"))
 def test_kind_rejects_flags_it_does_not_read(capsys, tmp_path, argv, flag):
     refuses_unread_flag(capsys, tmp_path, argv, flag)
 
 
 def test_config_values_count_as_given(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("nodes = 16\n")
+    cfg.write_text("diameter-um = 17\n")
     rc, out, err = run(capsys, "point", "--radius-um", "1",
                        "--wavelength-um", "0.5", "--config", str(cfg))
     assert rc == 1
-    assert "--nodes" in err and out == ""
-    rc, out, err = run(capsys, "point", "--diameter-um", "17",
-                       "--band", "0.5:0.75", "--config", str(cfg))
+    assert "--diameter-um" in err and out == ""
+    rc, out, err = run(capsys, "point", "--band", "0.5:0.75", "--config", str(cfg))
     assert rc == 0, err
-    assert parse_kv(out)["quadrature_nodes"] == "16"
+    assert out == run(capsys, "point", "--diameter-um", "17", "--band", "0.5:0.75")[1]
+
+
+def test_config_key_nodes_is_ignored(capsys, tmp_path):
+    # nodes names no option: the band's rule settles by itself
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("nodes = 16\n")
+    point = ("point", "--diameter-um", "17", "--band", "0.5:0.75")
+    rc, out, err = run(capsys, *point, "--config", str(cfg))
+    assert rc == 0 and err == ""
+    assert parse_kv(out)["quadrature_nodes"] == "64"
+    assert out == run(capsys, *point)[1]
 
 
 @pytest.mark.parametrize("flags, config, named", [
@@ -707,12 +729,10 @@ def test_band_outside_the_kernel_is_one_error_line(capsys, band):
 
 @pytest.mark.parametrize("argv, code", [
     # each would ask for more memory than exists, at once
-    (("point", "--radius-um", "0.5", "--band", "0.5:0.75",
-      "--nodes", "100000000"), 2),
     (("sweep", "--variable", "radius", "--lo", "1", "--hi", "2",
       "--wavelength-um", "0.5", "--points", str(10 ** 17)), 1),
     (("polsim", "--p-true", "0.2", "--step-deg", "1e-300"), 2),
-], ids=("nodes", "points", "step-deg"))
+], ids=("points", "step-deg"))
 def test_work_size_limits(capsys, tmp_path, argv, code):
     path = tmp_path / "sweep.csv"
     if argv[0] == "sweep":

@@ -15,8 +15,7 @@ line.
 
 Draws mix ordinary values with 0, +-inf, nan, 1e-300, 1e300 and
 malformed text.  The ordinary values keep each example cheap: radii of at
-most 5 um, bands inside the visible, a few sweep points and quadrature
-nodes.
+most 5 um, bands inside the visible and a few sweep points.
 """
 
 import math
@@ -76,8 +75,7 @@ def wire(draw, spectrum=True):
 
 @st.composite
 def point_argv(draw):
-    return ["point", *draw(wire()), *draw(options(
-        2, temp_k=TEMP, nodes=value("4", "8", "16", "1025", "100000000")))]
+    return ["point", *draw(wire()), *draw(options(2, temp_k=TEMP))]
 
 
 @st.composite
