@@ -3,7 +3,8 @@
 The library computes the partial-wave emissivities of an infinite
 circular wire for the two linear polarizations, folds them with the
 Planck spectrum over a filter band, and provides the thick-wire
-specular limit plus a rotating-analyzer polarimeter simulation.
+specular limit (the angular average of Fresnel absorption) plus a
+rotating-analyzer polarimeter simulation.
 """
 
 from .errors import (
@@ -39,11 +40,7 @@ from .spectral import (
     band_averaged_polarization,
     planck_radiance,
 )
-from .asymptotic import (
-    FresnelPair,
-    fresnel_coefficients,
-    thick_wire_polarization,
-)
+from .asymptotic import thick_wire_polarization
 from .polarimetry import (
     CosineSquaredFit,
     PolarimeterScan,
@@ -68,7 +65,6 @@ __all__ = [
     "DomainError",
     "DrudePermittivityModel",
     "FreeTerm",
-    "FresnelPair",
     "IdentifiabilityError",
     "MEASURED_BAND",
     "MaterialDataError",
@@ -82,7 +78,6 @@ __all__ = [
     "emissivity_pair",
     "extract_polarization",
     "fit_cos_squared",
-    "fresnel_coefficients",
     "linear_polarization",
     "load_database",
     "model_for_temperature",

@@ -35,6 +35,7 @@ Angles are degrees at every interface, radians internally.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,8 +139,9 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
         raise DomainError(f"noise rms must be finite and >= 0, got {noise_rms}")
     if polarizer_angle_deg is not None and not math.isfinite(polarizer_angle_deg):
         raise DomainError(f"polarizer angle must be finite, got {polarizer_angle_deg}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    # numpy's integers pass; a bool does not
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
     if not (source.i_polarized + 0.5 * source.i_unpolarized + source.ir_background
             + 10.0 * noise_rms) < math.inf:    # the largest intensity, noise at 10 rms
         raise RangeError(f"simulated intensities overflow: {source}, noise rms {noise_rms:g}")

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from scipy import constants, integrate, special
 
-from wirepol.asymptotic import fresnel_coefficients, thick_wire_polarization
+from wirepol.asymptotic import thick_wire_polarization
 from wirepol.cli import main as cli_main
 from wirepol.materials import (
     load_database,
@@ -41,7 +41,7 @@ from wirepol.scattering import emissivity_pair, linear_polarization
 from wirepol.special_functions import hankel1_all_orders
 from wirepol.spectral import COMPUTED_BAND, band_averaged_polarization, planck_radiance
 
-from oracles import transition_amplitude
+from oracles import fresnel_coefficients, transition_amplitude
 
 DB = load_database()
 MODEL_HOT = model_for_temperature(DB, 2400.0)

@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from wirepol.errors import DegenerateInputError, DomainError
-from wirepol.asymptotic import (
-    fresnel_coefficients,
-    thick_wire_polarization,
-)
+from wirepol.asymptotic import thick_wire_polarization
 from wirepol.materials import load_database, model_for_temperature, permittivity
 from wirepol.spectral import gauss_legendre
+
+from oracles import fresnel_coefficients
 
 EPS_W = -4.9 + 19.8j  # representative visible-band tungsten permittivity
 
@@ -82,7 +81,7 @@ def test_thick_wire_sign_and_bounds():
 
 
 def test_thick_wire_matches_direct_quadrature():
-    def polarization_by_quad(eps):
+    def polarization_by_quad(eps, points=None):
         def num(phi):
             pair = fresnel_coefficients(eps, phi)
             return math.cos(phi) * (abs(pair.r_tm) ** 2 - abs(pair.r_te) ** 2)
@@ -92,13 +91,20 @@ def test_thick_wire_matches_direct_quadrature():
             return math.cos(phi) * (2.0 - abs(pair.r_te) ** 2
                                     - abs(pair.r_tm) ** 2)
 
-        top, _ = integrate.quad(num, -math.pi / 2, math.pi / 2, limit=200)
-        bot, _ = integrate.quad(den, -math.pi / 2, math.pi / 2, limit=200)
+        top, _ = integrate.quad(num, -math.pi / 2, math.pi / 2, points=points, limit=200)
+        bot, _ = integrate.quad(den, -math.pi / 2, math.pi / 2, points=points, limit=200)
         return top / bot
 
     for eps in (EPS_W, -30 + 5j, -2 + 40j):
         assert thick_wire_polarization(eps) == pytest.approx(
             polarization_by_quad(eps), rel=1e-8)
+    # 0 < Re eps < 1: the integrands kink at the critical angle, where the
+    # reference is split too (within 1.5e-10 of a 30-digit mpmath quadrature
+    # split there)
+    for eps in (0.5 + 1e-3j, 0.5 + 1e-10j, 0.01 + 1e-12j, 0.001 + 1e-15j):
+        phi_c = math.asin(math.sqrt(eps.real))
+        assert abs(thick_wire_polarization(eps)
+                   - polarization_by_quad(eps, (-phi_c, phi_c))) <= 1e-6
 
 
 # node count of the rule that the doubling loop keeps -> an eps it keeps it for

@@ -1,4 +1,5 @@
-"""One domain contract for every numeric function of ``wirepol.__all__``:
+"""One domain contract for every numeric function of ``wirepol.__all__``
+and for the textbook Fresnel oracle of ``tests/oracles.py``:
 every argument is drawn from the whole double range (subnormals, +-0,
 +-inf, nan, and complex numbers built from them), and each call gives a
 finite, admissible value or raises a WirepolError.  pytest turns every
@@ -21,7 +22,6 @@ from wirepol import (
     emissivity_pair,
     extract_polarization,
     fit_cos_squared,
-    fresnel_coefficients,
     linear_polarization,
     load_database,
     model_for_temperature,
@@ -33,6 +33,8 @@ from wirepol import (
     thick_wire_polarization,
     vacuum_model,
 )
+
+from oracles import fresnel_coefficients
 
 DOUBLES = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 COMPLEXES = st.builds(complex, DOUBLES, DOUBLES)
@@ -97,8 +99,10 @@ def test_fresnel_coefficients(eps, phi):
 
 @EXAMPLES
 @given(DOUBLES, DOUBLES, DOUBLES, DOUBLES, DOUBLES, DOUBLES, DOUBLES,
-       st.integers(), DOUBLES)
+       st.integers() | st.booleans() | DOUBLES, DOUBLES)
 @example(1.0, 1.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0, -5.0)    # an empty scan
+@example(1.0, 1.0, 0.0, 0.0, 0.0, 0.5, 1.0, 1.5, 360.0)    # numpy's untyped TypeError
+@example(1.0, 1.0, 0.0, 0.0, 0.0, 0.5, 1.0, True, 360.0)   # ran as seed 1
 def test_simulate_scan(i_p, i_u, axis_deg, background, psi, step_deg, noise_rms,
                        seed, span_deg):
     source = _value_or_typed_error(SourceModel, i_p, i_u, axis_deg, background)
@@ -110,6 +114,7 @@ def test_simulate_scan(i_p, i_u, axis_deg, background, psi, step_deg, noise_rms,
                                      noise_rms=noise_rms, seed=seed)
         if scan is None:
             continue
+        assert type(seed) is int    # a bool or a double seed is refused
         assert len(scan.angles_deg) >= 1
         assert np.isfinite(scan.angles_deg).all() and np.isfinite(scan.intensities).all()
         assert np.all(np.diff(scan.angles_deg) > 0)

@@ -27,7 +27,7 @@ from wirepol.scattering import (
     polarization_of,
 )
 
-from oracles import transition_amplitude
+from oracles import fresnel_coefficients, transition_amplitude
 
 mpmath.mp.dps = 40
 
@@ -361,7 +361,6 @@ def _tungsten(lam, temp=2400.0):
 def test_thick_wire_absorption_approaches_fresnel():
     # emissivity_pair returns e = 2x * Q_abs; for a >> lambda, Q_abs tends
     # to the Fresnel absorption 1/2 integral cos(phi) (1 - |R|^2) dphi
-    from wirepol.asymptotic import fresnel_coefficients
     from wirepol.materials import (load_database, model_for_temperature,
                                    permittivity)
     lam = 0.5
