@@ -1,21 +1,21 @@
 """Cylinder Bessel and Hankel functions for the scattering code.
 
 Only integer orders m >= 0 are needed, in blocks 0..m_max at the real
-exterior argument x = k*a.  H^(1)_m comes from H_0 and H_1, evaluated
-here in plain Python (``_hankel1_01``: the power series below x = 2, a
-Chebyshev fit of Hankel's integral in 2/x above), and the upward order
-recurrence, which is neutral for m < x
-and follows the dominant Y_m past m ~ x (for J alone it would be
-unstable there).  The derivatives follow from C'_m = (C_{m-1} -
-C_{m+1}) / 2 over orders -1..m_max+1.  The scattering sums need only
-p_m = x H'_m / H_m (``hankel1_log_derivative``), the same recurrence divided
-through by H_m; by the Wronskian J Y' - J' Y = 2/(pi x) (Abramowitz &
-Stegun 9.1.16) Im p_m = 2 / (pi |H_m|^2).  p never overflows: Re p_m ~ -m
-at high order, and Im p_m underflows to 0 where H_m overflows.  At the complex
-interior argument n*k*a only D_m = J'_m / J_m is computed, by a downward
-recurrence from order m_max + 1, seeded there by a continued fraction;
-it stays O(1) where J_m(n*k*a) overflows.  J_m(x) (``bessel_j_all_orders``)
-follows from H_m(x) and D_m(x) by the Wronskian.
+exterior argument x = k*a.  H^(1)_m comes from H_0 and H_1, evaluated here
+in plain Python (``_hankel1_01``: the power series below x = 2, Hankel's
+integral per call above), and the upward order recurrence, which is neutral
+for m < x and follows the dominant Y_m past m ~ x (for J alone it would be
+unstable there).  The derivatives follow from C'_m = (C_{m-1} - C_{m+1}) / 2
+over orders -1..m_max+1.  The scattering sums need only p_m = x H'_m / H_m
+(``hankel1_log_derivative``), the same recurrence divided through by H_m
+from p_0, which above x = 2 is Steed's continued fraction; by the Wronskian
+J Y' - J' Y = 2/(pi x) (Abramowitz & Stegun 9.1.16)
+Im p_m = 2 / (pi |H_m|^2).  p never overflows: Re p_m ~ -m at high order,
+and Im p_m underflows to 0 where H_m overflows.  At the complex interior
+argument n*k*a only D_m = J'_m / J_m is computed, by a downward recurrence
+from order m_max + 1, seeded there by a continued fraction; it stays O(1)
+where J_m(n*k*a) overflows.  J_m(x) (``bessel_j_all_orders``) follows from
+H_m(x) and D_m(x) by the Wronskian.
 
 How many orders a sum needs is not decided here: ``scattering`` sizes
 every request.  All functions are pure and thread-safe.
@@ -35,15 +35,9 @@ from .errors import ConvergenceError, DomainError, RangeError
 # H_0 and H_1 in two regimes of x:
 #   x < _SERIES_EDGE: the power series of J and Y (A&S 9.1.10-13);
 #   beyond it, H_nu = sqrt(2/(pi x)) e^{i(x - nu pi/2 - pi/4)} (P_nu + i Q_nu),
-#   where P_nu + i Q_nu is 1 plus a Chebyshev series in u = 2 _SERIES_EDGE / x - 1
-#   that interpolates, at import, Hankel's integral (Watson, Theory of
-#   Bessel Functions, 7.2)
+#   with P_nu + i Q_nu - 1 from Hankel's integral (Watson, Theory of Bessel
+#   Functions, 7.2), evaluated per call for the reference blocks only:
 #     Gamma(nu+1/2)^-1 int_0^inf e^-s s^(nu-1/2) [(1 + is/(2x))^(nu-1/2) - 1] ds
-#   by the trapezoid rule in t = sqrt(s).  The bracket is formed without
-#   cancellation, so the integral is good to a few ulp of its own size,
-#   which is below 1/x.  P + iQ is analytic in the plane cut along x <= 0,
-#   and smooth in 1/x up to 1/x = 0: with 27 terms H is within 5.3e-16 of
-#   |H| (40-digit mpmath, x from 2 to 1e8), with 26 only within 6.5e-16.
 _SERIES_EDGE = 2.0
 _GAMMA_MINUS_LN2 = -0.11593151565841245    # Euler's gamma - ln 2
 _RSQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -86,25 +80,8 @@ def _hankel_integral(x: float) -> tuple[complex, complex]:
     return d0, d1
 
 
-def _chebyshev_coefficients(terms: int) -> tuple[tuple[complex, complex], ...]:
-    """Coefficients c_j, highest first, of the Chebyshev series in u on
-    [-1, 1] that interpolates ``_hankel_integral(2 _SERIES_EDGE / (u + 1))``
-    at the zeros of T_terms(u); each sum is rounded once (math.fsum)."""
-    angles = [math.pi * (k + 0.5) / terms for k in range(terms)]
-    values = [_hankel_integral(2.0 * _SERIES_EDGE / (math.cos(a) + 1.0)) for a in angles]
-    rows = []
-    for j in range(terms):
-        weights = [(1.0 if j else 0.5) * 2.0 / terms * math.cos(j * a) for a in angles]
-        rows.append(tuple(
-            complex(math.fsum(w * v[nu].real for w, v in zip(weights, values)),
-                    math.fsum(w * v[nu].imag for w, v in zip(weights, values)))
-            for nu in (0, 1)))
-    return tuple(rows[::-1])
-
-
 # at x < 2 the first term left out, t^14 / 14!^2, is below 2e-22
 _SERIES = _series_coefficients(14)
-_CHEBYSHEV = _chebyshev_coefficients(27)
 
 
 def _hankel1_01(x: float) -> tuple[complex, complex]:
@@ -122,19 +99,38 @@ def _hankel1_01(x: float) -> tuple[complex, complex]:
         return (complex(j0, 2.0 / math.pi * (log_term * j0 + y0)),
                 complex(j1, 2.0 / math.pi * (log_term * j1 - 0.25 * x * y1)
                         - 2.0 / (math.pi * x)))
-    # Clenshaw's recurrence, b_j = 2u b_{j+1} - b_{j+2} + c_j
-    u = 2.0 * _SERIES_EDGE / x - 1.0
-    u2 = u + u
-    b0 = b1 = c0 = c1 = 0j
-    for a0, a1 in _CHEBYSHEV[:-1]:
-        b0, c0 = u2 * b0 - c0 + a0, b0
-        b1, c1 = u2 * b1 - c1 + a1, b1
-    a0, a1 = _CHEBYSHEV[-1]
-    pq0, pq1 = (u * b0 - c0 + a0) + 1.0, (u * b1 - c1 + a1) + 1.0
+    d0, d1 = _hankel_integral(x)
     # sqrt(2/(pi x)) e^{i(x - pi/4)} from cos and sin of the exact x
     e = complex(math.cos(x), math.sin(x)) * (1.0 - 1.0j) * (_RSQRT_PI / math.sqrt(x))
-    h0, h1 = pq0 * e, pq1 * e
+    h0, h1 = (1.0 + d0) * e, (1.0 + d1) * e
     return h0, complex(h1.imag, -h1.real)    # H_1 carries e^{-i pi/2}
+
+
+def _steed_p0(x: float) -> complex:
+    """p_0 = x H^(1)'_0(x) / H^(1)_0(x) at x >= _SERIES_EDGE from Steed's CF2
+    (Barnett et al., Comput. Phys. Commun. 8, 377, 1974): -1/2 + i x + i t,
+    t = a_1/(b_1 + a_2/(b_2 + ...)), a_k = (k - 1/2)^2, b_k = 2(x + k i),
+    summed backward from N = 85/x + 3 terms (its tail, about exp(-4 sqrt(x N)),
+    is then below 2^-53) on v = t/2 = u - i w, in real arithmetic, so that 2x
+    never overflows."""
+    u = w = 0.0
+    for k in range(int(85.0 / x) + 3, 0, -1):    # v <- (a_k/4) / (b_k/2 + v)
+        dr = x + u
+        di = k - w
+        h = 0.5 * k - 0.25
+        s = h * h / (dr * dr + di * di)
+        u = s * dr
+        w = s * di
+    return complex(-0.5 + 2.0 * w, x + 2.0 * u)
+
+
+def _check_orders(name: str, m_max: int) -> int:
+    """m_max as a Python int; DomainError unless it is an int or numpy integer
+    >= 0 (a bool is not).  type() first: isinstance against numbers.Integral
+    costs about 1 us a call."""
+    if not ((type(m_max) is int or isinstance(m_max, np.integer)) and m_max >= 0):
+        raise DomainError(f"{name}: need an integer m_max >= 0, got {m_max!r}")
+    return int(m_max)
 
 
 def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
@@ -144,6 +140,7 @@ def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     (Abramowitz & Stegun 9.1.27) from H_{-1} = -H_1, so H'_0 = -H_1 exactly;
     H'_m = (H_{m-1} - H_{m+1}) / 2; nan from the first order that overflows.
     """
+    m_max = _check_orders("hankel1_all_orders", m_max)
     x = float(x)    # numpy scalars would make each step slower and warn
     if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"hankel1_all_orders: need x > 0, got {x}")
@@ -162,13 +159,18 @@ def hankel1_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
 
 def hankel1_log_derivative(m_max: int, x: float) -> np.ndarray:
     """p_m = x H^(1)'_m(x) / H^(1)_m(x) for m = 0..m_max at real x > 0:
-    p_0 = -x H_1 / H_0 from ``_hankel1_01``, then p_{m+1} = x^2 / (m - p_m)
-    - (m + 1).  RangeError where H_1(x) overflows (x below about 3.5e-309)."""
+    p_0 from Steed's fraction (``_steed_p0``) at x >= 2, and -x H_1 / H_0
+    from the power series below, then p_{m+1} = x^2 / (m - p_m) - (m + 1).
+    RangeError where H_1(x) overflows (x below about 3.5e-309)."""
+    m_max = _check_orders("hankel1_log_derivative", m_max)
     x = float(x)
     if x <= 0.0 or not math.isfinite(x):
         raise DomainError(f"hankel1_log_derivative: need x > 0, got {x}")
-    h0, h1 = _hankel1_01(x)
-    p = -x * h1 / h0
+    if x >= _SERIES_EDGE:
+        p = _steed_p0(x)
+    else:
+        h0, h1 = _hankel1_01(x)
+        p = -x * h1 / h0
     if not cmath.isfinite(p):
         raise RangeError(f"hankel1_log_derivative: H_1(x) overflows at x = {x}")
     x2 = x * x
@@ -196,6 +198,7 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     even when J_m(z) itself would overflow (|Im z| large), which is exactly why the scattering
     code works with D rather than with J_m(n*k*a) directly.
     """
+    m_max = _check_orders("bessel_j_log_derivative", m_max)
     z = complex(z)
     if z == 0:
         raise DomainError("bessel_j_log_derivative: z must be nonzero")
@@ -248,6 +251,7 @@ def bessel_j_all_orders(m_max: int, x: float) -> tuple[np.ndarray, np.ndarray]:
     Y = Im H and W = J_m Y'_m - J'_m Y_m = 2/(pi x) (A&S 9.1.16), J_m =
     W / (Y'_m - D_m Y_m), both parts divided by max(|Y_m|, 1) so that none
     overflows, and 0.0 where H_m does; J'_m = (J_{m-1} - J_{m+1}) / 2."""
+    m_max = _check_orders("bessel_j_all_orders", m_max)
     h, hp = hankel1_all_orders(m_max + 1, x)    # DomainError unless x > 0
     d = bessel_j_log_derivative(x, m_max + 1).real
     s = np.maximum(np.abs(h.imag), 1.0)    # nan where H overflowed

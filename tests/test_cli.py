@@ -79,6 +79,23 @@ def test_usage_errors(capsys):
     assert "--i-unpolarized" in err
 
 
+@pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["none", "unknown"])
+def test_missing_or_unknown_command_is_a_usage_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("wirepol: error:")
+
+
+def test_log_spacing_needs_lo_above_0(capsys, tmp_path):
+    path = tmp_path / "s.csv"
+    rc, _, err = run(capsys, "sweep", "--variable", "radius", "--lo", "0", "--hi", "2",
+                     "--points", "3", "--spacing", "log", "--wavelength-um", "0.5",
+                     "-o", str(path))
+    assert rc == 1
+    assert "log spacing requires lo > 0" in err
+    assert not path.exists()
+
+
 def test_io_error_exit_code(capsys):
     rc, _, err = run(capsys, "sweep", "--variable", "radius", "--lo", "0.1",
                      "--hi", "1", "--points", "3", "--wavelength-um", "0.5",
@@ -194,6 +211,14 @@ def test_compare_malformed_file(capsys, tmp_path):
     assert "bad.csv:1" in err
 
 
+def test_compare_value_that_is_no_number(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 0.2 x\n")
+    rc, out, err = run(capsys, "compare", "--measurements", str(path))
+    assert rc == 1 and out == ""
+    assert f"{path}:1: could not convert" in err
+
+
 def test_polsim_noiseless(capsys):
     rc, out, _ = run(capsys, "polsim", "--p-true", "0.208")
     assert rc == 0
@@ -234,6 +259,16 @@ def test_polsim_monte_carlo_spread(capsys):
         errors.append(float(parse_kv(out)["p_extracted"]) - p_true)
     rms = math.sqrt(np.mean(np.asarray(errors) ** 2))
     assert rms <= 0.003
+
+
+def test_polsim_warns_where_a_fitted_phase_is_off_the_polarizer(capsys):
+    rc, out, err = run(capsys, "polsim", "--p-true", "0.2", "--noise-rms", "0.3",
+                       "--seed", "3")
+    assert rc == 0 and "p_extracted" in out
+    lines = err.splitlines()
+    assert len(lines) == 2
+    for scan, line in zip("AB", lines):
+        assert line.startswith(f"warning: scan {scan} phase off the polarizer setting")
 
 
 def test_config_file(capsys, tmp_path):
@@ -286,6 +321,22 @@ def test_material_db_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WIREPOL_MATERIAL_DB", str(tmp_path / "missing.json"))
     rc, _, err = run(capsys, "material", "list")
     assert rc == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "not valid JSON"),
+    ('{"records": []}', "contains no records"),
+    ('{"records": [5]}', "record 0: expected an object"),
+    ('{"records": [{"element": "W", "bound_terms": [], "free_terms": []}]}',
+     "record 0: missing field 'temperature_K'"),
+], ids=["not-json", "no-records", "record-not-object", "no-temperature"])
+def test_material_list_refuses_a_bad_database(capsys, tmp_path, text, message):
+    path = tmp_path / "db.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "material", "list", "--material-db", str(path))
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("wirepol: ")
+    assert message in err
 
 
 def test_extrapolation_warning(capsys):

@@ -22,13 +22,17 @@ import wirepol, wirepol.cli
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
-# a None entry in sys.modules makes every import of scipy raise ImportError
+# a None entry in sys.modules makes every import of scipy raise ImportError;
+# bessel_j_all_orders at x = 3 takes Hankel's integral, which no command reaches
 WITHOUT_SCIPY = f"""\
-import sys
+import math, sys
 sys.modules["scipy"] = None
 import wirepol, wirepol.cli
 from wirepol.special_functions import bessel_j_all_orders
 {CLI_RUNS}
+j, jp = bessel_j_all_orders(2, 3.0)
+print(j.tolist(), jp.tolist())
+assert all(map(math.isfinite, [*j, *jp]))
 print(bessel_j_all_orders(2, 1.5)[0].tolist())
 """
 

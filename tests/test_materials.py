@@ -12,6 +12,8 @@ from scipy import constants
 from wirepol.errors import DomainError, MaterialDataError, RangeError
 from wirepol.materials import (
     FITTED_RANGE_UM,
+    BoundTerm,
+    FreeTerm,
     load_database,
     model_for_temperature,
     permittivity,
@@ -143,6 +145,14 @@ def test_env_var_override(tmp_path, monkeypatch, db):
     small = load_database()
     assert len(small) == 1
     assert len(bundled) > 1
+
+
+@pytest.mark.parametrize("make", [lambda: BoundTerm(math.nan, 1, 1),
+                                  lambda: FreeTerm(1, math.inf)],
+                         ids=["bound-nan-K0", "free-inf-lambda_r"])
+def test_term_built_with_a_non_finite_parameter_is_a_data_error(make):
+    with pytest.raises(MaterialDataError):
+        make()
 
 
 def test_unknown_field_rejected(tmp_path):

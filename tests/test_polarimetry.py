@@ -150,6 +150,19 @@ def test_fit_of_huge_intensities_is_finite():
     assert math.isfinite(fit.residual_rms) and fit.residual_rms > 0
 
 
+def test_fit_whose_residual_rms_overflows_is_a_range_error():
+    # +-1e308 in turn: A and F stay finite, the rms of 36 residuals does not
+    angles = np.arange(0.0, 180.0, 5.0)
+    scan = PolarimeterScan(angles, 1e308 * (-1.0) ** np.arange(angles.size), 5.0)
+    with pytest.raises(RangeError, match="residual rms"):
+        fit_cos_squared(scan)
+
+
+def test_polarizer_angle_must_be_finite():
+    with pytest.raises(DomainError, match="polarizer angle"):
+        simulate_scan(SourceModel(1.0, 1.0), polarizer_angle_deg=math.nan)
+
+
 def test_short_scan_not_identifiable():
     source = SourceModel(0.5, 0.5)
     scan = simulate_scan(source, span_deg=45.0)

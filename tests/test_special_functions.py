@@ -220,13 +220,47 @@ def _hankel_01_grid():
 
 
 def test_hankel_01_matches_oracle():
-    # relative to |H|, which has no zeros: within 1e-15 in every regime
+    # relative to |H|, which has no zeros: within 1e-15 in every regime.
+    # p_0 = x H'_0 / H_0 = -x H_1 / H_0 from the same oracle values: from
+    # x = 2 (Steed's fraction) each part on its own, as Re p_0 ~ -1/2 is
+    # small beside |p_0| ~ x; Re p_0 < 0, since |H_0| falls with x
     worst = 0.0
+    worst_p = {"below": 0.0, "above": 0.0, "re": 0.0, "im": 0.0}
     for x in _hankel_01_grid():
+        h = [mpmath.hankel1(nu, mpmath.mpf(x)) for nu in (0, 1)]
         for nu, got in enumerate(sf._hankel1_01(x)):
-            want = complex(mpmath.hankel1(nu, mpmath.mpf(x)))
+            want = complex(h[nu])
             worst = max(worst, abs(got - want) / abs(want))
+        want = -x * h[1] / h[0]
+        got = hankel1_log_derivative(0, x)[0]
+        err = float(abs(got - want) / abs(want))
+        if x < sf._SERIES_EDGE:
+            worst_p["below"] = max(worst_p["below"], err)
+            continue
+        worst_p["above"] = max(worst_p["above"], err)
+        worst_p["re"] = max(worst_p["re"], float(abs(got.real - want.real) / -want.real))
+        worst_p["im"] = max(worst_p["im"], float(abs(got.imag - want.imag) / want.imag))
     assert worst <= 1e-15
+    assert worst_p["below"] <= 1e-15, worst_p
+    assert worst_p["above"] <= 3e-16 and worst_p["im"] <= 3e-16, worst_p
+    assert worst_p["re"] <= 5e-15, worst_p
+
+
+@pytest.mark.parametrize("function", [
+    hankel1_all_orders, hankel1_log_derivative, bessel_j_all_orders,
+    lambda m_max, x: bessel_j_log_derivative(x, m_max),
+], ids=["hankel1_all_orders", "hankel1_log_derivative", "bessel_j_all_orders",
+        "bessel_j_log_derivative"])
+def test_order_count_must_be_an_integer_from_0(function):
+    # a negative count used to return order 0 alone or fail untyped, a bool
+    # ran as 0 or 1, and a float failed inside range()
+    for m_max in (-1, -3, True, False, 2.0, 2.5, 1 + 1j, np.float64(2.0), None):
+        with pytest.raises(DomainError, match="integer m_max >= 0"):
+            function(m_max, 3.0)
+    for m_max in (0, 2, np.int64(2), np.uint8(2)):
+        values = function(m_max, 3.0)
+        block = values[0] if isinstance(values, tuple) else values
+        assert len(block) == m_max + 1
 
 
 def test_hankel_01_at_tiny_x_is_finite_without_warning():
@@ -444,6 +478,11 @@ def test_hankel_log_derivative_matches_oracle(x):
         want = x * (h[0] - h[2]) / 2 / h[1]
         assert abs(p[m] - complex(want)) <= 1e-14 * abs(want)
         assert abs(p[m].imag - float(want.imag)) <= 1e-13 * want.imag + 1e-300
+
+
+def test_log_derivative_at_z_0_is_a_domain_error():
+    with pytest.raises(DomainError, match="z must be nonzero"):
+        bessel_j_log_derivative(0j, 3)
 
 
 def test_hankel_log_derivative_domain():
