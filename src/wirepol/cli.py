@@ -104,16 +104,16 @@ def _parse_band(text) -> BandFilter:
         raise _UsageError(f"bad band {text!r} (expected lo:hi in microns): {exc}")
 
 
-# Attributes of a parsed ``point`` or ``sweep`` that choose nothing it
-# evaluates; --threads is accepted and ignored.
-NOT_CHOICES = frozenset(("command", "func", "_argv", "output", "config",
-                         "material_db", "include_tentative", "threads"))
+# Attributes of a parsed command that choose nothing it computes, by
+# dest; --threads is accepted and ignored.
+NOT_CHOICES = frozenset(("command", "func", "_argv", "output", "config", "threads"))
 
 
 def _given(args) -> dict:
     """The choice flags given on the command line or in --config, by dest.
-    Each kind of evaluation pops the ones it reads, and ``_reject_unread``
-    refuses the rest, so a kind takes exactly the flags it uses."""
+    Every command pops the ones it reads, the database flags first, with
+    their defaults, and ``_reject_unread`` refuses the rest, so each kind
+    of command takes exactly the flags it uses."""
     return {dest: value for dest, value in vars(args).items()
             if value is not None and dest not in NOT_CHOICES}
 
@@ -169,13 +169,13 @@ class _Evaluator:
     wavelength (``spectrum`` in micron) or Planck-averaged over a band
     (``spectrum`` a BandFilter) and returns its output columns by name,
     plus ``radius_um`` and ``model_temperature_K``.  The temperature picks
-    the material model and, for a band, the Planck weight.  The material
-    database is loaded once, when the evaluator is made.
+    the material model and, for a band, the Planck weight.  Making it pops
+    the database flags from ``given`` and loads the database, once.
     """
 
-    def __init__(self, args):
-        self._db = load_database(args.material_db)
-        self._tentative = args.include_tentative
+    def __init__(self, given: dict):
+        self._db = load_database(given.pop("material_db", None))
+        self._tentative = given.pop("include_tentative", False)
 
     def model(self, temp_k):
         return model_for_temperature(self._db, float(temp_k), self._tentative)
@@ -201,11 +201,11 @@ class _Evaluator:
 
 def _cmd_point(args) -> int:
     given = _given(args)
+    evaluate = _Evaluator(given)
     radius = _radius_from(given)
     dest, spectrum = _take(given, "wavelength_um", "band")
     temp_k = given.pop("temp_k", 2400.0)
     _reject_unread(f"point {_flag(dest)}", given)
-    evaluate = _Evaluator(args)
     _warn_outside_fit(spectrum)
     values = evaluate(radius, spectrum, temp_k)
     for key in BAND_COLUMNS if dest == "band" else LINE_COLUMNS:
@@ -299,9 +299,9 @@ def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
 
 def _cmd_sweep(args) -> int:
     given = _given(args)
+    evaluate = _Evaluator(given)
     how, name = _take(given, "preset", "variable")
-    meta, header, grid, values_at, spectra = _sweep_table(name, given,
-                                                          _Evaluator(args))
+    meta, header, grid, values_at, spectra = _sweep_table(name, given, evaluate)
     _reject_unread(f"sweep {_flag(how)} {name}", given)
     _warn_outside_fit(*spectra)
     rows = []
@@ -339,17 +339,19 @@ def _read_measurements(path):
 
 
 def _cmd_compare(args) -> int:
-    measurements = (_read_measurements(args.measurements)
-                    if args.measurements else list(DEFAULT_MEASUREMENTS))
-    evaluate = _Evaluator(args)
-    model = evaluate.model(args.temp_k)
-    _warn_outside_fit(args.band)
+    given = _given(args)    # it reads every flag it has, so it refuses none
+    evaluate = _Evaluator(given)
+    path = given.pop("measurements", None)
+    measurements = _read_measurements(path) if path else list(DEFAULT_MEASUREMENTS)
+    temp_k, band = given.pop("temp_k", 2400.0), given.pop("band", COMPUTED_BAND)
+    model = evaluate.model(temp_k)
+    _warn_outside_fit(band)
     header = ["diameter_um", "p_measured", "error", "p_computed", "deviation_sigma"]
     # every row is computed before anything is printed or written, so a
     # numerical failure leaves no partial table behind
     rows = []
     for diameter, p_meas, err in measurements:
-        p_avg = evaluate(diameter / 2.0, args.band, args.temp_k)["p_avg"]
+        p_avg = evaluate(diameter / 2.0, band, temp_k)["p_avg"]
         rows.append((diameter, p_meas, err, p_avg, abs(p_meas - p_avg) / err))
     for row in [header, *rows]:
         print(",".join(_fmt(v) for v in row))
@@ -362,33 +364,31 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------- polsim
 
 def _cmd_polsim(args) -> int:
-    if args.p_true is not None:
-        if args.i_unpolarized is not None:
-            raise _UsageError("--i-unpolarized goes with --i-polarized, not --p-true")
-        if not (0.0 <= args.p_true <= 1.0):
-            raise _UsageError("--p-true must be in [0, 1]")
-        source = SourceModel(args.p_true, 1.0 - args.p_true,
-                             args.axis_deg, args.background)
-    else:
-        source = SourceModel(args.i_polarized,
-                             1.0 if args.i_unpolarized is None else args.i_unpolarized,
-                             args.axis_deg, args.background)
+    given = _given(args)
+    dest, level = _take(given, "p_true", "i_polarized")
+    i_unpolarized = 1.0 - level if dest == "p_true" else given.pop("i_unpolarized", 1.0)
+    axis_deg, background = given.pop("axis_deg", 30.0), given.pop("background", 0.0)
+    step_deg, noise_rms = given.pop("step_deg", 0.5), given.pop("noise_rms", 0.0)
+    seed, prefix = given.pop("seed", 0), given.pop("output_prefix", None)
+    _reject_unread(f"polsim {_flag(dest)}", given)
+    if dest == "p_true" and not 0.0 <= level <= 1.0:
+        raise _UsageError("--p-true must be in [0, 1]")
+    source = SourceModel(level, i_unpolarized, axis_deg, background)
 
     def scan(seed_offset, **polarizer):
-        return simulate_scan(source, step_deg=args.step_deg, noise_rms=args.noise_rms,
-                             seed=args.seed + seed_offset, **polarizer)
+        return simulate_scan(source, step_deg=step_deg, noise_rms=noise_rms,
+                             seed=seed + seed_offset, **polarizer)
 
     step1 = scan(0)
     theta_star = fit_cos_squared(step1).phase_deg
     scan_a = scan(1, polarizer_angle_deg=theta_star)
     scan_b = scan(2, polarizer_angle_deg=theta_star + 90.0)
     result = extract_polarization(scan_a, scan_b, theta_star_deg=theta_star)
-    if args.output_prefix:
-        write_scan(f"{args.output_prefix}.step1.dat", step1,
-                   header="analyzer-only scan")
-        write_scan(f"{args.output_prefix}.step2a.dat", scan_a,
+    if prefix:
+        write_scan(f"{prefix}.step1.dat", step1, header="analyzer-only scan")
+        write_scan(f"{prefix}.step2a.dat", scan_a,
                    header=f"polarizer at {theta_star!r} deg")
-        write_scan(f"{args.output_prefix}.step2b.dat", scan_b,
+        write_scan(f"{prefix}.step2b.dat", scan_b,
                    header=f"polarizer at {theta_star + 90.0!r} deg")
     print(f"p_true = {_fmt(source.polarization)}")
     print(f"p_extracted = {_fmt(result.p)}")
@@ -403,18 +403,16 @@ def _cmd_polsim(args) -> int:
 # -------------------------------------------------------------- material
 
 def _cmd_material(args) -> int:
-    # list reads neither --temp-k nor --include-tentative (False unless given)
     given = _given(args)
-    if args.include_tentative:
-        given["include_tentative"] = True
     if given.pop("action") == "list":
+        # list reads neither --temp-k nor --include-tentative
+        records = load_database(given.pop("material_db", None))
         _reject_unread("material list", given)
-        for rec in load_database(args.material_db):
+        for rec in records:
             print(f"{rec.element} {rec.temperature_k:g} K  "
                   f"({len(rec.bound_terms)} bound, {len(rec.free_terms)} free terms)")
         return 0
-    model = model_for_temperature(load_database(args.material_db),
-                                  given.pop("temp_k", 2400.0), args.include_tentative)
+    model = _Evaluator(given).model(given.pop("temp_k", 2400.0))
     print(f"element = {model.element}")
     print(f"temperature_K = {_fmt(model.temperature_k)}")
     for t in model.bound_terms:
@@ -438,7 +436,7 @@ def _add_material(parser):
     parser.add_argument("--material-db", type=_path,
                         help="material database path (default: bundled table, "
                              "or WIREPOL_MATERIAL_DB)")
-    parser.add_argument("--include-tentative", action="store_true",
+    parser.add_argument("--include-tentative", action="store_true", default=None,
                         help="include conduction terms whose relaxation "
                              "wavelength is only an upper bound")
 
@@ -481,23 +479,22 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compare", help="computed vs measured band averages")
     p.add_argument("--measurements", type=_path,
                    help="CSV of diameter_um, p, error (default: bundled set)")
-    p.add_argument("--temp-k", type=float, default=2400.0)
-    p.add_argument("--band", type=_parse_band, default=COMPUTED_BAND,
+    p.add_argument("--temp-k", type=float)
+    p.add_argument("--band", type=_parse_band,
                    help="lo:hi in microns (default 0.5:0.75)")
     p.add_argument("-o", "--output", type=_path)
     _add_material(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("polsim", help="simulate the two-step polarimeter protocol")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--p-true", type=float)
-    group.add_argument("--i-polarized", type=float)
-    p.add_argument("--i-unpolarized", type=float)
-    p.add_argument("--axis-deg", type=float, default=30.0)
-    p.add_argument("--background", type=float, default=0.0)
-    p.add_argument("--noise-rms", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step-deg", type=float, default=0.5)
+    p.add_argument("--p-true", type=float, help="in [0, 1]; this or --i-polarized is required")
+    p.add_argument("--i-polarized", type=float)
+    p.add_argument("--i-unpolarized", type=float, help="with --i-polarized only")
+    p.add_argument("--axis-deg", type=float)
+    p.add_argument("--background", type=float)
+    p.add_argument("--noise-rms", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--step-deg", type=float)
     p.add_argument("-o", "--output-prefix", type=_path)
     p.set_defaults(func=_cmd_polsim)
 

@@ -161,7 +161,8 @@ def hankel1_log_derivative(m_max: int, x: float) -> np.ndarray:
     """p_m = x H^(1)'_m(x) / H^(1)_m(x) for m = 0..m_max at real x > 0:
     p_0 from Steed's fraction (``_steed_p0``) at x >= 2, and -x H_1 / H_0
     from the power series below, then p_{m+1} = x^2 / (m - p_m) - (m + 1).
-    RangeError where H_1(x) overflows (x below about 3.5e-309)."""
+    RangeError where H_1(x) overflows (x below about 3.5e-309), or where
+    m_max >= 1 and x^2 does (x above about 1.34e154)."""
     m_max = _check_orders("hankel1_log_derivative", m_max)
     x = float(x)
     if x <= 0.0 or not math.isfinite(x):
@@ -174,6 +175,8 @@ def hankel1_log_derivative(m_max: int, x: float) -> np.ndarray:
     if not cmath.isfinite(p):
         raise RangeError(f"hankel1_log_derivative: H_1(x) overflows at x = {x}")
     x2 = x * x
+    if m_max and x2 == math.inf:
+        raise RangeError(f"hankel1_log_derivative: x^2 overflows at x = {x}")
     values = [p]
     append = values.append
     for m in range(m_max):    # Python complex, as in hankel1_all_orders

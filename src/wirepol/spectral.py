@@ -180,13 +180,15 @@ def wire_emissivities(a_um: float, model: DrudePermittivityModel,
             for lam in wavelengths_um]
 
 
-def _band_integrals(temperature_k, band, emissivity_fn, xg, wg):
+def _band_integrals(a_um, temperature_k, band, model, xg, wg):
     """The two emissivity integrals on the rule (xg, wg) with the Planck
     weight divided by its largest node value, and the log of that value."""
     half = 0.5 * (band.lambda_hi_um - band.lambda_lo_um)
     lam = band.lambda_lo_um + (xg + 1.0) * half
-    # the hook first: a band out of the kernel's range fails there
-    e_te, e_tm = emissivity_fn(lam)
+    # the emissivities first, on Python floats: a band out of the kernel's
+    # range fails there
+    e_te, e_tm = np.array([(pair.e_te, pair.e_tm)
+                           for pair in wire_emissivities(a_um, model, lam.tolist())]).T
     log_e = _log_emittance(lam, temperature_k)
     peak = log_e.max()
     if peak == -math.inf:
@@ -197,16 +199,12 @@ def _band_integrals(temperature_k, band, emissivity_fn, xg, wg):
 
 def band_averaged_polarization(a_um: float, temperature_k: float,
                                band: BandFilter,
-                               model: DrudePermittivityModel,
-                               emissivity_fn=None) -> BandAveragedResult:
+                               model: DrudePermittivityModel) -> BandAveragedResult:
     """Band-averaged linear polarization of a wire of radius ``a_um``.
 
     ``temperature_k`` sets the Planck weight; the optical response comes
     from ``model`` (usually, but not necessarily, at the same
-    temperature).  ``emissivity_fn(lambda_um) -> (e_te, e_tm)`` may
-    replace the partial-wave emissivities, mainly for testing: it takes
-    the array of quadrature wavelengths and returns the emissivities at
-    each, as two arrays or as scalars that broadcast.
+    temperature), through ``wire_emissivities`` at each quadrature node.
 
     The node count is the first that ``settle`` accepts; raises
     ConvergenceError if the rule of MAX_NODES has not settled.
@@ -214,12 +212,8 @@ def band_averaged_polarization(a_um: float, temperature_k: float,
     if not (0 < a_um < math.inf and 0 < temperature_k < math.inf):
         raise DomainError("radius and temperature must be finite and > 0, "
                           f"got {a_um}, {temperature_k}")
-    if emissivity_fn is None:
-        def emissivity_fn(lam):
-            return np.array([(pair.e_te, pair.e_tm)
-                             for pair in wire_emissivities(a_um, model, lam.tolist())]).T
     p, (e_te, e_tm, log_scale), nodes, est = settle(
-        functools.partial(_band_integrals, temperature_k, band, emissivity_fn))
+        functools.partial(_band_integrals, a_um, temperature_k, band, model))
     scale = math.exp(log_scale) if log_scale <= _LOG_MAX else math.inf
     e_te_bar, e_tm_bar = e_te * scale, e_tm * scale
     if not (e_te_bar < math.inf and e_tm_bar < math.inf):

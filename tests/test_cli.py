@@ -672,11 +672,46 @@ GRID = ("--lo", "0.5", "--hi", "0.6", "--points", "2")
     (("point", "--radius-um", "1", "--band", "0.5:0.75", "--nodes", "64"), "--nodes"),
     (("point", "--radius-um", "1", "--diameter-um", "2", "--band", "0.5:0.75"),
      "--diameter-um"),
+    # --p-true fixes the unpolarized intensity at 1 - p, and of two sources
+    # --p-true is read; the text after --config is the file's
+    (("polsim", "--p-true", "0.2", "--i-unpolarized", "5"),
+     "polsim --p-true does not take --i-unpolarized"),
+    (("polsim", "--p-true", "0.2", "--i-polarized", "1"),
+     "polsim --p-true does not take --i-polarized"),
+    (("polsim", "--p-true", "0.2", "--config", "i-unpolarized = 5\n"),
+     "polsim --p-true does not take --i-unpolarized"),
+    (("polsim", "--i-polarized", "1", "--config", "p-true = 0.2\n"),
+     "polsim --p-true does not take --i-polarized"),
 ], ids=("figure1-temp-k", "radius-radius-um", "wavelength-band",
         "radius-band", "temperature-wavelength-um", "point-nodes-5000",
-        "point-nodes-16", "point-band-nodes-64", "point-diameter-um"))
+        "point-nodes-16", "point-band-nodes-64", "point-diameter-um",
+        "polsim-p-true-i-unpolarized", "polsim-p-true-i-polarized",
+        "polsim-config-i-unpolarized", "polsim-config-p-true"))
 def test_kind_rejects_flags_it_does_not_read(capsys, tmp_path, argv, flag):
+    if "--config" in argv:
+        at = argv.index("--config") + 1
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(argv[at])
+        argv = (*argv[:at], str(cfg), *argv[at + 1:])
     refuses_unread_flag(capsys, tmp_path, argv, flag)
+
+
+@pytest.mark.parametrize("argv", [
+    ("point", "--radius-um", "1", "--diameter-um", "2", "--wavelength-um", "0.5"),
+    ("sweep", "--preset", "table2", "--temp-k", "1600"),
+    ("material", "list", "--temp-k", "300"),
+], ids=("point", "sweep", "material-list"))
+def test_database_is_read_before_the_flags(capsys, tmp_path, argv):
+    # one order of checks for every command: an unreadable database ends
+    # the run before an unread flag is refused
+    path = tmp_path / "t.csv"
+    if argv[0] == "sweep":
+        argv = (*argv, "-o", str(path))
+    rc, out, err = run(capsys, *argv, "--material-db", str(tmp_path / "missing.json"))
+    assert rc == 3
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("wirepol: i/o error: ") and "missing.json" in err
+    assert not path.exists()
 
 
 def test_config_values_count_as_given(capsys, tmp_path):
@@ -842,7 +877,7 @@ def test_config_fills_a_required_exclusive_group(capsys, tmp_path):
     rc, out, err = run(capsys, "polsim", "--config", str(cfg))
     assert rc == 0, err
     assert out == run(capsys, "polsim", "--p-true", "0.2")[1]
-    # a flag from the same group on the command line conflicts with it
+    # a second source on the command line is a flag the kind does not read
     rc, out, err = run(capsys, "polsim", "--config", str(cfg), "--i-polarized", "1")
     assert rc == 1
     assert out == "" and err.startswith("wirepol: error: ")

@@ -1,5 +1,6 @@
-"""One domain contract for every numeric function of ``wirepol.__all__``
-and for the textbook Fresnel oracle of ``tests/oracles.py``:
+"""One domain contract for every numeric function of ``wirepol.__all__``,
+for ``special_functions.hankel1_log_derivative`` and for the textbook
+Fresnel oracle of ``tests/oracles.py``:
 every argument is drawn from the whole double range (subnormals, +-0,
 +-inf, nan, and complex numbers built from them), and each call gives a
 finite, admissible value or raises a WirepolError.  pytest turns every
@@ -8,6 +9,8 @@ warning into an error, so none may escape either."""
 import cmath
 import math
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +36,8 @@ from wirepol import (
     thick_wire_polarization,
     vacuum_model,
 )
+from wirepol import spectral
+from wirepol.special_functions import hankel1_log_derivative
 
 from oracles import fresnel_coefficients
 
@@ -217,9 +222,9 @@ def test_band_filter(lo, hi):
     assert band is None or 0 < band.lambda_lo_um < band.lambda_hi_um < math.inf
 
 
-def _flat_emissivities(lam):
+def _flat_emissivities(a_um, model, wavelengths_um):
     # e_TE = 2 e_TM at every node, so P = 1/3 whatever the weights
-    return np.full(lam.shape, 1.0), np.full(lam.shape, 0.5)
+    return [SimpleNamespace(e_te=1.0, e_tm=0.5) for _ in wavelengths_um]
 
 
 @EXAMPLES
@@ -230,8 +235,10 @@ def test_band_averaged_polarization(tungsten, a_um, temperature_k, lo, hi):
     band = _value_or_typed_error(BandFilter, lo, hi)
     if band is None:
         return
-    res = _value_or_typed_error(band_averaged_polarization, a_um, temperature_k, band,
-                                tungsten, emissivity_fn=_flat_emissivities)
+    # a function-scoped fixture would not reset between hypothesis examples
+    with mock.patch.object(spectral, "wire_emissivities", _flat_emissivities):
+        res = _value_or_typed_error(band_averaged_polarization, a_um, temperature_k,
+                                    band, tungsten)
     if res is None:
         return
     assert res.quadrature_nodes == 64    # P = 1/3 on every rule
@@ -264,6 +271,18 @@ def test_refraction_index(eps):
 def test_emissivity_pair_refraction_index(n):
     pair = _value_or_typed_error(emissivity_pair, 1.0, 1.0, n)
     assert pair is None or (0 <= pair.e_te < math.inf and 0 <= pair.e_tm < math.inf)
+
+
+@EXAMPLES
+@given(st.integers(0, 300), DOUBLES)
+@example(2, 1e200)    # inf + inf i and nan + nan i: x^2 overflowed in the step
+@example(0, 1e200)    # p_0 alone, from Steed's fraction
+def test_hankel1_log_derivative(m_max, x):
+    p = _value_or_typed_error(hankel1_log_derivative, m_max, x)
+    if p is None:
+        return
+    # Im p_m = 2 / (pi |H_m|^2) >= 0, underflowing where H_m overflows
+    assert p.shape == (m_max + 1,) and np.isfinite(p).all() and (p.imag >= 0).all()
 
 
 @EXAMPLES

@@ -493,6 +493,10 @@ def test_hankel_log_derivative_domain():
     with pytest.raises(RangeError, match="overflows"):
         hankel1_log_derivative(3, 1e-310)
     assert hankel1_log_derivative(0, 1e-300).shape == (1,)
+    # x^2 passes the double range above x ~ 1.34e154; p_0 alone does not need it
+    with pytest.raises(RangeError, match=r"x\^2 overflows"):
+        hankel1_log_derivative(2, 1e200)
+    assert hankel1_log_derivative(0, 1e200)[0] == complex(-0.5, 1e200)
 
 
 def test_hankel_block_keeps_order_0_where_order_1_overflows():

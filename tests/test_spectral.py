@@ -1,6 +1,7 @@
 """Planck spectrum and band-averaged polarization."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -103,12 +104,25 @@ def model():
     return model_for_temperature(load_database(), 2400.0)
 
 
-def test_constant_integrand_is_exact(model):
+@pytest.fixture
+def emissivities(monkeypatch):
+    """``emissivities(fn)`` gives the band ``fn(lambda_um) -> (e_te, e_tm)``
+    in place of the kernel's: it takes the array of quadrature wavelengths
+    and returns two arrays, or scalars that broadcast, over it."""
+    def stand_in(fn):
+        def wire_emissivities(a_um, model, wavelengths_um):
+            lam = np.array(wavelengths_um)
+            e_te, e_tm = np.broadcast_arrays(*fn(lam), lam)[:2]
+            return [SimpleNamespace(e_te=te, e_tm=tm) for te, tm in zip(e_te, e_tm)]
+        monkeypatch.setattr(spectral, "wire_emissivities", wire_emissivities)
+    return stand_in
+
+
+def test_constant_integrand_is_exact(model, emissivities):
     # with wavelength-independent emissivities the Planck weight cancels
     # and the band average reduces to (e1 - e2) / (e1 + e2)
-    res = band_averaged_polarization(
-        1.0, 2400.0, COMPUTED_BAND, model,
-        emissivity_fn=lambda lam: (0.3, 0.7))
+    emissivities(lambda lam: (0.3, 0.7))
+    res = band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model)
     assert res.p_avg == pytest.approx((0.3 - 0.7) / (0.3 + 0.7), rel=1e-13)
 
 
@@ -126,16 +140,9 @@ def test_band_average_is_bracketed(model):
     assert min(p_mono) - 1e-6 <= res.p_avg <= max(p_mono) + 1e-6
 
 
-def _wire(a_um, model):
-    def emissivities(lam):
-        return np.array([(pair.e_te, pair.e_tm)
-                         for pair in spectral.wire_emissivities(a_um, model, lam.tolist())]).T
-    return emissivities
-
-
 def _fixed_rule_polarization(a_um, temperature_k, band, model, nodes):
     # P of the band on the one Gauss-Legendre rule of ``nodes`` nodes
-    integrals = spectral._band_integrals(temperature_k, band, _wire(a_um, model),
+    integrals = spectral._band_integrals(a_um, temperature_k, band, model,
                                          *gauss_legendre(nodes))
     return polarization_of(*integrals[:2])
 
@@ -178,7 +185,7 @@ def test_degenerate_band_average():
         band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, vacuum_model())
 
 
-def test_quadrature_failure_reported(model):
+def test_quadrature_failure_reported(model, emissivities):
     # an adversarial discontinuous integrand defeats every rule up to the
     # largest and must raise rather than return silently
     rng = np.random.default_rng(3)
@@ -189,9 +196,9 @@ def test_quadrature_failure_reported(model):
         v = rng.random(lam.shape)
         return (v, 1.0 - v)
 
+    emissivities(rough)
     with pytest.raises(ConvergenceError) as failure:
-        band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model,
-                                   emissivity_fn=rough)
+        band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, model)
     assert rules == [64, 128, 256, 512, 1024]
     assert failure.value.nodes == spectral.MAX_NODES == 512
 
@@ -204,11 +211,11 @@ def test_band_where_every_planck_weight_underflows(model):
     assert res.e_te_bar == res.e_tm_bar == 0.0
 
 
-def test_weights_scaled_to_the_peak_keep_the_units(model):
+def test_weights_scaled_to_the_peak_keep_the_units(model, emissivities):
     # e_bar is the integral of E e over the band, whatever the scaling
     band = BandFilter(0.5, 0.75)
-    res = band_averaged_polarization(
-        1.0, 2400.0, band, model, emissivity_fn=lambda lam: (0.3, 0.7))
+    emissivities(lambda lam: (0.3, 0.7))
+    res = band_averaged_polarization(1.0, 2400.0, band, model)
     total, _ = integrate.quad(lambda lam: planck_radiance(lam, 2400.0), 0.5, 0.75)
     assert res.e_te_bar == pytest.approx(0.3 * total, rel=1e-13)
     assert res.e_tm_bar == pytest.approx(0.7 * total, rel=1e-13)
@@ -225,10 +232,10 @@ def _refuse(lam):
 
 NON_FINITE_INPUTS = {
     **{f"band_T={t}": lambda model, t=t: band_averaged_polarization(
-        1.0, t, COMPUTED_BAND, model, emissivity_fn=_refuse)
+        1.0, t, COMPUTED_BAND, model)
        for t in (0.0, -300.0, math.inf, math.nan)},
     **{f"band_a={a}": lambda model, a=a: band_averaged_polarization(
-        a, 2400.0, COMPUTED_BAND, model, emissivity_fn=_refuse)
+        a, 2400.0, COMPUTED_BAND, model)
        for a in (math.inf, math.nan)},
     **{f"planck{args}": lambda model, args=args: planck_radiance(*args)
        for args in ((math.nan, 2400.0), (0.5, math.nan), (math.inf, 2400.0),
@@ -241,9 +248,10 @@ NON_FINITE_INPUTS = {
 
 
 @pytest.mark.parametrize("call", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS)
-def test_non_finite_or_out_of_range_input_is_a_domain_error(model, call):
+def test_non_finite_or_out_of_range_input_is_a_domain_error(model, emissivities, call):
     # a typed error before any node is evaluated, not a traceback, a
     # numpy warning or a nan
+    emissivities(_refuse)
     with pytest.raises(DomainError):
         call(model)
 
