@@ -36,7 +36,6 @@ from .spectral import (
     BandAveragedResult,
     BandFilter,
     COMPUTED_BAND,
-    MEASURED_BAND,
     band_averaged_polarization,
     planck_radiance,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "DrudePermittivityModel",
     "FreeTerm",
     "IdentifiabilityError",
-    "MEASURED_BAND",
     "MaterialDataError",
     "PolarimeterScan",
     "PolarizationExtraction",

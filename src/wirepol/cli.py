@@ -404,15 +404,15 @@ def _cmd_polsim(args) -> int:
 
 def _cmd_material(args) -> int:
     given = _given(args)
+    records = load_database(given.pop("material_db", None))
     if given.pop("action") == "list":
-        # list reads neither --temp-k nor --include-tentative
-        records = load_database(given.pop("material_db", None))
         _reject_unread("material list", given)
         for rec in records:
             print(f"{rec.element} {rec.temperature_k:g} K  "
                   f"({len(rec.bound_terms)} bound, {len(rec.free_terms)} free terms)")
         return 0
-    model = _Evaluator(given).model(given.pop("temp_k", 2400.0))
+    model = model_for_temperature(records, float(given.pop("temp_k", 2400.0)))
+    _reject_unread("material show", given)    # it tags each tentative term itself
     print(f"element = {model.element}")
     print(f"temperature_K = {_fmt(model.temperature_k)}")
     for t in model.bound_terms:
@@ -434,8 +434,7 @@ def _cmd_material(args) -> int:
 def _add_material(parser):
     # the database flags, for the subcommands that load one
     parser.add_argument("--material-db", type=_path,
-                        help="material database path (default: bundled table, "
-                             "or WIREPOL_MATERIAL_DB)")
+                        help="material database path (default: bundled table)")
     parser.add_argument("--include-tentative", action="store_true", default=None,
                         help="include conduction terms whose relaxation "
                              "wavelength is only an upper bound")

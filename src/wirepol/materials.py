@@ -30,7 +30,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -40,8 +39,6 @@ from .errors import DomainError, MaterialDataError, RangeError
 # Wavelength range of the underlying tungsten reflectance measurements.
 # The fit is analytic and may be evaluated outside it, at reduced trust.
 FITTED_RANGE_UM = (0.365, 2.65)
-
-ENV_DATABASE_PATH = "WIREPOL_MATERIAL_DB"
 
 _TEMPERATURE_HARD_RANGE = (250.0, 3400.0)
 
@@ -200,14 +197,8 @@ def _parse_record(raw, index: int) -> DrudePermittivityModel:
 
 
 def load_database(path: str | None = None) -> tuple[DrudePermittivityModel, ...]:
-    """The records of a material database, one model per temperature, in
-    file order.
-
-    Resolution order: explicit ``path`` argument, the WIREPOL_MATERIAL_DB
-    environment variable, then the bundled tungsten table.
-    """
-    if path is None:
-        path = os.environ.get(ENV_DATABASE_PATH) or None
+    """The records of the material database at ``path``, or of the bundled
+    tungsten table, one model per temperature, in file order."""
     if path is None:
         text = resources.files(__package__).joinpath("data/tungsten.json").read_text()
     else:

@@ -74,10 +74,10 @@ class SourceModel:
 
 @dataclass(frozen=True)
 class PolarimeterScan:
-    """(analyzer angle, detector intensity) samples from one rotation."""
+    """(analyzer angle, detector intensity) samples at finite, strictly
+    increasing angles; the angles alone say how the rotation was stepped."""
     angles_deg: np.ndarray
     intensities: np.ndarray
-    step_deg: float
 
     def __post_init__(self):
         angles = np.asarray(self.angles_deg, dtype=float)
@@ -86,9 +86,8 @@ class PolarimeterScan:
         object.__setattr__(self, "intensities", intens)
         if angles.ndim != 1 or angles.shape != intens.shape or not angles.size:
             raise DomainError("scan needs matching non-empty 1-d angle and intensity arrays")
-        if not (np.isfinite(angles).all() and np.isfinite(intens).all()
-                and 0 < self.step_deg < math.inf):
-            raise DomainError("scan needs finite angles and intensities and a finite step > 0")
+        if not (np.isfinite(angles).all() and np.isfinite(intens).all()):
+            raise DomainError("scan needs finite angles and intensities")
         if not np.all(angles[1:] > angles[:-1]):
             raise DomainError("scan angles must be strictly increasing")
 
@@ -119,9 +118,9 @@ class PolarizationExtraction:
 
 
 def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = None,
-                  step_deg: float = 0.5, span_deg: float = 360.0,
-                  noise_rms: float = 0.0, seed: int = 0) -> PolarimeterScan:
-    """Synthesize one analyzer rotation.
+                  step_deg: float = 0.5, noise_rms: float = 0.0,
+                  seed: int = 0) -> PolarimeterScan:
+    """Synthesize one analyzer rotation, a full turn from 0 deg in ``step_deg`` steps.
 
     ``polarizer_angle_deg = None`` is the analyzer-only step 1; a number
     inserts an ideal fixed polarizer at that angle (step 2).  Noise is
@@ -130,11 +129,8 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
     """
     if not 0 < step_deg < math.inf:
         raise DomainError(f"step must be finite and > 0, got {step_deg}")
-    if not span_deg > 0:
-        raise DomainError(f"span must be > 0, got {span_deg}")
-    if not span_deg / step_deg <= MAX_SAMPLES:
-        raise DomainError(f"a {span_deg:g} deg span in {step_deg:g} deg steps "
-                          f"exceeds {MAX_SAMPLES} samples")
+    if not 360.0 / step_deg <= MAX_SAMPLES:
+        raise DomainError(f"a 360 deg span in {step_deg:g} deg steps exceeds {MAX_SAMPLES} samples")
     if not 0 <= noise_rms < math.inf:
         raise DomainError(f"noise rms must be finite and >= 0, got {noise_rms}")
     if polarizer_angle_deg is not None and not math.isfinite(polarizer_angle_deg):
@@ -145,7 +141,7 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
     if not (source.i_polarized + 0.5 * source.i_unpolarized + source.ir_background
             + 10.0 * noise_rms) < math.inf:    # the largest intensity, noise at 10 rms
         raise RangeError(f"simulated intensities overflow: {source}, noise rms {noise_rms:g}")
-    theta = np.arange(0.0, span_deg, step_deg)
+    theta = np.arange(0.0, 360.0, step_deg)
     axis = math.radians(source.polarization_axis_deg)
     th = np.radians(theta)
     if polarizer_angle_deg is None:
@@ -159,7 +155,7 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
     if noise_rms > 0:
         rng = np.random.default_rng(seed)
         intensity = intensity + rng.normal(0.0, noise_rms, size=theta.shape)
-    return PolarimeterScan(theta, intensity, step_deg)
+    return PolarimeterScan(theta, intensity)
 
 
 def fit_cos_squared(scan: PolarimeterScan) -> CosineSquaredFit:

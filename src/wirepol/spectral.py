@@ -77,8 +77,6 @@ class BandFilter:
 
 # The filter band used for the bundled comparison tables.
 COMPUTED_BAND = BandFilter(0.5, 0.75)
-# Nominal passband of the physical filter stack (450-750 nm).
-MEASURED_BAND = BandFilter(0.45, 0.75)
 
 
 @dataclass(frozen=True)

@@ -317,10 +317,16 @@ def test_material_show_and_list(capsys):
     assert rc == 0 and parse_kv(out)["temperature_K"] == "2400.0"
 
 
-def test_material_db_env_override(capsys, tmp_path, monkeypatch):
+def test_environment_changes_no_output(capsys, tmp_path, monkeypatch):
+    # a run's bytes follow from its command line and the files it names:
+    # a database named only by the environment is not read
+    commands = [("point", "--radius-um", "1", "--wavelength-um", "0.5"),
+                ("point", "--diameter-um", "17", "--band", "0.5:0.75"),
+                ("material", "list"), ("compare",)]
+    without = [run(capsys, *argv) for argv in commands]
+    assert all(rc == 0 for rc, _, _ in without)
     monkeypatch.setenv("WIREPOL_MATERIAL_DB", str(tmp_path / "missing.json"))
-    rc, _, err = run(capsys, "material", "list")
-    assert rc == 3
+    assert [run(capsys, *argv) for argv in commands] == without
 
 
 @pytest.mark.parametrize("text, message", [
@@ -700,7 +706,8 @@ def test_kind_rejects_flags_it_does_not_read(capsys, tmp_path, argv, flag):
     ("point", "--radius-um", "1", "--diameter-um", "2", "--wavelength-um", "0.5"),
     ("sweep", "--preset", "table2", "--temp-k", "1600"),
     ("material", "list", "--temp-k", "300"),
-], ids=("point", "sweep", "material-list"))
+    ("material", "show", "--include-tentative"),
+], ids=("point", "sweep", "material-list", "material-show"))
 def test_database_is_read_before_the_flags(capsys, tmp_path, argv):
     # one order of checks for every command: an unreadable database ends
     # the run before an unread flag is refused
@@ -737,22 +744,30 @@ def test_config_key_nodes_is_ignored(capsys, tmp_path):
     assert out == run(capsys, *point)[1]
 
 
-@pytest.mark.parametrize("flags, config, named", [
-    (("--temp-k", "300"), "", "--temp-k"),
-    (("--include-tentative",), "", "--include-tentative"),
-    (("--temp-k", "300", "--include-tentative"), "", "--include-tentative"),
-    ((), "temp-k = 300\n", "--temp-k"),
-    ((), "include-tentative = true\n", "--include-tentative"),
+@pytest.mark.parametrize("action, flags, config, named", [
+    ("list", ("--temp-k", "300"), "", "--temp-k"),
+    ("list", ("--include-tentative",), "", "--include-tentative"),
+    ("list", ("--temp-k", "300", "--include-tentative"), "", "--include-tentative"),
+    ("list", (), "temp-k = 300\n", "--temp-k"),
+    ("list", (), "include-tentative = true\n", "--include-tentative"),
+    # show prints every term with its tentative tag, so the flag would
+    # change nothing
+    ("show", ("--temp-k", "300", "--include-tentative"), "", "--include-tentative"),
+    ("show", ("--temp-k", "300"), "include-tentative = true\n", "--include-tentative"),
 ], ids=("temp-k", "include-tentative", "both", "config-temp-k",
-        "config-include-tentative"))
-def test_material_list_refuses_show_flags(capsys, tmp_path, flags, config, named):
+        "config-include-tentative", "show-include-tentative",
+        "show-config-include-tentative"))
+def test_material_list_refuses_show_flags(capsys, tmp_path, action, flags, config, named):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(config)
     refuses_unread_flag(capsys, tmp_path,
-                        ("material", "list", *flags, "--config", str(cfg)), named)
-    # show reads both
-    rc, _, err = run(capsys, "material", "show", *flags, "--config", str(cfg))
-    assert rc == 0 and err == ""
+                        ("material", action, *flags, "--config", str(cfg)), named)
+    # show reads --temp-k, from the command line or from --config
+    cfg.write_text("temp-k = 300\n")
+    for argv in (("--temp-k", "300"), ("--config", str(cfg))):
+        rc, out, err = run(capsys, "material", "show", *argv)
+        assert rc == 0 and err == ""
+        assert parse_kv(out)["temperature_K"] == "298.0"
 
 
 @pytest.mark.parametrize("argv, outside", [

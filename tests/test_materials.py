@@ -133,18 +133,11 @@ def test_temperature_out_of_range(db):
         model_for_temperature(db, 5000.0)
 
 
-def test_env_var_override(tmp_path, monkeypatch, db):
-    path = tmp_path / "alt.json"
-    bundled = load_database()
-    # rewrite the bundled database with only the room-temperature record
-    import importlib.resources as res
-    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
-    raw["records"] = [r for r in raw["records"] if r["temperature_K"] == 298]
-    path.write_text(json.dumps(raw))
-    monkeypatch.setenv("WIREPOL_MATERIAL_DB", str(path))
-    small = load_database()
-    assert len(small) == 1
-    assert len(bundled) > 1
+def test_environment_does_not_choose_the_database(tmp_path, monkeypatch, db):
+    # only the path argument names a database; the environment is not
+    # read, so no output depends on it
+    monkeypatch.setenv("WIREPOL_MATERIAL_DB", str(tmp_path / "missing.json"))
+    assert load_database() == db
 
 
 @pytest.mark.parametrize("make", [lambda: BoundTerm(math.nan, 1, 1),
@@ -252,7 +245,6 @@ def test_copy_of_the_package_reads_its_own_table(tmp_path, monkeypatch,
     raw = json.loads(table.read_text())
     raw["records"] = [r for r in raw["records"] if r["temperature_K"] == 298]
     table.write_text(json.dumps(raw))
-    monkeypatch.delenv("WIREPOL_MATERIAL_DB", raising=False)
     if not wirepol_importable:
         for name in [m for m in sys.modules if m.partition(".")[0] == "wirepol"]:
             monkeypatch.setitem(sys.modules, name, None)

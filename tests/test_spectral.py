@@ -15,7 +15,6 @@ from wirepol.scattering import polarization_of
 from wirepol.spectral import (
     BandFilter,
     COMPUTED_BAND,
-    MEASURED_BAND,
     band_averaged_polarization,
     gauss_legendre,
     planck_radiance,
@@ -96,7 +95,6 @@ def test_band_filter_validation():
     for lo, hi in ((0.5, math.inf), (math.nan, 0.75), (0.5, math.nan)):
         with pytest.raises(DomainError):
             BandFilter(lo, hi)
-    assert MEASURED_BAND.lambda_lo_um == 0.45
 
 
 @pytest.fixture(scope="module")
