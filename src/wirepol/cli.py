@@ -411,8 +411,8 @@ def _cmd_material(args) -> int:
             print(f"{rec.element} {rec.temperature_k:g} K  "
                   f"({len(rec.bound_terms)} bound, {len(rec.free_terms)} free terms)")
         return 0
+    # show reads every flag it has, so it refuses none
     model = model_for_temperature(records, float(given.pop("temp_k", 2400.0)))
-    _reject_unread("material show", given)    # it tags each tentative term itself
     print(f"element = {model.element}")
     print(f"temperature_K = {_fmt(model.temperature_k)}")
     for t in model.bound_terms:
@@ -431,13 +431,14 @@ def _cmd_material(args) -> int:
 
 # ----------------------------------------------------------------- main
 
-def _add_material(parser):
-    # the database flags, for the subcommands that load one
+def _add_material(parser, tentative=True):
+    # the database flags; material tags tentative terms itself, so no switch
     parser.add_argument("--material-db", type=_path,
                         help="material database path (default: bundled table)")
-    parser.add_argument("--include-tentative", action="store_true", default=None,
-                        help="include conduction terms whose relaxation "
-                             "wavelength is only an upper bound")
+    if tentative:
+        parser.add_argument("--include-tentative", action="store_true", default=None,
+                            help="include conduction terms whose relaxation "
+                                 "wavelength is only an upper bound")
 
 
 def _add_wire(parser):
@@ -500,7 +501,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("material", help="inspect the material database")
     p.add_argument("action", choices=("list", "show"))
     p.add_argument("--temp-k", type=float, help="with show only (default 2400)")
-    _add_material(p)
+    _add_material(p, tentative=False)
     p.set_defaults(func=_cmd_material)
 
     for p in sub.choices.values():
@@ -512,8 +513,9 @@ def build_parser() -> _Parser:
 def _with_config(parser, argv) -> list:
     """``argv`` with the ``key = value`` lines of its --config file as tokens
     after the subcommand, so argparse checks them like flags and a flag on
-    the command line, coming later, wins.  Keys that name no option, or
-    --help, are ignored."""
+    the command line, coming later, wins.  A key names an option of the
+    subcommand other than --config and --help, which belong to the command
+    line; any other key is a usage error, like an unknown flag."""
     if not argv or argv[0] not in parser.commands:
         return argv
     # argparse finds the path, so a flag after --config is a missing value
@@ -523,14 +525,15 @@ def _with_config(parser, argv) -> list:
     if path is None:
         return argv
     options = {action.dest: action for action in parser.commands[argv[0]]._actions
-               if action.option_strings and action.default is not argparse.SUPPRESS}
+               if action.option_strings and action.dest not in ("help", "config")}
     settings = {}  # option -> its last value in the file
     for lineno, text in _lines(path):
-        key, sep, value = text.partition("=")
+        key, sep, value = map(str.strip, text.partition("="))
         if not sep:
             raise _UsageError(f"{path}:{lineno}: expected key = value")
-        if action := options.get(key.strip().replace("-", "_")):
-            settings[action] = value.strip()
+        if not (action := options.get(key.replace("-", "_"))):
+            raise _UsageError(f"{path}:{lineno}: {argv[0]} has no option --{key}")
+        settings[action] = value
     # --key=value stays one token if value starts with '-'; a switch read as
     # true is a bare --key, and one read as false is left out
     tokens = [action.option_strings[-1] + ("" if action.nargs == 0 else f"={value}")

@@ -147,10 +147,9 @@ def emissivity_pair(k: float, a: float, n: complex) -> PolarizedEmissivity:
     """
     _check_inputs(k, a, n)
     terms = _emissivity_terms(k, a, n)
-    # fold T_{-m} = T_m: term 0 once (halving 2 * term 0 is exact), the
-    # others twice; math.fsum rounds the exact sum once, whatever the order
-    e_te, e_tm = (math.fsum([0.5 * row[0], *row[1:]])
-                  for row in (2.0 * terms).tolist())
+    # fold T_{-m} = T_m: term 0 once, the others twice; math.fsum rounds
+    # the exact sum once, whatever the order
+    e_te, e_tm = (math.fsum(row + row[1:]) for row in terms.tolist())
     total = e_te + e_tm
     est = float(terms[:, -3:].max()) / total if total > 0 else 0.0
     if est > sys.float_info.epsilon:

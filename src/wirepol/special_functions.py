@@ -191,11 +191,13 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     r_k = J_{k-1}(z) / J_k(z) at k = m_max + 1 is the continued fraction
     r_k = 2k/z - 1 / r_{k+1}, summed by modified Lentz (Appl. Opt. 15, 668,
     1976) to machine precision; it converges once k passes |z|, at real z
-    near k = |z| + 7.3 |z|^(1/3), far sooner where Im z is large.  It
-    raises ConvergenceError if it has not converged in _FRACTION_TERMS
-    terms (|z| beyond about 10^6 with little absorption; at once beyond
-    |z| ~ 1e12), and RangeError if 2k/z nears overflow (|z| below about
-    1e-306).  From D_k = r_k - k/z the recurrence D_{m-1} = (m - 1)/z -
+    near k = |z| + 7.3 |z|^(1/3), far sooner where Im z is large.  It stops
+    once its steps' log-gains reach about 36 (-ln epsilon): step k gains at
+    most 2k/|z|, all those below k = |z| at most 2|Im z|.  If these bounds
+    keep _FRACTION_TERMS steps below 24, it raises ConvergenceError at once
+    (|z| beyond about 6e10, or 10^6 with |Im z| < 12), as it does after
+    _FRACTION_TERMS terms; RangeError if 2k/z nears overflow (|z| < 1e-306).
+    From D_k = r_k - k/z the recurrence D_{m-1} = (m - 1)/z -
     1 / (D_m + m/z), stable downward, runs k steps to D_0; DomainError if
     it meets a real zero of J_m, where D_m has a pole.  The ratio stays O(1)
     even when J_m(z) itself would overflow (|Im z| large), which is exactly why the scattering
@@ -207,11 +209,12 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
         raise DomainError("bessel_j_log_derivative: z must be nonzero")
     if not cmath.isfinite(z):
         raise DomainError("bessel_j_log_derivative: non-finite argument")
-    if not abs(z.real) + abs(z.imag) <= 1e12:    # needs >= 6 |z|^(1/2) terms
+    n, top, re, im = _FRACTION_TERMS, m_max + 1, abs(z.real), abs(z.imag)
+    # |Re z| + |Im z| <= 2^(1/2) |z| and 17 * 2^(1/2) > 24; int n * (...) is exact
+    if (re + im) * 17.0 > n * (n + 2 * top) or re > top + n and im < 12.0:
         raise ConvergenceError("continued fraction for J_m / J_(m+1) cannot converge "
                                f"in {_FRACTION_TERMS} terms", order=m_max, nka=z)
     zi = 1.0 / z    # plain Python complex: each step multiplies
-    top = m_max + 1
     if not 2 * top + 2 < 2.0 ** 1020 * abs(z):    # 2k/z, with room for later steps
         raise RangeError(f"bessel_j_log_derivative: 2(m_max + 2)/z overflows at z = {z}")
     r = c = 2 * top * zi

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -497,16 +499,20 @@ def test_threads_spellings_leave_output_unchanged(capsys, tmp_path, spelling):
         == flagged.read_bytes()
 
 
-@pytest.mark.parametrize("key", ["func", "command", "help", "no_such_option"])
+# a key that names no option of the command is refused like the flag: a
+# misspelled --temp-k would leave the 2400 K model in place, --config and
+# --help belong to the command line, and no kind takes --nodes, as the
+# band's rule settles by itself
+@pytest.mark.parametrize("key", ["func", "command", "help", "no_such_option",
+                                 "temperature", "config", "", "nodes"],
+                         ids=lambda key: key or "no-key")
 def test_config_key_that_is_no_option(capsys, tmp_path, key):
     cfg = tmp_path / "cfg"
-    cfg.write_text(f"{key} = x\n")
-    point = ["point", "--radius-um", "0.02", "--wavelength-um", "0.5"]
+    cfg.write_text(f"# a comment\n{key} = 16\n")
+    point = ["point", "--radius-um", "1", "--wavelength-um", "0.5"]
     rc, out, err = run(capsys, *point, "--config", str(cfg))
-    assert rc in (0, 1)
-    assert "Traceback" not in err
-    if rc == 0:
-        assert out == run(capsys, *point)[1]
+    assert rc == 1 and out == ""
+    assert err == f"wirepol: error: {cfg}:2: point has no option --{key}\n"
 
 
 def test_convergence_error_context_in_message(capsys, monkeypatch):
@@ -594,6 +600,25 @@ def test_vacuum_wire_at_a_zero_of_j0_is_degenerate(capsys, tmp_path):
     assert rc == 2
     assert out == ""
     assert err.startswith("wirepol: ") and err.count("\n") == 1
+
+
+def test_nearly_lossless_interior_is_refused_at_once(capsys, tmp_path):
+    # a bound term of K0 = 1e14 leaves the interior nearly lossless, |nx| ~
+    # 1.3e8 with Im(nx) ~ 2e-5: D's fraction took 0.45 s to exhaust its
+    # bound before exit 2, and is now refused before its first step
+    import importlib.resources as res
+    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
+    for record in raw["records"]:
+        record["bound_terms"].append({"K0": 1e14, "lambda_s": 0.1, "delta": 1e-12})
+    db = tmp_path / "clear.json"
+    db.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "point", "--radius-um", "1", "--wavelength-um", "0.5",
+                       "--material-db", str(db))
+    assert time.perf_counter() - start < 0.02
+    assert rc == 2 and out == ""
+    assert err.startswith("wirepol: continued fraction") and err.count("\n") == 1
+    assert "cannot converge" in err
 
 
 def test_figure4_preset(capsys, tmp_path):
@@ -706,8 +731,7 @@ def test_kind_rejects_flags_it_does_not_read(capsys, tmp_path, argv, flag):
     ("point", "--radius-um", "1", "--diameter-um", "2", "--wavelength-um", "0.5"),
     ("sweep", "--preset", "table2", "--temp-k", "1600"),
     ("material", "list", "--temp-k", "300"),
-    ("material", "show", "--include-tentative"),
-], ids=("point", "sweep", "material-list", "material-show"))
+], ids=("point", "sweep", "material-list"))
 def test_database_is_read_before_the_flags(capsys, tmp_path, argv):
     # one order of checks for every command: an unreadable database ends
     # the run before an unread flag is refused
@@ -733,15 +757,15 @@ def test_config_values_count_as_given(capsys, tmp_path):
     assert out == run(capsys, "point", "--diameter-um", "17", "--band", "0.5:0.75")[1]
 
 
-def test_config_key_nodes_is_ignored(capsys, tmp_path):
-    # nodes names no option: the band's rule settles by itself
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("nodes = 16\n")
-    point = ("point", "--diameter-um", "17", "--band", "0.5:0.75")
-    rc, out, err = run(capsys, *point, "--config", str(cfg))
-    assert rc == 0 and err == ""
-    assert parse_kv(out)["quadrature_nodes"] == "64"
-    assert out == run(capsys, *point)[1]
+@pytest.mark.parametrize("command", ["point", "sweep", "compare", "material"])
+def test_only_the_evaluating_commands_take_include_tentative(capsys, command):
+    # material show tags each tentative term and list prints none, so
+    # material has no --include-tentative to refuse
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and "--material-db" in out
+    assert ("--include-tentative" in out) == (command != "material")
 
 
 @pytest.mark.parametrize("action, flags, config, named", [

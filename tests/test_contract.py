@@ -135,8 +135,10 @@ def material_argv(draw):
 ARGV = (point_argv() | sweep_argv() | compare_argv() | polsim_argv()
         | material_argv())
 
-# config lines besides the moved flags: keys that name no option (ignored),
-# a line without '=', an empty value, switches and a missing database
+# config lines besides the moved flags: keys that name no option (refused,
+# like an unknown flag), a line without '=', an empty value, a comment, a
+# switch set true or to 'maybe' (read as false; material has no such
+# option) and a missing database
 CONFIG_LINES = ("colour = red", "nodes-per-band = 3", "points", "= 3",
                 "temp-k =", "# only a comment", "include-tentative = true",
                 "include-tentative = maybe", "material-db = missing.json")

@@ -3,6 +3,7 @@ series oracle (mpmath) and the classical identities."""
 
 import cmath
 import math
+import sys
 import time
 import types
 import warnings
@@ -428,9 +429,64 @@ def test_log_derivative_gives_up_with_typed_error(monkeypatch):
 
 def test_log_derivative_of_huge_nearly_lossless_argument_is_refused():
     # the fraction converges only past k = |z|: at |z| = 1e7 that was
-    # 6.7 s; the fixed bound on its length ends it within about 0.5 s
-    with pytest.raises(ConvergenceError, match="did not converge"):
+    # 6.7 s, then 0.45 s to exhaust the bound on its length; its steps
+    # below k = |z| gain at most 2 |Im z| = 2, so it is refused at once
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="cannot converge"):
         bessel_j_log_derivative(1e7 + 1j, 3)
+    assert time.perf_counter() - start < 0.02
+
+
+@pytest.mark.parametrize("n", (2e6 + 1e-3j, 1e11 + 1e11j))
+def test_emissivity_beyond_the_reach_of_the_fraction_is_refused_at_once(n):
+    # at x = 1 each of these took 0.43-0.46 s to exhaust the fraction: a
+    # nearly lossless interior and one on the diagonal far beyond |z| ~ 3e10
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="cannot converge"):
+        emissivity_pair(1.0, 1.0, n)
+    assert time.perf_counter() - start < 0.02
+
+
+def _fraction_terms(z, m_max, cap):
+    """Steps of bessel_j_log_derivative's Lentz loop to converge, or None."""
+    zi, top = 1.0 / z, m_max + 1
+    c, d = 2 * top * zi, 0j
+    for step, k2 in enumerate(range(2 * top + 2, 2 * (top + cap) + 2, 2), 1):
+        b = k2 * zi
+        d = 1.0 / ((b - d) or 1e-300)
+        c = (b - 1.0 / c) or 1e-300
+        if abs(c * d - 1.0) < sys.float_info.epsilon:
+            return step
+    return None
+
+
+def test_log_derivative_refuses_only_what_its_fraction_cannot_finish(monkeypatch):
+    # with the bound on the fraction's length cut to 10^4 terms, the
+    # refusal at once applies from |z| ~ 1e4 (nearly real) and ~ 6e6 (any
+    # argument) on: every z of the grid whose fraction converges within
+    # the bound keeps its D bit for bit, and every other is refused
+    cap = 10 ** 4
+    grid = [(mag * cmath.exp(1j * math.radians(deg)), m_max)
+            for mag in (1e3, 1.2e4, 1e5, 2e6, 3e6, 7e6)
+            for deg in (1e-4, 0.01, 1.0, 45.0, 80.0, 90.0)
+            for m_max in (0, 20, 3000)]
+    grid += [(complex(1.2e4, im), 20) for im in (10.0, 11.9, 13.0, 17.5)]
+    full = {}
+    for z, m_max in grid:
+        if _fraction_terms(z, m_max, cap) is not None:
+            full[z, m_max] = bessel_j_log_derivative(z, m_max)
+    assert 0 < len(full) < len(grid)
+    monkeypatch.setattr(sf, "_FRACTION_TERMS", cap)
+    refusals = []
+    for z, m_max in grid:
+        if (z, m_max) in full:
+            assert np.array_equal(bessel_j_log_derivative(z, m_max), full[z, m_max])
+        else:
+            with pytest.raises(ConvergenceError) as exc:
+                bessel_j_log_derivative(z, m_max)
+            refusals.append("cannot converge" in str(exc.value))
+    # both ways out occur: refused at once, and after the fraction's bound
+    assert set(refusals) == {True, False}
 
 
 @pytest.mark.parametrize("z", (1e12 + 1e12j, 1e150j, -1e300 + 1.0, 1.7e308 + 1.7e308j))
