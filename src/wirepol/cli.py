@@ -412,7 +412,8 @@ def _cmd_material(args) -> int:
                   f"({len(rec.bound_terms)} bound, {len(rec.free_terms)} free terms)")
         return 0
     # show reads every flag it has, so it refuses none
-    model = model_for_temperature(records, float(given.pop("temp_k", 2400.0)))
+    model = model_for_temperature(records, float(given.pop("temp_k", 2400.0)),
+                                  include_tentative=True)
     print(f"element = {model.element}")
     print(f"temperature_K = {_fmt(model.temperature_k)}")
     for t in model.bound_terms:
@@ -558,12 +559,7 @@ def main(argv=None) -> int:
         print(f"wirepol: error: {exc}", file=sys.stderr)
         return 1
     except WirepolError as exc:
-        # a ConvergenceError carries the geometry or node count it failed at
-        context = ", ".join(f"{name}={getattr(exc, name)}"
-                            for name in ("order", "ka", "nka", "nodes")
-                            if getattr(exc, name, None) is not None)
-        print(f"wirepol: {exc}" + (f" ({context})" if context else ""),
-              file=sys.stderr)
+        print(f"wirepol: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"wirepol: i/o error: {exc}", file=sys.stderr)

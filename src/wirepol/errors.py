@@ -14,18 +14,8 @@ class RangeError(WirepolError, ValueError):
 
 
 class ConvergenceError(WirepolError, RuntimeError):
-    """A series or quadrature failed to meet its error target.
-
-    Carries enough context (order, size parameter, complex argument) for
-    sweep drivers to report which geometry failed.
-    """
-
-    def __init__(self, message, *, order=None, ka=None, nka=None, nodes=None):
-        super().__init__(message)
-        self.order = order
-        self.ka = ka
-        self.nka = nka
-        self.nodes = nodes
+    """A series or quadrature failed to meet its error target; its message
+    ends with where, as in "(order=57, ka=1.5, nka=(1e8+1j))" or "(nodes=512)"."""
 
 
 class DegenerateInputError(WirepolError, ValueError):

@@ -19,10 +19,10 @@ The tungsten parameter table (fit to reflectance data measured between
 ``load_database`` reads it as a tuple of models, one per temperature, and
 ``model_for_temperature`` picks one.  Some free-electron relaxation
 wavelengths in that table are known only as an upper bound; such terms
-carry ``tentative=True`` and are excluded from the permittivity sum
-unless the model is built with ``include_tentative=True``.  Their
-conductivity still counts toward ``dc_conductivity`` (at dc every
-conduction channel contributes regardless of its relaxation wavelength).
+carry ``tentative=True``, and ``model_for_temperature`` leaves them out
+unless asked with ``include_tentative=True``.  ``load_database`` checks
+sigma0 against all terms (at dc every conduction channel contributes
+regardless of its relaxation wavelength).
 """
 
 from __future__ import annotations
@@ -79,23 +79,17 @@ class FreeTerm:
 
 @dataclass(frozen=True)
 class DrudePermittivityModel:
-    """Parameter set of the permittivity formula for one temperature."""
+    """The terms that ``permittivity`` sums for one temperature, all of them."""
     element: str
     temperature_k: float
     bound_terms: tuple[BoundTerm, ...]
     free_terms: tuple[FreeTerm, ...]
     sigma0: float | None = None
-    include_tentative: bool = False
     note: str = ""
 
     def dc_conductivity(self) -> float:
         """Sum of all conduction-channel conductivities (the dc limit)."""
         return sum(t.sigma for t in self.free_terms)
-
-    def active_free_terms(self) -> tuple[FreeTerm, ...]:
-        if self.include_tentative:
-            return self.free_terms
-        return tuple(t for t in self.free_terms if not t.tentative)
 
 
 def vacuum_model(temperature_k: float = 300.0) -> DrudePermittivityModel:
@@ -118,7 +112,7 @@ def permittivity(model: DrudePermittivityModel, wavelength_um: float) -> complex
     for t in model.bound_terms:
         ls = t.lambda_s_um * 1e-6
         eps += t.k0 * lam * lam / (lam * lam - ls * ls - 1j * t.delta * ls * lam)
-    for t in model.active_free_terms():
+    for t in model.free_terms:
         lr = t.lambda_r_um * 1e-6
         eps -= lam * lam / _2PI_C_EPS0 * t.sigma / (lr + 1j * lam)
     if not cmath.isfinite(eps):    # lam * lam overflows from about 1e156 um
@@ -227,7 +221,8 @@ def load_database(path: str | None = None) -> tuple[DrudePermittivityModel, ...]
 
 def model_for_temperature(db: tuple[DrudePermittivityModel, ...], temperature_k: float,
                           include_tentative: bool = False) -> DrudePermittivityModel:
-    """Model at the tabulated temperature nearest to ``temperature_k``.
+    """Record at the tabulated temperature nearest to ``temperature_k``,
+    without its tentative free terms unless ``include_tentative``.
 
     No interpolation between columns: the fits are compared against data
     as fixed-temperature curves, and interpolating the parameters would
@@ -239,4 +234,5 @@ def model_for_temperature(db: tuple[DrudePermittivityModel, ...], temperature_k:
         raise RangeError(
             f"temperature {temperature_k} K outside snap range [{lo:g}, {hi:g}] K")
     best = min(db, key=lambda r: abs(r.temperature_k - temperature_k))
-    return replace(best, include_tentative=include_tentative)
+    return best if include_tentative else replace(
+        best, free_terms=tuple(t for t in best.free_terms if not t.tentative))

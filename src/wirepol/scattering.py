@@ -130,8 +130,8 @@ def _emissivity_terms(k: float, a: float, n: complex) -> np.ndarray:
                        * (p.imag / den), 0.0)
     if not np.isfinite(terms).all():
         finite = np.isfinite(terms).all(axis=0)
-        raise ConvergenceError("non-finite partial-wave term",
-                               order=int(np.argmax(~finite)), ka=x, nka=n * x)
+        raise ConvergenceError(f"non-finite partial-wave term (order={int(np.argmax(~finite))}, "
+                               f"ka={x}, nka={n * x})")
     return terms
 
 
@@ -154,8 +154,8 @@ def emissivity_pair(k: float, a: float, n: complex) -> PolarizedEmissivity:
     est = float(terms[:, -3:].max()) / total if total > 0 else 0.0
     if est > sys.float_info.epsilon:
         raise ConvergenceError(
-            f"partial-wave tail {est:g} of the sum exceeds machine epsilon",
-            order=terms.shape[1] - 1, ka=k * a, nka=complex(n) * k * a)
+            f"partial-wave tail {est:g} of the sum exceeds machine epsilon "
+            f"(order={terms.shape[1] - 1}, ka={k * a}, nka={complex(n) * k * a})")
     return PolarizedEmissivity(e_te, e_tm, terms.shape[1], est)
 
 

@@ -193,10 +193,11 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     1976) to machine precision; it converges once k passes |z|, at real z
     near k = |z| + 7.3 |z|^(1/3), far sooner where Im z is large.  It stops
     once its steps' log-gains reach about 36 (-ln epsilon): step k gains at
-    most 2k/|z|, all those below k = |z| at most 2|Im z|.  If these bounds
-    keep _FRACTION_TERMS steps below 24, it raises ConvergenceError at once
-    (|z| beyond about 6e10, or 10^6 with |Im z| < 12), as it does after
-    _FRACTION_TERMS terms; RangeError if 2k/z nears overflow (|z| < 1e-306).
+    most 2k/|z|, all those below k = S|z| (S <= 1) at most 2|Im z| (1 - (1 -
+    S^2)^(1/2)).  If these bounds keep _FRACTION_TERMS steps below 24, it
+    raises ConvergenceError at once (|z| beyond about 6e10, or beyond m_max +
+    10^6 where |Im z| is small against |z|), as it does after _FRACTION_TERMS
+    terms; RangeError if 2k/z nears overflow (|z| < 1e-306).
     From D_k = r_k - k/z the recurrence D_{m-1} = (m - 1)/z -
     1 / (D_m + m/z), stable downward, runs k steps to D_0; DomainError if
     it meets a real zero of J_m, where D_m has a pole.  The ratio stays O(1)
@@ -210,10 +211,12 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
     if not cmath.isfinite(z):
         raise DomainError("bessel_j_log_derivative: non-finite argument")
     n, top, re, im = _FRACTION_TERMS, m_max + 1, abs(z.real), abs(z.imag)
-    # |Re z| + |Im z| <= 2^(1/2) |z| and 17 * 2^(1/2) > 24; int n * (...) is exact
-    if (re + im) * 17.0 > n * (n + 2 * top) or re > top + n and im < 12.0:
+    # |Re z| + |Im z| <= 2^(1/2) |z|, 17 * 2^(1/2) > 24, and past this abs(z) is
+    # finite; 1 - (1 - S^2)^(1/2) = S^2 / (1 + (1 - S^2)^(1/2)), S = (top + n) / |z|
+    if (re + im) * 17.0 > n * (n + 2 * top) or abs(z) > top + n and (
+            im * (s2 := ((top + n) / abs(z)) ** 2) < 12.0 * (1.0 + math.sqrt(1.0 - s2))):
         raise ConvergenceError("continued fraction for J_m / J_(m+1) cannot converge "
-                               f"in {_FRACTION_TERMS} terms", order=m_max, nka=z)
+                               f"in {_FRACTION_TERMS} terms (order={m_max}, nka={z})")
     zi = 1.0 / z    # plain Python complex: each step multiplies
     if not 2 * top + 2 < 2.0 ** 1020 * abs(z):    # 2k/z, with room for later steps
         raise RangeError(f"bessel_j_log_derivative: 2(m_max + 2)/z overflows at z = {z}")
@@ -230,8 +233,7 @@ def bessel_j_log_derivative(z: complex, m_max: int) -> np.ndarray:
             break
     else:
         raise ConvergenceError("continued fraction for J_m / J_(m+1) did not converge "
-                               f"in {_FRACTION_TERMS} terms",
-                               order=m_max, nka=z)
+                               f"in {_FRACTION_TERMS} terms (order={m_max}, nka={z})")
     above = top * zi
     d = r - above
     # a list append is cheaper per step than numpy item assignment; each

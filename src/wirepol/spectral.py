@@ -164,7 +164,7 @@ def settle(evaluate):
             return p, value, nodes, est
         nodes, value, p = 2 * nodes, check, p_check
     raise ConvergenceError(f"quadrature error estimate {est:g} exceeds "
-                           f"tolerance {QUADRATURE_TOLERANCE:g}", nodes=MAX_NODES)
+                           f"tolerance {QUADRATURE_TOLERANCE:g} (nodes={MAX_NODES})")
 
 
 def wire_emissivities(a_um: float, model: DrudePermittivityModel,
@@ -173,9 +173,11 @@ def wire_emissivities(a_um: float, model: DrudePermittivityModel,
     wavelength (micron) of ``wavelengths_um``, with n from ``model``: the
     one path from a wavelength to the kernel's (k, n), for the band's
     nodes and for a single wavelength alike."""
-    return [emissivity_pair(2.0 * math.pi / lam, a_um,
-                            refraction_index(permittivity(model, lam)))
-            for lam in wavelengths_um]
+    pairs = []
+    for lam in wavelengths_um:    # permittivity refuses lam <= 0 before k divides by it
+        n = refraction_index(permittivity(model, lam))
+        pairs.append(emissivity_pair(2.0 * math.pi / lam, a_um, n))
+    return pairs
 
 
 def _band_integrals(a_um, temperature_k, band, model, xg, wg):

@@ -64,8 +64,8 @@ def transition_amplitude(m: int, k: float, a: float,
     t_te = (d * j - n * jp) / (d * h - n * hp)
     t_tm = (jp - n * d * j) / (hp - n * d * h)
     if not (np.isfinite(t_te[0]) and np.isfinite(t_tm[0])):
-        raise ConvergenceError("transition amplitude is not finite",
-                               order=m, ka=x, nka=n * x)
+        raise ConvergenceError("transition amplitude is not finite "
+                               f"(order={m}, ka={x}, nka={n * x})")
     return complex(t_te[0]), complex(t_tm[0])
 
 

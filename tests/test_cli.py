@@ -81,6 +81,16 @@ def test_usage_errors(capsys):
     assert "--i-unpolarized" in err
 
 
+@pytest.mark.parametrize("wavelength", ("0", "-1"))
+def test_wavelength_not_above_zero_is_a_domain_error(capsys, wavelength):
+    # at 0 the wavenumber 2 pi / lambda raised ZeroDivisionError out of main;
+    # permittivity now refuses the wavelength first, as it did -1
+    rc, out, err = run(capsys, "point", "--radius-um", "1", "--wavelength-um", wavelength)
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1] == ("wirepol: permittivity: wavelength must be > 0, "
+                                    f"got {float(wavelength)}")
+
+
 @pytest.mark.parametrize("argv", [[], ["bogus"]], ids=["none", "unknown"])
 def test_missing_or_unknown_command_is_a_usage_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -515,37 +525,44 @@ def test_config_key_that_is_no_option(capsys, tmp_path, key):
     assert err == f"wirepol: error: {cfg}:2: point has no option --{key}\n"
 
 
-def test_convergence_error_context_in_message(capsys, monkeypatch):
-    from wirepol import spectral
-    from wirepol.errors import ConvergenceError
+@pytest.fixture
+def clear_db(tmp_path):
+    """The bundled table with a bound term of K0 = 1e14 added to each
+    record, which leaves the interior nearly lossless."""
+    import importlib.resources as res
+    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
+    for record in raw["records"]:
+        record["bound_terms"].append({"K0": 1e14, "lambda_s": 0.1, "delta": 1e-12})
+    db = tmp_path / "clear.json"
+    db.write_text(json.dumps(raw))
+    return str(db)
 
-    def diverge(k, a, n):
-        raise ConvergenceError("partial-wave sum did not converge",
-                               order=601, ka=12.5, nka=(40 + 3j))
 
-    monkeypatch.setattr(spectral, "emissivity_pair", diverge)
-    rc, out, err = run(capsys, "point", "--radius-um", "1",
-                       "--wavelength-um", "0.5")
-    assert rc == 2
-    assert out == ""
-    assert "partial-wave sum did not converge" in err
-    assert "(order=601, ka=12.5, nka=(40+3j))" in err
-    assert "nodes" not in err
+def test_convergence_error_context_in_message(capsys, clear_db):
+    # the message of the failing call names its order and complex argument
+    rc, out, err = run(capsys, "point", "--radius-um", "1", "--wavelength-um", "0.5",
+                       "--material-db", clear_db)
+    assert rc == 2 and out == ""
+    assert err == ("wirepol: continued fraction for J_m / J_(m+1) cannot converge "
+                   "in 1000000 terms (order=57, "
+                   "nka=(128254983.01618879+2.4406611630950937e-05j))\n")
 
 
 def test_band_convergence_error_reports_nodes(capsys, monkeypatch):
-    from wirepol import cli
-    from wirepol.errors import ConvergenceError
+    # random emissivities at the nodes defeat every rule up to the largest
+    import types
+    from wirepol import spectral
+    rng = np.random.default_rng(3)
 
-    def unsettled(*args, **kwargs):
-        raise ConvergenceError("quadrature error estimate too large",
-                               nodes=512)
+    def rough(a_um, model, wavelengths_um):
+        return [types.SimpleNamespace(e_te=v, e_tm=1.0 - v)
+                for v in rng.random(len(wavelengths_um)).tolist()]
 
-    monkeypatch.setattr(cli, "band_averaged_polarization", unsettled)
-    rc, _, err = run(capsys, "point", "--diameter-um", "17", "--band",
-                     "0.5:0.75")
-    assert rc == 2
-    assert "(nodes=512)" in err
+    monkeypatch.setattr(spectral, "wire_emissivities", rough)
+    rc, out, err = run(capsys, "point", "--diameter-um", "17", "--band", "0.5:0.75")
+    assert rc == 2 and out == ""
+    assert err == ("wirepol: quadrature error estimate 8.27714e-05 exceeds "
+                   "tolerance 1e-06 (nodes=512)\n")
 
 
 def test_wide_band_settles_on_a_larger_rule(capsys):
@@ -602,19 +619,12 @@ def test_vacuum_wire_at_a_zero_of_j0_is_degenerate(capsys, tmp_path):
     assert err.startswith("wirepol: ") and err.count("\n") == 1
 
 
-def test_nearly_lossless_interior_is_refused_at_once(capsys, tmp_path):
-    # a bound term of K0 = 1e14 leaves the interior nearly lossless, |nx| ~
-    # 1.3e8 with Im(nx) ~ 2e-5: D's fraction took 0.45 s to exhaust its
-    # bound before exit 2, and is now refused before its first step
-    import importlib.resources as res
-    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
-    for record in raw["records"]:
-        record["bound_terms"].append({"K0": 1e14, "lambda_s": 0.1, "delta": 1e-12})
-    db = tmp_path / "clear.json"
-    db.write_text(json.dumps(raw))
+def test_nearly_lossless_interior_is_refused_at_once(capsys, clear_db):
+    # |nx| ~ 1.3e8 with Im(nx) ~ 2e-5: D's fraction took 0.45 s to exhaust
+    # its bound before exit 2, and is now refused before its first step
     start = time.perf_counter()
     rc, out, err = run(capsys, "point", "--radius-um", "1", "--wavelength-um", "0.5",
-                       "--material-db", str(db))
+                       "--material-db", clear_db)
     assert time.perf_counter() - start < 0.02
     assert rc == 2 and out == ""
     assert err.startswith("wirepol: continued fraction") and err.count("\n") == 1

@@ -126,10 +126,7 @@ def polsim_argv(draw):
 @st.composite
 def material_argv(draw):
     action = draw(st.sampled_from(("list", "show", "x")))
-    argv = ["material", action, *draw(options(4, temp_k=TEMP))]
-    if draw(st.booleans()):
-        argv.append("--include-tentative")
-    return argv
+    return ["material", action, *draw(options(4, temp_k=TEMP))]
 
 
 ARGV = (point_argv() | sweep_argv() | compare_argv() | polsim_argv()

@@ -178,12 +178,21 @@ def tungsten():
 
 @EXAMPLES
 @given(DOUBLES, st.booleans())
+@example(2400.0, False)
+@example(2000.0, True)
+@example(300.0, True)    # the 298 K record holds no tentative term
 def test_model_for_temperature(temperature_k, include_tentative):
     model = _value_or_typed_error(model_for_temperature, load_database(), temperature_k,
                                   include_tentative)
     if model is not None:
         assert 250 <= temperature_k <= 3400
-        assert model.include_tentative is include_tentative
+        # the nearest record's free terms in file order, its tentative
+        # ones (all records but the 298 K one hold one) exactly when asked
+        record, = (r for r in load_database() if r.temperature_k == model.temperature_k)
+        assert model.free_terms == tuple(t for t in record.free_terms
+                                         if include_tentative or not t.tentative)
+        assert any(t.tentative for t in model.free_terms) is (
+            include_tentative and model.temperature_k != 298.0)
         # the tabulated temperature nearest to the one asked for
         gap = abs(model.temperature_k - temperature_k)
         assert all(gap <= abs(rec.temperature_k - temperature_k) for rec in load_database())

@@ -13,6 +13,7 @@ from wirepol.errors import DomainError, MaterialDataError, RangeError
 from wirepol.materials import (
     FITTED_RANGE_UM,
     BoundTerm,
+    DrudePermittivityModel,
     FreeTerm,
     load_database,
     model_for_temperature,
@@ -35,17 +36,19 @@ def test_vacuum_model_is_unity():
 
 
 def test_permittivity_against_independent_expression(db):
-    # single-expression re-evaluation of the dispersion formula, with the
-    # tentative conduction term included so every tabulated number enters
-    model = model_for_temperature(db, 2400.0, include_tentative=True)
-    lam = 0.6
-    eps = 1.0
-    for k0, ls, d in [(10.9, 1.40, 1.0), (13.4, 0.57, 1.2), (12.0, 0.25, 1.0)]:
-        eps += k0 * lam**2 / (lam**2 - ls**2 - 1j * d * ls * lam)
-    conv = 1e-6 / (2 * math.pi * constants.c * constants.epsilon_0)
-    for sig, lr in [(1.19e6, 3.66), (0.25e6, 0.36)]:
-        eps -= lam**2 * conv * sig / (lr + 1j * lam)
-    assert permittivity(model, lam) == pytest.approx(eps, rel=1e-12)
+    # single-expression re-evaluation of the dispersion formula, by default
+    # and with the tentative conduction term, where every tabulated number
+    # enters
+    for include_tentative in (False, True):
+        model = model_for_temperature(db, 2400.0, include_tentative=include_tentative)
+        lam = 0.6
+        eps = 1.0
+        for k0, ls, d in [(10.9, 1.40, 1.0), (13.4, 0.57, 1.2), (12.0, 0.25, 1.0)]:
+            eps += k0 * lam**2 / (lam**2 - ls**2 - 1j * d * ls * lam)
+        conv = 1e-6 / (2 * math.pi * constants.c * constants.epsilon_0)
+        for sig, lr in [(1.19e6, 3.66), (0.25e6, 0.36)][:1 + include_tentative]:
+            eps -= lam**2 * conv * sig / (lr + 1j * lam)
+        assert permittivity(model, lam) == pytest.approx(eps, rel=1e-12)
 
 
 def test_tentative_term_excluded_by_default(db):
@@ -53,8 +56,18 @@ def test_tentative_term_excluded_by_default(db):
     full = model_for_temperature(db, 2400.0, include_tentative=True)
     lam = 0.6
     assert permittivity(base, lam) != permittivity(full, lam)
-    assert len(base.active_free_terms()) == 1
-    assert len(full.active_free_terms()) == 2
+    assert len(base.free_terms) == 1
+    assert len(full.free_terms) == 2
+
+
+def test_model_built_directly_sums_its_tentative_term():
+    # the tag is read by model_for_temperature alone: a model that holds a
+    # tentative term sums it like any other
+    lam, sigma, lr = 0.6, 0.25e6, 0.36
+    model = DrudePermittivityModel("X", 2400.0, (), (FreeTerm(sigma, lr, tentative=True),))
+    conv = 1e-6 / (2 * math.pi * constants.c * constants.epsilon_0)
+    eps = 1.0 - lam**2 * conv * sigma / (lr + 1j * lam)
+    assert permittivity(model, lam) == pytest.approx(eps, rel=1e-12)
 
 
 def test_dc_conductivity_limit(db):

@@ -430,11 +430,14 @@ def test_log_derivative_gives_up_with_typed_error(monkeypatch):
 def test_log_derivative_of_huge_nearly_lossless_argument_is_refused():
     # the fraction converges only past k = |z|: at |z| = 1e7 that was
     # 6.7 s, then 0.45 s to exhaust the bound on its length; its steps
-    # below k = |z| gain at most 2 |Im z| = 2, so it is refused at once
-    start = time.perf_counter()
-    with pytest.raises(ConvergenceError, match="cannot converge"):
-        bessel_j_log_derivative(1e7 + 1j, 3)
-    assert time.perf_counter() - start < 0.02
+    # below k = |z| gain at most 2 |Im z| = 2, so it is refused at once.
+    # At 2e6 + 20j those below k = 10^6 + 32 gain at most 5.4 (0.38 s
+    # before the bound below S|z|)
+    for z, m_max in ((1e7 + 1j, 3), (2e6 + 20j, 31)):
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="cannot converge"):
+            bessel_j_log_derivative(z, m_max)
+        assert time.perf_counter() - start < 0.02
 
 
 @pytest.mark.parametrize("n", (2e6 + 1e-3j, 1e11 + 1e11j))
@@ -471,6 +474,10 @@ def test_log_derivative_refuses_only_what_its_fraction_cannot_finish(monkeypatch
             for deg in (1e-4, 0.01, 1.0, 45.0, 80.0, 90.0)
             for m_max in (0, 20, 3000)]
     grid += [(complex(1.2e4, im), 20) for im in (10.0, 11.9, 13.0, 17.5)]
+    # nearly real, with |Im z| >= 12: the steps below k = S|z| gain at most
+    # 2 |Im z| (1 - (1 - S^2)^(1/2)), S = (top + 10^4) / |z|
+    grid += [(complex(re, im), m_max) for re in (1.5e4, 2e4, 4e4, 1e5)
+             for im in (12.0, 20.0, 50.0, 300.0, 3000.0) for m_max in (0, 30)]
     full = {}
     for z, m_max in grid:
         if _fraction_terms(z, m_max, cap) is not None:
@@ -484,9 +491,11 @@ def test_log_derivative_refuses_only_what_its_fraction_cannot_finish(monkeypatch
         else:
             with pytest.raises(ConvergenceError) as exc:
                 bessel_j_log_derivative(z, m_max)
-            refusals.append("cannot converge" in str(exc.value))
-    # both ways out occur: refused at once, and after the fraction's bound
-    assert set(refusals) == {True, False}
+            refusals.append((z, "cannot converge" in str(exc.value)))
+    # both ways out occur: refused at once, and after the fraction's bound;
+    # where 12 <= |Im z| <= 20 every refusal is at once
+    assert {at_once for _, at_once in refusals} == {True, False}
+    assert all(at_once for z, at_once in refusals if 12.0 <= z.imag <= 20.0)
 
 
 @pytest.mark.parametrize("z", (1e12 + 1e12j, 1e150j, -1e300 + 1.0, 1.7e308 + 1.7e308j))
