@@ -24,12 +24,10 @@ from .materials import (
     model_for_temperature,
     permittivity,
     refraction_index,
-    vacuum_model,
 )
 from .scattering import (
     PolarizedEmissivity,
     emissivity_pair,
-    linear_polarization,
     polarization_of,
 )
 from .spectral import (
@@ -76,7 +74,6 @@ __all__ = [
     "emissivity_pair",
     "extract_polarization",
     "fit_cos_squared",
-    "linear_polarization",
     "load_database",
     "model_for_temperature",
     "permittivity",
@@ -85,6 +82,5 @@ __all__ = [
     "refraction_index",
     "simulate_scan",
     "thick_wire_polarization",
-    "vacuum_model",
     "write_scan",
 ]

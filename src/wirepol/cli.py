@@ -68,12 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 # a '#' at the start of a line or after whitespace opens a comment; one
 # inside a value, as in output = run#1.csv, is part of the value
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -209,7 +203,7 @@ def _cmd_point(args) -> int:
     _warn_outside_fit(spectrum)
     values = evaluate(radius, spectrum, temp_k)
     for key in BAND_COLUMNS if dest == "band" else LINE_COLUMNS:
-        print(f"{key} = {_fmt(values[key])}")
+        print(f"{key} = {values[key]}")
     return 0
 
 
@@ -237,7 +231,7 @@ def _write_csv(path, meta_lines, header, rows):
             fh.write(f"# {line}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def _sweep_table(name: str, given: dict, evaluate: _Evaluator):
@@ -354,7 +348,7 @@ def _cmd_compare(args) -> int:
         p_avg = evaluate(diameter / 2.0, band, temp_k)["p_avg"]
         rows.append((diameter, p_meas, err, p_avg, abs(p_meas - p_avg) / err))
     for row in [header, *rows]:
-        print(",".join(_fmt(v) for v in row))
+        print(",".join(map(str, row)))
     if args.output:
         _write_csv(args.output, [f"command: {' '.join(args._argv)}",
                                  f"model T = {model.temperature_k:g} K"], header, rows)
@@ -364,16 +358,14 @@ def _cmd_compare(args) -> int:
 # ---------------------------------------------------------------- polsim
 
 def _cmd_polsim(args) -> int:
-    given = _given(args)
-    dest, level = _take(given, "p_true", "i_polarized")
-    i_unpolarized = 1.0 - level if dest == "p_true" else given.pop("i_unpolarized", 1.0)
+    given = _given(args)    # it reads every flag it has, so it refuses none
+    _, p_true = _take(given, "p_true")
     axis_deg, background = given.pop("axis_deg", 30.0), given.pop("background", 0.0)
     step_deg, noise_rms = given.pop("step_deg", 0.5), given.pop("noise_rms", 0.0)
     seed, prefix = given.pop("seed", 0), given.pop("output_prefix", None)
-    _reject_unread(f"polsim {_flag(dest)}", given)
-    if dest == "p_true" and not 0.0 <= level <= 1.0:
+    if not 0.0 <= p_true <= 1.0:
         raise _UsageError("--p-true must be in [0, 1]")
-    source = SourceModel(level, i_unpolarized, axis_deg, background)
+    source = SourceModel(p_true, 1.0 - p_true, axis_deg, background)    # unit total
 
     def scan(seed_offset, **polarizer):
         return simulate_scan(source, step_deg=step_deg, noise_rms=noise_rms,
@@ -390,11 +382,11 @@ def _cmd_polsim(args) -> int:
                    header=f"polarizer at {theta_star!r} deg")
         write_scan(f"{prefix}.step2b.dat", scan_b,
                    header=f"polarizer at {theta_star + 90.0!r} deg")
-    print(f"p_true = {_fmt(source.polarization)}")
-    print(f"p_extracted = {_fmt(result.p)}")
-    print(f"theta_star_deg = {_fmt(theta_star)}")
-    print(f"amplitude_a = {_fmt(result.fit_a.amplitude)}")
-    print(f"amplitude_b = {_fmt(result.fit_b.amplitude)}")
+    print(f"p_true = {source.polarization}")
+    print(f"p_extracted = {result.p}")
+    print(f"theta_star_deg = {theta_star}")
+    print(f"amplitude_a = {result.fit_a.amplitude}")
+    print(f"amplitude_b = {result.fit_b.amplitude}")
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     return 0
@@ -415,16 +407,15 @@ def _cmd_material(args) -> int:
     model = model_for_temperature(records, float(given.pop("temp_k", 2400.0)),
                                   include_tentative=True)
     print(f"element = {model.element}")
-    print(f"temperature_K = {_fmt(model.temperature_k)}")
+    print(f"temperature_K = {model.temperature_k}")
     for t in model.bound_terms:
-        print(f"bound: K0 = {_fmt(t.k0)}, lambda_s_um = {_fmt(t.lambda_s_um)}, "
-              f"delta = {_fmt(t.delta)}")
+        print(f"bound: K0 = {t.k0}, lambda_s_um = {t.lambda_s_um}, delta = {t.delta}")
     for t in model.free_terms:
         flags = "".join([" tentative" if t.tentative else "",
                          " estimated" if t.estimated else ""])
-        print(f"free: sigma = {_fmt(t.sigma)}, lambda_r_um = {_fmt(t.lambda_r_um)}{flags}")
+        print(f"free: sigma = {t.sigma}, lambda_r_um = {t.lambda_r_um}{flags}")
     if model.sigma0 is not None:
-        print(f"sigma0 = {_fmt(model.sigma0)}")
+        print(f"sigma0 = {model.sigma0}")
     if model.note:
         print(f"note = {model.note}")
     return 0
@@ -488,9 +479,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("polsim", help="simulate the two-step polarimeter protocol")
-    p.add_argument("--p-true", type=float, help="in [0, 1]; this or --i-polarized is required")
-    p.add_argument("--i-polarized", type=float)
-    p.add_argument("--i-unpolarized", type=float, help="with --i-polarized only")
+    p.add_argument("--p-true", type=float, help="in [0, 1]; required")
     p.add_argument("--axis-deg", type=float)
     p.add_argument("--background", type=float)
     p.add_argument("--noise-rms", type=float)

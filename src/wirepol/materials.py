@@ -14,15 +14,16 @@ differ only by the sign of every imaginary part.)
 Wavelengths are microns at the interface, metres internally;
 conductivities are ohm^-1 m^-1 throughout.
 
-The tungsten parameter table (fit to reflectance data measured between
-0.365 and 2.65 micron) ships as a JSON database inside this package;
-``load_database`` reads it as a tuple of models, one per temperature, and
-``model_for_temperature`` picks one.  Some free-electron relaxation
-wavelengths in that table are known only as an upper bound; such terms
-carry ``tentative=True``, and ``model_for_temperature`` leaves them out
-unless asked with ``include_tentative=True``.  ``load_database`` checks
-sigma0 against all terms (at dc every conduction channel contributes
-regardless of its relaxation wavelength).
+The tungsten parameter table (fit to reflectance data measured between 0.365
+and 2.65 micron) ships as a JSON database inside this package.
+``load_database`` reads a table of one element as a tuple of models, one per
+temperature, and refuses a declared format, version or units other than the
+bundled table's; ``model_for_temperature`` picks one model.  Some
+free-electron relaxation wavelengths in that table are known only as an
+upper bound; such terms carry ``tentative=True``, and ``model_for_temperature``
+leaves them out unless asked with ``include_tentative=True``.
+``load_database`` checks sigma0 against all terms (at dc every conduction
+channel contributes regardless of its relaxation wavelength).
 """
 
 from __future__ import annotations
@@ -87,17 +88,6 @@ class DrudePermittivityModel:
     sigma0: float | None = None
     note: str = ""
 
-    def dc_conductivity(self) -> float:
-        """Sum of all conduction-channel conductivities (the dc limit)."""
-        return sum(t.sigma for t in self.free_terms)
-
-
-def vacuum_model(temperature_k: float = 300.0) -> DrudePermittivityModel:
-    """Trivial model with no material response: eps = 1 identically."""
-    if not 0 < temperature_k < math.inf:
-        raise DomainError(f"temperature must be finite and > 0, got {temperature_k}")
-    return DrudePermittivityModel("vacuum", temperature_k, (), (), sigma0=None)
-
 
 def permittivity(model: DrudePermittivityModel, wavelength_um: float) -> complex:
     """Complex relative permittivity at the given vacuum wavelength.
@@ -149,6 +139,9 @@ _BOUND_FIELDS = {"K0": _NUMBER, "lambda_s": _NUMBER, "delta": _NUMBER, "estimate
 _FREE_FIELDS = {"sigma": _NUMBER, "lambda_r": _NUMBER, "tentative": _FLAG, "estimated": _FLAG}
 _DATABASE_FIELDS = {"format": _TEXT, "version": _NUMBER, "units": "an object",
                     "provenance": _TEXT, "records": _ARRAY}
+# What a table may declare of itself, each key optional: what the loader reads.
+_DECLARED = {"format": "wirepol-material-table", "version": 1,
+             "units": {"wavelengths": "micron", "conductivities": "ohm^-1 m^-1"}}
 
 
 def _fields(raw, kinds: dict, where: str) -> dict:
@@ -205,17 +198,26 @@ def load_database(path: str | None = None) -> tuple[DrudePermittivityModel, ...]
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MaterialDataError(f"material database is not valid JSON: {exc}") from exc
-    raw = _fields(raw, _DATABASE_FIELDS, "material database")
+    _fields(raw, _DATABASE_FIELDS, "material database")
+    for key, value in _DECLARED.items():
+        if raw.get(key, value) != value:
+            raise MaterialDataError(f"material database: {key} must be "
+                                    f"{json.dumps(value)}, got {json.dumps(raw[key])}")
     records = tuple(_parse_record(r, i) for i, r in enumerate(raw.get("records", [])))
     if not records:
         raise MaterialDataError("material database contains no records")
-    for rec in records:
-        if rec.sigma0 is not None:
-            total = rec.dc_conductivity()
-            if abs(total - rec.sigma0) > 0.02 * rec.sigma0:
-                raise MaterialDataError(
-                    f"record at {rec.temperature_k} K: sum of sigma_q = {total:g} "
-                    f"disagrees with sigma0 = {rec.sigma0:g} by more than 2%")
+    for i, rec in enumerate(records):
+        if rec.element != records[0].element:
+            raise MaterialDataError(f"record {i}: element {rec.element!r}, not record 0's "
+                                    f"{records[0].element!r}; a table holds one element")
+        if rec.temperature_k in (r.temperature_k for r in records[:i]):
+            raise MaterialDataError(f"record {i}: a second record at {rec.temperature_k:g} K; "
+                                    "a table holds one per temperature")
+        total = sum(t.sigma for t in rec.free_terms)
+        if rec.sigma0 is not None and abs(total - rec.sigma0) > 0.02 * rec.sigma0:
+            raise MaterialDataError(
+                f"record at {rec.temperature_k} K: sum of sigma_q = {total:g} "
+                f"disagrees with sigma0 = {rec.sigma0:g} by more than 2%")
     return records
 
 

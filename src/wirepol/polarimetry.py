@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,10 +101,9 @@ class PolarimeterScan:
 class CosineSquaredFit:
     """Least-squares parameters of A cos^2(theta - theta0) + F."""
     amplitude: float
-    phase_deg: float          # in [0, 180)
+    phase_deg: float          # in [0, 180); meaningless where amplitude is 0
     offset: float
     residual_rms: float
-    degenerate_phase: bool = False  # amplitude ~ 0, phase meaningless
 
 
 @dataclass(frozen=True)
@@ -163,9 +162,9 @@ def fit_cos_squared(scan: PolarimeterScan) -> CosineSquaredFit:
 
     Linear in (c0, c1, c2) after the double-angle substitution; mapped
     back via A = 2 sqrt(c1^2 + c2^2), theta0 = atan2(c2, c1)/2, and
-    F = c0 - A/2.  A constant scan is reported with amplitude 0 and the
-    ``degenerate_phase`` flag instead of failing; RangeError where A, F or
-    the residual rms is beyond the double range.
+    F = c0 - A/2.  A below 1e-12 of the scan's scale is reported as exactly
+    0, with phase 0 (meaningless), instead of failing; every other fit has
+    A > 0.  RangeError where A, F or the residual rms exceed the double range.
     """
     if len(scan.angles_deg) < 6:
         raise IdentifiabilityError(f"need at least 6 samples, got {len(scan.angles_deg)}")
@@ -188,7 +187,7 @@ def fit_cos_squared(scan: PolarimeterScan) -> CosineSquaredFit:
         raise RangeError("residual rms of this cos^2 fit exceeds the double range")
     scale = max(abs(c0), float(np.max(np.abs(scan.intensities))), 1e-300)
     if amplitude < 1e-12 * scale:
-        return CosineSquaredFit(0.0, 0.0, c0, rms, degenerate_phase=True)
+        return CosineSquaredFit(0.0, 0.0, c0, rms)
     phase = math.degrees(0.5 * math.atan2(c2, c1)) % 180.0
     return CosineSquaredFit(amplitude, phase, c0 - 0.5 * amplitude, rms)
 
@@ -213,7 +212,7 @@ def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
     warnings = []
     errors = {"A": None, "B": None}
     for name, fit, offset in (("A", fit_a, 0.0), ("B", fit_b, 90.0)):
-        if theta_star_deg is not None and not fit.degenerate_phase:
+        if theta_star_deg is not None and fit.amplitude > 0.0:
             err = errors[name] = _phase_distance_deg(fit.phase_deg, theta_star_deg + offset)
             if err > 0.5:
                 warnings.append(f"scan {name} phase off the polarizer setting by {err:.3g} deg")

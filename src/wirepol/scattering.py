@@ -178,9 +178,3 @@ def polarization_of(e_te: float, e_tm: float) -> float:
             "both intensities vanish or underflow (vacuum wire, dark source, or "
             "size parameter below about 1e-154?); polarization undefined")
     return (e_te - e_tm) / total
-
-
-def linear_polarization(k: float, a: float, n: complex) -> float:
-    """P = (e_TE - e_TM) / (e_TE + e_TM) at a single wavenumber."""
-    pair = emissivity_pair(k, a, n)
-    return polarization_of(pair.e_te, pair.e_tm)

@@ -37,7 +37,7 @@ from wirepol.polarimetry import (
     fit_cos_squared,
     simulate_scan,
 )
-from wirepol.scattering import emissivity_pair, linear_polarization
+from wirepol.scattering import emissivity_pair, polarization_of
 from wirepol.special_functions import hankel1_all_orders
 from wirepol.spectral import COMPUTED_BAND, band_averaged_polarization, planck_radiance
 
@@ -111,8 +111,9 @@ def test_criterion_3_sign_crossover(report):
     lam = 0.5
     n = refraction_index(permittivity(MODEL_HOT, lam))
     logs = np.linspace(-2.0, 3.0, 200)
-    p = np.array([linear_polarization(
-        2 * math.pi / lam, lam * 10.0 ** g / (2 * math.pi), n) for g in logs])
+    pairs = [emissivity_pair(2 * math.pi / lam, lam * 10.0 ** g / (2 * math.pi), n)
+             for g in logs]
+    p = np.array([polarization_of(pair.e_te, pair.e_tm) for pair in pairs])
     crossings = np.nonzero(np.diff(np.sign(p)))[0]
     ok = len(crossings) == 1
     where = float(logs[crossings[0]]) if len(crossings) else math.nan
@@ -141,7 +142,8 @@ def test_criterion_5_thick_wire_limit(report):
     lam, a = 0.5, 50.0
     eps = permittivity(MODEL_HOT, lam)
     n = refraction_index(eps)
-    p_wave = linear_polarization(2 * math.pi / lam, a, n)
+    pair = emissivity_pair(2 * math.pi / lam, a, n)
+    p_wave = polarization_of(pair.e_te, pair.e_tm)
     p_limit = thick_wire_polarization(eps)
     gap = abs(p_wave - p_limit)
     ok = gap <= 0.01

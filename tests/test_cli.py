@@ -74,7 +74,7 @@ def test_usage_errors(capsys):
                      "0.5", "--material", "vacuum")
     assert rc == 1
     assert "--material vacuum" in err
-    # --p-true fixes the unpolarized intensity at 1 - p
+    # --p-true is polsim's one source: it has no --i-unpolarized
     rc, out, err = run(capsys, "polsim", "--p-true", "0.2", "--i-unpolarized", "5")
     assert rc == 1
     assert out == ""
@@ -236,15 +236,6 @@ def test_polsim_noiseless(capsys):
     assert rc == 0
     values = parse_kv(out)
     assert float(values["p_extracted"]) == pytest.approx(0.208, abs=1e-9)
-
-
-def test_polsim_intensities_whose_sum_overflows(capsys):
-    # P_true and P_extracted both read 0.0 here
-    rc, out, err = run(capsys, "polsim", "--i-polarized", "1e308", "--i-unpolarized", "1e308")
-    assert rc == 0 and err == ""
-    values = parse_kv(out)
-    assert values["p_true"] == "0.5"
-    assert float(values["p_extracted"]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_polsim_seed_determinism(capsys, tmp_path):
@@ -713,16 +704,16 @@ GRID = ("--lo", "0.5", "--hi", "0.6", "--points", "2")
     (("point", "--radius-um", "1", "--band", "0.5:0.75", "--nodes", "64"), "--nodes"),
     (("point", "--radius-um", "1", "--diameter-um", "2", "--band", "0.5:0.75"),
      "--diameter-um"),
-    # --p-true fixes the unpolarized intensity at 1 - p, and of two sources
-    # --p-true is read; the text after --config is the file's
+    # --p-true is polsim's one source: no other source flag exists, on the
+    # command line or in --config; the text after --config is the file's
     (("polsim", "--p-true", "0.2", "--i-unpolarized", "5"),
-     "polsim --p-true does not take --i-unpolarized"),
+     "unrecognized arguments: --i-unpolarized 5"),
     (("polsim", "--p-true", "0.2", "--i-polarized", "1"),
-     "polsim --p-true does not take --i-polarized"),
+     "unrecognized arguments: --i-polarized 1"),
     (("polsim", "--p-true", "0.2", "--config", "i-unpolarized = 5\n"),
-     "polsim --p-true does not take --i-unpolarized"),
+     "polsim has no option --i-unpolarized"),
     (("polsim", "--i-polarized", "1", "--config", "p-true = 0.2\n"),
-     "polsim --p-true does not take --i-polarized"),
+     "unrecognized arguments: --i-polarized 1"),
 ], ids=("figure1-temp-k", "radius-radius-um", "wavelength-band",
         "radius-band", "temperature-wavelength-um", "point-nodes-5000",
         "point-nodes-16", "point-band-nodes-64", "point-diameter-um",
@@ -882,11 +873,9 @@ def test_work_size_limits(capsys, tmp_path, argv, code):
     ("--p-true", "0.2", "--step-deg", "nan"),
     ("--p-true", "0.2", "--axis-deg", "nan"),
     ("--p-true", "0.2", "--background", "nan"),
-    ("--i-polarized", "nan"),
     ("--p-true", "0.2", "--noise-rms", "inf"),
     ("--p-true", "0.2", "--noise-rms", "0.01", "--seed", "-1"),
-], ids=("step-deg", "axis-deg", "background", "i-polarized", "noise-rms",
-        "seed"))
+], ids=("step-deg", "axis-deg", "background", "noise-rms", "seed"))
 def test_polsim_rejects_non_finite_inputs(capsys, flags):
     rc, out, err = run(capsys, "polsim", *flags)
     assert rc == 2
@@ -926,10 +915,27 @@ def test_config_fills_a_required_exclusive_group(capsys, tmp_path):
     rc, out, err = run(capsys, "polsim", "--config", str(cfg))
     assert rc == 0, err
     assert out == run(capsys, "polsim", "--p-true", "0.2")[1]
-    # a second source on the command line is a flag the kind does not read
+    # polsim has no second source to give on the command line
     rc, out, err = run(capsys, "polsim", "--config", str(cfg), "--i-polarized", "1")
     assert rc == 1
     assert out == "" and err.startswith("wirepol: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--p-true", "0.2", "--i-polarized", "1"),
+    ("--i-polarized", "1"),
+], ids=("with-p-true", "alone"))
+def test_polsim_takes_its_source_only_as_p_true(capsys, argv):
+    rc, out, err = run(capsys, "polsim", *argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("wirepol: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p_true", ("nan", "-0.1", "1.5"))
+def test_polsim_p_true_outside_0_1_is_a_usage_error(capsys, p_true):
+    rc, out, err = run(capsys, "polsim", "--p-true", p_true)
+    assert rc == 1 and out == ""
+    assert err == "wirepol: error: --p-true must be in [0, 1]\n"
 
 
 @pytest.mark.parametrize("flag, code", [

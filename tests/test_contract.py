@@ -115,10 +115,8 @@ def compare_argv(draw):
 
 @st.composite
 def polsim_argv(draw):
-    source = draw(st.sampled_from(({"p_true": value("0.2", "0.5", "1")},
-                                   {"i_polarized": value("0.5", "2")})))
-    return ["polsim", *draw(options(7, **source)), *draw(options(
-        2, i_unpolarized=value("1", "3"), axis_deg=value("30", "-45", "170"),
+    return ["polsim", *draw(options(7, p_true=value("0.2", "0.5", "1"))), *draw(options(
+        2, axis_deg=value("30", "-45", "170"),
         background=value("0.1", "2"), noise_rms=value("0.001", "0.01"),
         seed=value("1", "7"), step_deg=value("0.5", "2", "10")))]
 

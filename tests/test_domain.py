@@ -25,7 +25,6 @@ from wirepol import (
     emissivity_pair,
     extract_polarization,
     fit_cos_squared,
-    linear_polarization,
     load_database,
     model_for_temperature,
     permittivity,
@@ -34,7 +33,6 @@ from wirepol import (
     refraction_index,
     simulate_scan,
     thick_wire_polarization,
-    vacuum_model,
 )
 from wirepol import spectral
 from wirepol.special_functions import hankel1_log_derivative
@@ -200,18 +198,6 @@ def test_model_for_temperature(temperature_k, include_tentative):
 
 @EXAMPLES
 @given(DOUBLES, DOUBLES)
-@example(math.nan, 0.5)    # a model at nan K
-def test_vacuum_model(temperature_k, wavelength_um):
-    model = _value_or_typed_error(vacuum_model, temperature_k)
-    if model is None:
-        return
-    assert 0 < model.temperature_k < math.inf
-    eps = _value_or_typed_error(permittivity, model, wavelength_um)
-    assert eps is None or eps == 1
-
-
-@EXAMPLES
-@given(DOUBLES, DOUBLES)
 @example(0.5, 1e308)    # overflow in exp
 @example(1e300, 1e300)  # hc/(lambda kB T) underflowed to 0: log(0)
 def test_planck_radiance(wavelength_um, temperature_k):
@@ -293,8 +279,9 @@ def test_hankel1_log_derivative(m_max, x):
 @given(DOUBLES, DOUBLES, st.one_of(st.just(3.4 + 2.7j), COMPLEXES))
 def test_emissivity_pair(k, a, n):
     pair = _value_or_typed_error(emissivity_pair, k, a, n)
-    if pair is not None:
-        assert 0 <= pair.e_te < math.inf and 0 <= pair.e_tm < math.inf
-        assert 0 <= pair.truncation_error_estimate <= 2.0 ** -52
-    p = _value_or_typed_error(linear_polarization, k, a, n)
+    if pair is None:
+        return
+    assert 0 <= pair.e_te < math.inf and 0 <= pair.e_tm < math.inf
+    assert 0 <= pair.truncation_error_estimate <= 2.0 ** -52
+    p = _value_or_typed_error(polarization_of, pair.e_te, pair.e_tm)
     assert p is None or abs(p) <= 1

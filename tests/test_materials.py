@@ -19,7 +19,6 @@ from wirepol.materials import (
     model_for_temperature,
     permittivity,
     refraction_index,
-    vacuum_model,
 )
 
 
@@ -29,7 +28,7 @@ def db():
 
 
 def test_vacuum_model_is_unity():
-    model = vacuum_model()
+    model = DrudePermittivityModel("vacuum", 300.0, (), ())
     for lam in (0.4, 0.6, 2.0):
         assert permittivity(model, lam) == 1.0
         assert refraction_index(permittivity(model, lam)) == 1.0
@@ -76,7 +75,7 @@ def test_dc_conductivity_limit(db):
     lam = 1e4
     im = permittivity(model, lam).imag
     sigma = im * 2 * math.pi * constants.c * constants.epsilon_0 / (lam * 1e-6)
-    assert sigma == pytest.approx(model.dc_conductivity(), rel=0.02)
+    assert sigma == pytest.approx(sum(t.sigma for t in model.free_terms), rel=0.02)
 
 
 def test_passivity_over_fitted_range(db):
@@ -231,6 +230,87 @@ def test_wrong_json_type_is_a_data_error(tmp_path, capsys, term, key, value):
     assert main(["material", "show", "--temp-k", "298", "--material-db", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"wirepol: {where}{key} must be ") and err.count("\n") == 1
+
+
+def _second_2400_k_record(raw):
+    # the 2400 K record again, with another conductivity
+    record = json.loads(json.dumps(raw["records"][-1]))
+    assert record["temperature_K"] == 2400
+    record["free_terms"][0]["sigma"], record["sigma0"] = 9e6, None
+    raw["records"].append(record)
+
+
+def _gold_at_298_k(raw):
+    assert raw["records"][0]["temperature_K"] == 298
+    raw["records"][0]["element"] = "Au"
+
+
+# a table holds one element and one record per temperature: the nearest
+# record is picked by temperature alone, so a second record at 2400 K was
+# never read, and a sweep over temperature labelled an Au row as W
+@pytest.mark.parametrize("edit, message", [
+    (_second_2400_k_record, "record 5: a second record at 2400 K; "
+                            "a table holds one per temperature"),
+    (_gold_at_298_k, "record 1: element 'W', not record 0's 'Au'; "
+                     "a table holds one element"),
+], ids=("temperature", "element"))
+def test_table_of_one_element_with_one_record_per_temperature(tmp_path, capsys,
+                                                               edit, message):
+    import importlib.resources as res
+    from wirepol.cli import main
+    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
+    edit(raw)
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(MaterialDataError) as info:
+        load_database(str(path))
+    assert str(info.value) == message
+    assert main(["point", "--radius-um", "1", "--wavelength-um", "0.5",
+                 "--material-db", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"wirepol: {message}\n"
+
+
+# format, version and units are optional, but a table that declares them
+# declares what the loader reads: microns and ohm^-1 m^-1, and no other
+# format or version
+@pytest.mark.parametrize("key, value, shown", [
+    ("units", {"wavelengths": "nm", "conductivities": "S/cm"},
+     '{"wavelengths": "nm", "conductivities": "S/cm"}'),
+    ("units", {"wavelengths": "micron"}, '{"wavelengths": "micron"}'),
+    ("format", "not-a-wirepol-table", '"not-a-wirepol-table"'),
+    ("version", 7, "7"),
+    ("version", 1.5, "1.5"),
+], ids=("units-nm", "units-partial", "format", "version-7", "version-1.5"))
+def test_declared_format_version_and_units_are_the_loaders(tmp_path, capsys,
+                                                           key, value, shown):
+    import importlib.resources as res
+    from wirepol.cli import main
+    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
+    want = json.dumps(raw[key])
+    raw[key] = value
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(raw))
+    message = f"material database: {key} must be {want}, got {shown}"
+    with pytest.raises(MaterialDataError) as info:
+        load_database(str(path))
+    assert str(info.value) == message
+    assert main(["material", "list", "--material-db", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"wirepol: {message}\n"
+
+
+def test_table_without_declarations_loads(tmp_path, db):
+    import importlib.resources as res
+    raw = json.loads(res.files("wirepol").joinpath("data/tungsten.json").read_text())
+    for key in ("format", "version", "units", "provenance"):
+        del raw[key]
+    path = tmp_path / "db.json"
+    path.write_text(json.dumps(raw))
+    assert load_database(str(path)) == db
+    raw["version"] = 1.0    # the same number as the bundled 1
+    path.write_text(json.dumps(raw))
+    assert load_database(str(path)) == db
 
 
 def test_database_that_is_not_utf8_is_a_data_error(tmp_path):

@@ -116,10 +116,17 @@ def test_extraction_monotone_in_polarized_power():
 
 
 def test_unpolarized_source_flags_degenerate_phase():
-    scan = simulate_scan(SourceModel(0.0, 1.0))
-    fit = fit_cos_squared(scan)
-    assert fit.degenerate_phase
-    assert fit.amplitude == pytest.approx(0.0, abs=1e-12)
+    # a fit with no amplitude reads exactly 0, and its meaningless phase is
+    # not held against the polarizer setting: here it would be 60 deg off
+    flat = simulate_scan(SourceModel(0.0, 1.0))
+    fit = fit_cos_squared(flat)
+    assert fit.amplitude == 0.0 and fit.phase_deg == 0.0
+    source = SourceModel(0.3, 0.7, 30.0)
+    result = extract_polarization(simulate_scan(source, polarizer_angle_deg=30.0), flat,
+                                  theta_star_deg=30.0)
+    assert result.fit_b.amplitude == 0.0 and result.phase_error_b_deg is None
+    assert result.phase_error_a_deg == pytest.approx(0.0, abs=1e-9)
+    assert result.warnings == ()
 
 
 def test_dark_source_rejected():

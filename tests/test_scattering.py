@@ -22,7 +22,6 @@ from wirepol.scattering import (
     MAX_ORDER,
     MIN_INDEX_MODULUS,
     emissivity_pair,
-    linear_polarization,
     order_ceiling,
     polarization_of,
 )
@@ -148,12 +147,13 @@ def test_perfect_conductor_limit():
 def test_polarization_bounds_and_sign():
     k = 2 * math.pi / 0.5
     # thin wire: TM dominates strongly, P near -1
-    p_thin = linear_polarization(k, 0.02, N_TUNGSTEN)
+    thin = emissivity_pair(k, 0.02, N_TUNGSTEN)
+    p_thin = polarization_of(thin.e_te, thin.e_tm)
     assert -1.0 <= p_thin <= 1.0
     assert p_thin < -0.5
     # thick wire: TE slightly ahead, P small and positive
-    p_thick = linear_polarization(k, 25.0, N_TUNGSTEN)
-    assert 0.0 < p_thick < 0.5
+    thick = emissivity_pair(k, 25.0, N_TUNGSTEN)
+    assert 0.0 < polarization_of(thick.e_te, thick.e_tm) < 0.5
 
 
 def test_invalid_inputs_rejected():
@@ -167,8 +167,9 @@ def test_invalid_inputs_rejected():
 
 
 def test_degenerate_polarization():
+    pair = emissivity_pair(2 * math.pi / 0.5, 1.0, 1.0)
     with pytest.raises(DegenerateInputError):
-        linear_polarization(2 * math.pi / 0.5, 1.0, 1.0)
+        polarization_of(pair.e_te, pair.e_tm)
 
 
 def test_order_ceiling_grows_with_size():
@@ -243,12 +244,12 @@ def test_tiny_wire_meets_quasi_static_closed_forms(temp, lam):
 
 def test_subnormal_emissivities_have_no_polarization():
     # P from subnormal sums is rounding noise: at Im n = 1e-320 it read
-    # -0.0915256, 2.1e-5 from its value at Im n = 1e-300
-    with pytest.raises(DegenerateInputError, match="underflow"):
-        linear_polarization(1.0, 1.0, 3 + 1e-320j)
-    for x in (1e-158, 1e-300):    # e ~ x^2: subnormal, then 0
+    # -0.0915256, 2.1e-5 from its value at Im n = 1e-300.  So is it at
+    # x = 1e-158 and 1e-300, where e ~ x^2 is subnormal, then 0
+    for x, n in ((1.0, 3 + 1e-320j), (1e-158, N_TUNGSTEN), (1e-300, N_TUNGSTEN)):
+        pair = emissivity_pair(1.0, x, n)
         with pytest.raises(DegenerateInputError, match="underflow"):
-            linear_polarization(1.0, x, N_TUNGSTEN)
+            polarization_of(pair.e_te, pair.e_tm)
     # e_TE subnormal, e_TM normal: P is still good to the last digits
     pair = emissivity_pair(1.0, 1e-154, N_TUNGSTEN)
     assert 0.0 < pair.e_te < sys.float_info.min <= pair.e_tm
@@ -265,7 +266,8 @@ def test_sizes_at_the_bottom_of_the_double_range_end_typed(n):
         warnings.simplefilter("error")
         for x in np.geomspace(1e-320, 1e-300, 41).tolist():
             try:
-                p = linear_polarization(1.0, x, n)
+                pair = emissivity_pair(1.0, x, n)
+                p = polarization_of(pair.e_te, pair.e_tm)
             except WirepolError:
                 continue
             assert -1.0 <= p <= 1.0
@@ -393,9 +395,9 @@ def test_thick_wire_polarization_approaches_fresnel():
     eps = permittivity(model_for_temperature(load_database(), 2400.0), lam)
     p_fresnel = thick_wire_polarization(eps)
     n, k = _tungsten(lam), 2 * math.pi / lam
-    gaps = [linear_polarization(k, a, n) - p_fresnel
-            for a in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0,
-                      2000.0)]
+    pairs = [emissivity_pair(k, a, n)
+             for a in (5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0)]
+    gaps = [polarization_of(pair.e_te, pair.e_tm) - p_fresnel for pair in pairs]
     assert gaps[-1] > 0.0
     assert all(g0 > g1 for g0, g1 in zip(gaps, gaps[1:]))
     assert gaps[-1] < 4e-4
@@ -416,8 +418,9 @@ def assert_thin_wire_limit(eps, lam):
     q = abs(eps + 1) ** 2
     p0 = (4 - q) / (4 + q)
     n, k = refraction_index(eps), 2 * math.pi / lam
-    r = np.array([(linear_polarization(k, x / k, n) - p0) / x ** 2
-                  for x in THIN_SIZES])
+    pairs = [emissivity_pair(k, x / k, n) for x in THIN_SIZES]
+    r = np.array([(polarization_of(pair.e_te, pair.e_tm) - p0) / x ** 2
+                  for pair, x in zip(pairs, THIN_SIZES)])
     assert np.abs(r).max() <= 4.0 * (1.0 + abs(eps - 1) ** 2 / eps.imag)
     slopes = np.diff(r) / np.diff(np.log(THIN_SIZES))
     # 1e-6 covers the rounding of P: eps_mach / x^2 ~ 2e-8 at x = 1e-4
@@ -475,7 +478,7 @@ def test_lossless_wire_emits_exactly_nothing(n):
         assert math.copysign(1.0, pair.e_te) == 1.0
         assert math.copysign(1.0, pair.e_tm) == 1.0
         with pytest.raises(DegenerateInputError):
-            linear_polarization(k, a, n)
+            polarization_of(pair.e_te, pair.e_tm)
 
 
 @pytest.mark.parametrize("x, n", [(2.404825557695773, 1 + 0j),
@@ -488,7 +491,7 @@ def test_lossless_wire_at_a_zero_of_j0_emits_exactly_nothing(x, n):
     assert math.copysign(1.0, pair.e_te) == math.copysign(1.0, pair.e_tm) == 1.0
     assert pair.terms_used == order_ceiling(x) + 1
     with pytest.raises(DegenerateInputError):
-        linear_polarization(1.0, x, n)
+        polarization_of(pair.e_te, pair.e_tm)
 
 
 @given(st.floats(1e-3, 5.0), st.floats(0.05, 10.0),

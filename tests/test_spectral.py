@@ -128,12 +128,12 @@ def test_band_average_is_bracketed(model):
     # the Planck-weighted average must lie between the extreme
     # monochromatic values over the band
     from wirepol.materials import permittivity, refraction_index
-    from wirepol.scattering import linear_polarization
+    from wirepol.scattering import emissivity_pair
     a = 8.5
     grid = np.linspace(0.5, 0.75, 20)
-    p_mono = [linear_polarization(2 * math.pi / lam, a,
-                                  refraction_index(permittivity(model, lam)))
-              for lam in grid]
+    pairs = [emissivity_pair(2 * math.pi / lam, a, refraction_index(permittivity(model, lam)))
+             for lam in grid]
+    p_mono = [polarization_of(pair.e_te, pair.e_tm) for pair in pairs]
     res = band_averaged_polarization(a, 2400.0, COMPUTED_BAND, model)
     assert min(p_mono) - 1e-6 <= res.p_avg <= max(p_mono) + 1e-6
 
@@ -178,9 +178,9 @@ def test_wide_band_settles_on_a_larger_rule(lo, hi, temperature_k, diameter_um):
 
 
 def test_degenerate_band_average():
-    from wirepol.materials import vacuum_model
+    vacuum = materials.DrudePermittivityModel("vacuum", 300.0, (), ())
     with pytest.raises(DegenerateInputError):
-        band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, vacuum_model())
+        band_averaged_polarization(1.0, 2400.0, COMPUTED_BAND, vacuum)
 
 
 def test_quadrature_failure_reported(model, emissivities):
