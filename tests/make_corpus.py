@@ -10,11 +10,15 @@ holds, each with its inputs:
   - band P, e_bar and the quadrature estimate on 3 temperatures x 8
     diameters over ``COMPUTED_BAND``;
   - every value of the ``table2``, ``figure1 --points 12`` and
-    ``figure4 --points 5`` sweep CSVs.
+    ``figure4 --points 5`` sweep CSVs;
+  - the exit code, stdout, stderr and the three scan files of ``polsim``
+    on the runs of ``POLSIM``, as text: they are compared byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -41,6 +45,16 @@ SWEEPS = {
     "figure1": ["sweep", "--preset", "figure1", "--points", "12"],
     "figure4": ["sweep", "--preset", "figure4", "--points", "5"],
 }
+POLSIM = {
+    "default": ["--p-true", "0.221"],
+    "noise": ["--p-true", "0.221", "--noise-rms", "0.005", "--seed", "1"],
+    "axis-background": ["--p-true", "0.221", "--axis-deg", "120", "--background", "0.3",
+                        "--noise-rms", "0.02", "--step-deg", "0.25"],
+    "warns": ["--p-true", "0.2", "--noise-rms", "0.3", "--seed", "3"],
+    "unpolarized": ["--p-true", "0", "--axis-deg", "75"],
+    "polarized": ["--p-true", "1", "--axis-deg", "359.5", "--step-deg", "1"],
+}
+SCAN_FILES = ("step1", "step2a", "step2b")
 
 
 def single_wavelength() -> list[dict]:
@@ -85,9 +99,22 @@ def sweep_csv(argv: list[str]) -> dict:
             "rows": [[float(v) for v in line.split(",")] for line in lines[1:]]}
 
 
+def polsim_run(argv: list[str]) -> dict:
+    """Exit code, stdout, stderr and scan files of one in-process polsim run."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = os.path.join(tmp, "scan")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["polsim", *argv, "-o", prefix])
+        files = {name: Path(f"{prefix}.{name}.dat").read_text(encoding="utf-8")
+                 for name in SCAN_FILES if os.path.exists(f"{prefix}.{name}.dat")}
+    return {"exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
+
+
 def corpus() -> dict:
     return {"single_wavelength": single_wavelength(), "band": band(),
-            "csv": {name: sweep_csv(argv) for name, argv in SWEEPS.items()}}
+            "csv": {name: sweep_csv(argv) for name, argv in SWEEPS.items()},
+            "polsim": {name: polsim_run(argv) for name, argv in POLSIM.items()}}
 
 
 def main() -> int:

@@ -48,3 +48,14 @@ def test_sweep_csv_values_match_corpus(name):
               for miss in _compare(i, dict(zip(stored["header"], s)),
                                    dict(zip(got["header"], g)), stored["header"][:1])]
     assert not misses, misses[:10]
+
+
+@pytest.mark.parametrize("name", sorted(make_corpus.POLSIM))
+def test_polsim_output_matches_corpus_bytes(name):
+    stored = STORED["polsim"][name]
+    got = make_corpus.polsim_run(make_corpus.POLSIM[name])
+    assert sorted(stored["files"]) == list(make_corpus.SCAN_FILES)
+    for key in ("exit", "stdout", "stderr"):
+        assert got[key] == stored[key], key
+    for file, text in stored["files"].items():
+        assert got["files"][file] == text, file
