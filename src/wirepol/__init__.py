@@ -45,6 +45,7 @@ from .polarimetry import (
     SourceModel,
     extract_polarization,
     fit_cos_squared,
+    measure,
     simulate_scan,
     write_scan,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "extract_polarization",
     "fit_cos_squared",
     "load_database",
+    "measure",
     "model_for_temperature",
     "permittivity",
     "planck_radiance",

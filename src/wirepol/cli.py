@@ -30,13 +30,7 @@ import numpy as np
 from . import __version__
 from .errors import WirepolError
 from .materials import FITTED_RANGE_UM, load_database, model_for_temperature
-from .polarimetry import (
-    SourceModel,
-    extract_polarization,
-    fit_cos_squared,
-    simulate_scan,
-    write_scan,
-)
+from .polarimetry import SourceModel, measure, write_scan
 from .scattering import polarization_of
 from .spectral import (BandFilter, COMPUTED_BAND, band_averaged_polarization,
                        wire_emissivities)
@@ -365,26 +359,18 @@ def _cmd_polsim(args) -> int:
     seed, prefix = given.pop("seed", 0), given.pop("output_prefix", None)
     if not 0.0 <= p_true <= 1.0:
         raise _UsageError("--p-true must be in [0, 1]")
-    source = SourceModel(p_true, 1.0 - p_true, axis_deg, background)    # unit total
-
-    def scan(seed_offset, **polarizer):
-        return simulate_scan(source, step_deg=step_deg, noise_rms=noise_rms,
-                             seed=seed + seed_offset, **polarizer)
-
-    step1 = scan(0)
-    theta_star = fit_cos_squared(step1).phase_deg
-    scan_a = scan(1, polarizer_angle_deg=theta_star)
-    scan_b = scan(2, polarizer_angle_deg=theta_star + 90.0)
-    result = extract_polarization(scan_a, scan_b, theta_star_deg=theta_star)
+    source = SourceModel(p_true, polarization_axis_deg=axis_deg, ir_background=background)
+    step1, scan_a, scan_b, result = measure(source, step_deg=step_deg,
+                                            noise_rms=noise_rms, seed=seed)
     if prefix:
         write_scan(f"{prefix}.step1.dat", step1, header="analyzer-only scan")
         write_scan(f"{prefix}.step2a.dat", scan_a,
-                   header=f"polarizer at {theta_star!r} deg")
+                   header=f"polarizer at {result.theta_star_deg!r} deg")
         write_scan(f"{prefix}.step2b.dat", scan_b,
-                   header=f"polarizer at {theta_star + 90.0!r} deg")
-    print(f"p_true = {source.polarization}")
+                   header=f"polarizer at {result.theta_star_deg + 90.0!r} deg")
+    print(f"p_true = {p_true}")
     print(f"p_extracted = {result.p}")
-    print(f"theta_star_deg = {theta_star}")
+    print(f"theta_star_deg = {result.theta_star_deg}")
     print(f"amplitude_a = {result.fit_a.amplitude}")
     print(f"amplitude_b = {result.fit_b.amplitude}")
     for warning in result.warnings:

@@ -1,9 +1,9 @@
 """Simulation and analysis of the rotating-analyzer measurement protocol.
 
-The source is described by a polarized intensity I_P along some axis, an
-unpolarized intensity I_U, and an infrared residual that reaches the
-detector regardless of the visible-band optics.  The protocol has two
-steps:
+The source is its linear polarization p along some axis, at unit total
+intensity: a polarized intensity I_P = p and an unpolarized I_U = 1 - p,
+plus an infrared residual that reaches the detector regardless of the
+visible-band optics.  The protocol has two steps (``measure``):
 
 Step 1 (analyzer only): I(theta) = I_P cos^2(theta - axis) + I_U/2 + bg.
 The fitted phase gives the polarization axis theta* of the source.
@@ -18,7 +18,7 @@ Fitting the two scans taken at psi = theta* and psi = theta* + 90 deg
 gives amplitudes A_a = I_P + I_U/2 and A_b = I_U/2 (times a common
 throughput), hence
 
-    P = (A_a - A_b) / (A_a + A_b) = I_P / (I_P + I_U),
+    P = (A_a - A_b) / (A_a + A_b) = I_P / (I_P + I_U) = p,
 
 with the infrared residual absorbed into the fitted offsets.  Given theta*,
 the phase of each step-2 fit is checked against its polarizer setting,
@@ -29,14 +29,16 @@ use the exact linear least squares of the harmonic reparameterization
 
 so no iteration and no starting values are needed.
 
-Angles are degrees at every interface, radians internally.
+Angles are degrees at every interface, radians internally; an angle is
+reduced modulo 360 deg, exactly, before it is turned into radians.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -49,27 +51,17 @@ MAX_SAMPLES = 360_000
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Partially polarized source plus out-of-band background."""
-    i_polarized: float
-    i_unpolarized: float
+    """Source of unit total intensity and linear polarization p along the
+    axis, plus out-of-band background."""
+    polarization: float
+    _: KW_ONLY
     polarization_axis_deg: float = 0.0
     ir_background: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.i_polarized, self.i_unpolarized,
-                                       self.polarization_axis_deg,
-                                       self.ir_background))):
-            raise DomainError(f"source parameters must be finite: {self}")
-        if self.i_polarized < 0 or self.i_unpolarized < 0 or self.ir_background < 0:
-            raise DomainError(f"intensities must be >= 0: {self}")
-
-    @property
-    def polarization(self) -> float:
-        scale = 0.5 if self.i_polarized + self.i_unpolarized == math.inf else 1.0
-        i_p, i_u = scale * self.i_polarized, scale * self.i_unpolarized    # exact
-        if i_p + i_u <= 0:
-            raise DegenerateInputError("dark source: polarization undefined")
-        return i_p / (i_p + i_u)
+        if not (0.0 <= self.polarization <= 1.0 and math.isfinite(self.polarization_axis_deg)
+                and 0.0 <= self.ir_background < math.inf):
+            raise DomainError(f"need p in [0, 1], finite axis, finite background >= 0: {self}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +101,7 @@ class CosineSquaredFit:
 @dataclass(frozen=True)
 class PolarizationExtraction:
     p: float
+    theta_star_deg: float | None
     fit_a: CosineSquaredFit
     fit_b: CosineSquaredFit
     phase_error_a_deg: float | None
@@ -137,19 +130,17 @@ def simulate_scan(source: SourceModel, *, polarizer_angle_deg: float | None = No
     # numpy's integers pass; a bool does not
     if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
-    if not (source.i_polarized + 0.5 * source.i_unpolarized + source.ir_background
-            + 10.0 * noise_rms) < math.inf:    # the largest intensity, noise at 10 rms
+    if not 1.0 + source.ir_background + 10.0 * noise_rms < math.inf:    # noise at 10 rms
         raise RangeError(f"simulated intensities overflow: {source}, noise rms {noise_rms:g}")
+    i_p, i_u = source.polarization, 1.0 - source.polarization
     theta = np.arange(0.0, 360.0, step_deg)
-    axis = math.radians(source.polarization_axis_deg)
+    axis = math.radians(source.polarization_axis_deg % 360.0)
     th = np.radians(theta)
     if polarizer_angle_deg is None:
-        intensity = (source.i_polarized * np.cos(th - axis) ** 2
-                     + 0.5 * source.i_unpolarized + source.ir_background)
+        intensity = i_p * np.cos(th - axis) ** 2 + 0.5 * i_u + source.ir_background
     else:
-        psi = math.radians(polarizer_angle_deg)
-        through = (source.i_polarized * math.cos(psi - axis) ** 2
-                   + 0.5 * source.i_unpolarized)
+        psi = math.radians(polarizer_angle_deg % 360.0)
+        through = i_p * math.cos(psi - axis) ** 2 + 0.5 * i_u
         intensity = through * np.cos(th - psi) ** 2 + source.ir_background
     if noise_rms > 0:
         rng = np.random.default_rng(seed)
@@ -199,16 +190,21 @@ def _phase_distance_deg(a: float, b: float) -> float:
 
 
 def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
-                         theta_star_deg: float | None = None) -> PolarizationExtraction:
+                         theta_star_deg: float | None) -> PolarizationExtraction:
     """Linear polarization from a pair of step-2 scans.
 
     ``scan_a`` must be the scan with the polarizer along the source axis
-    theta*, ``scan_b`` the one at theta* + 90 deg.  When ``theta_star_deg``
-    is given (from the step-1 fit) the fitted phases are compared against
-    it and a warning is recorded above 0.5 deg of discrepancy.
+    theta*, ``scan_b`` the one at theta* + 90 deg.  Unless ``theta_star_deg``
+    is None, the fitted phases are compared against it (from the step-1
+    fit) and a warning is recorded above 0.5 deg of discrepancy.
+    DegenerateInputError where neither scan is modulated.
     """
     fit_a = fit_cos_squared(scan_a)
     fit_b = fit_cos_squared(scan_b)
+    if fit_a.amplitude == fit_b.amplitude == 0.0:
+        raise DegenerateInputError(
+            "neither step-2 scan is modulated above 1e-12 of its scale (a signal "
+            "lost in the background?); polarization undefined")
     warnings = []
     errors = {"A": None, "B": None}
     for name, fit, offset in (("A", fit_a, 0.0), ("B", fit_b, 90.0)):
@@ -218,9 +214,23 @@ def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
                 warnings.append(f"scan {name} phase off the polarizer setting by {err:.3g} deg")
     return PolarizationExtraction(
         p=polarization_of(fit_a.amplitude, fit_b.amplitude),
-        fit_a=fit_a, fit_b=fit_b,
+        theta_star_deg=theta_star_deg, fit_a=fit_a, fit_b=fit_b,
         phase_error_a_deg=errors["A"], phase_error_b_deg=errors["B"],
         warnings=tuple(warnings))
+
+
+def measure(source: SourceModel, *, step_deg: float = 0.5, noise_rms: float = 0.0,
+            seed: int = 0) -> tuple[PolarimeterScan, PolarimeterScan, PolarimeterScan,
+                                    PolarizationExtraction]:
+    """The two-step protocol, as (step-1 scan, scan A, scan B, extraction):
+    the step-1 scan (seed ``seed``) gives theta* as its fitted phase, and the
+    step-2 scans at theta* and theta* + 90 deg take seeds seed + 1 and seed + 2."""
+    scan = partial(simulate_scan, source, step_deg=step_deg, noise_rms=noise_rms)
+    step1 = scan(seed=seed)
+    theta_star = fit_cos_squared(step1).phase_deg
+    scan_a = scan(polarizer_angle_deg=theta_star, seed=seed + 1)
+    scan_b = scan(polarizer_angle_deg=theta_star + 90.0, seed=seed + 2)
+    return step1, scan_a, scan_b, extract_polarization(scan_a, scan_b, theta_star)
 
 
 def write_scan(path, scan: PolarimeterScan, header: str = "") -> None:

@@ -175,6 +175,6 @@ def polarization_of(e_te: float, e_tm: float) -> float:
     total = e_te + e_tm
     if not total >= sys.float_info.min:
         raise DegenerateInputError(
-            "both intensities vanish or underflow (vacuum wire, dark source, or "
-            "size parameter below about 1e-154?); polarization undefined")
+            "both intensities vanish or underflow (vacuum wire or size parameter "
+            "below about 1e-154?); polarization undefined")
     return (e_te - e_tm) / total

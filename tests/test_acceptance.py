@@ -31,12 +31,7 @@ from wirepol.materials import (
     permittivity,
     refraction_index,
 )
-from wirepol.polarimetry import (
-    SourceModel,
-    extract_polarization,
-    fit_cos_squared,
-    simulate_scan,
-)
+from wirepol.polarimetry import SourceModel, measure
 from wirepol.scattering import emissivity_pair, polarization_of
 from wirepol.special_functions import hankel1_all_orders
 from wirepol.spectral import COMPUTED_BAND, band_averaged_polarization, planck_radiance
@@ -198,12 +193,8 @@ def test_criterion_6_property_suite(report):
     # polarimetry noiseless round trip and IR-background invariance
     for p_true in (0.0, 0.208, 0.7, 1.0):
         for bg in (0.0, 4.0):
-            source = SourceModel(p_true, 1.0 - p_true, 42.0, ir_background=bg)
-            step1 = fit_cos_squared(simulate_scan(source))
-            scan_a = simulate_scan(source, polarizer_angle_deg=step1.phase_deg)
-            scan_b = simulate_scan(source,
-                                   polarizer_angle_deg=step1.phase_deg + 90.0)
-            got = extract_polarization(scan_a, scan_b).p
+            source = SourceModel(p_true, polarization_axis_deg=42.0, ir_background=bg)
+            got = measure(source)[-1].p
             checks.append(abs(got - p_true) <= 1e-9)
 
     ok = all(checks)

@@ -274,6 +274,22 @@ def test_polsim_warns_where_a_fitted_phase_is_off_the_polarizer(capsys):
         assert line.startswith(f"warning: scan {scan} phase off the polarizer setting")
 
 
+@pytest.mark.parametrize("axis", ["1e12", "1e20"])
+def test_polsim_huge_axis(capsys, axis):
+    # the axis is reduced modulo 360 deg before radians: both are 280 deg
+    rc, out, err = run(capsys, "polsim", "--p-true", "0.2", "--axis-deg", axis)
+    assert rc == 0 and err == ""
+    values = parse_kv(out)
+    assert abs(float(values["p_extracted"]) - 0.2) <= 1e-9
+    assert float(values["theta_star_deg"]) == pytest.approx(100.0, abs=1e-9)
+
+
+def test_polsim_signal_lost_in_the_background(capsys):
+    rc, out, err = run(capsys, "polsim", "--p-true", "0.2", "--background", "1e308")
+    assert rc == 2 and out == ""
+    assert err.startswith("wirepol: neither step-2 scan is modulated") and err.count("\n") == 1
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "exp.cfg"
     out_path = tmp_path / "cfg.csv"

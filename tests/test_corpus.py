@@ -1,6 +1,7 @@
 """Regression against the checked-in numeric corpus (``make_corpus.py``):
 emissivities within 1e-13 relative, polarizations and the band quadrature
-estimate within 1e-13 absolute, inputs exactly."""
+estimate within 1e-13 absolute, inputs exactly, and ``polsim``'s output
+and scan files byte for byte."""
 
 import json
 
