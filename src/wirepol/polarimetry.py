@@ -101,7 +101,7 @@ class CosineSquaredFit:
 @dataclass(frozen=True)
 class PolarizationExtraction:
     p: float
-    theta_star_deg: float | None
+    theta_star_deg: float
     fit_a: CosineSquaredFit
     fit_b: CosineSquaredFit
     phase_error_a_deg: float | None
@@ -190,13 +190,13 @@ def _phase_distance_deg(a: float, b: float) -> float:
 
 
 def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
-                         theta_star_deg: float | None) -> PolarizationExtraction:
+                         theta_star_deg: float) -> PolarizationExtraction:
     """Linear polarization from a pair of step-2 scans.
 
     ``scan_a`` must be the scan with the polarizer along the source axis
-    theta*, ``scan_b`` the one at theta* + 90 deg.  Unless ``theta_star_deg``
-    is None, the fitted phases are compared against it (from the step-1
-    fit) and a warning is recorded above 0.5 deg of discrepancy.
+    theta* (``theta_star_deg``, the step-1 fit's phase), ``scan_b`` the one
+    at theta* + 90 deg.  A warning is recorded where a fitted phase is off
+    its setting by over 0.5 deg; a fit of amplitude 0 has no phase error.
     DegenerateInputError where neither scan is modulated.
     """
     fit_a = fit_cos_squared(scan_a)
@@ -208,7 +208,7 @@ def extract_polarization(scan_a: PolarimeterScan, scan_b: PolarimeterScan,
     warnings = []
     errors = {"A": None, "B": None}
     for name, fit, offset in (("A", fit_a, 0.0), ("B", fit_b, 90.0)):
-        if theta_star_deg is not None and fit.amplitude > 0.0:
+        if fit.amplitude > 0.0:
             err = errors[name] = _phase_distance_deg(fit.phase_deg, theta_star_deg + offset)
             if err > 0.5:
                 warnings.append(f"scan {name} phase off the polarizer setting by {err:.3g} deg")

@@ -1,18 +1,21 @@
 """Numeric corpus of wirepol outputs, for the regression test in
 ``test_corpus.py``.
 
-``python tests/make_corpus.py`` rewrites ``tests/data/corpus.json`` from
-the code on the path.  Regenerating it is a change to test data: do it
-only for a move in the numbers that is understood and stated.  The file
-holds, each with its inputs:
-  - e_TE, e_TM and P at one wavelength, on 3 temperatures x 5 wavelengths
-    x 30 size parameters x = 2 pi a / lambda from 1e-4 to 4.9e4;
-  - band P, e_bar and the quadrature estimate on 3 temperatures x 8
-    diameters over ``COMPUTED_BAND``;
-  - every value of the ``table2``, ``figure1 --points 12`` and
+``python tests/make_corpus.py SECTION...`` rewrites the named sections of
+``tests/data/corpus.json`` from the code on the path and writes the others
+back as stored, byte for byte.  Rewriting a section is a change to test
+data: do it only for a move in its numbers that is understood and stated.
+The file holds four sections, each entry with its inputs:
+  - ``single_wavelength``: e_TE, e_TM and P at one wavelength, on 3
+    temperatures x 5 wavelengths x 30 size parameters x = 2 pi a / lambda
+    from 1e-4 to 4.9e4;
+  - ``band``: band P, e_bar and the quadrature estimate on 3 temperatures
+    x 8 diameters over ``COMPUTED_BAND``;
+  - ``csv``: every value of the ``table2``, ``figure1 --points 12`` and
     ``figure4 --points 5`` sweep CSVs;
-  - the exit code, stdout, stderr and the three scan files of ``polsim``
-    on the runs of ``POLSIM``, as text: they are compared byte for byte.
+  - ``polsim``: the exit code, stdout, stderr and the three scan files of
+    ``polsim`` on the runs of ``POLSIM``, as text: they are compared byte
+    for byte.
 """
 
 from __future__ import annotations
@@ -111,17 +114,25 @@ def polsim_run(argv: list[str]) -> dict:
     return {"exit": rc, "stdout": out.getvalue(), "stderr": err.getvalue(), "files": files}
 
 
-def corpus() -> dict:
-    return {"single_wavelength": single_wavelength(), "band": band(),
-            "csv": {name: sweep_csv(argv) for name, argv in SWEEPS.items()},
-            "polsim": {name: polsim_run(argv) for name, argv in POLSIM.items()}}
+SECTIONS = {
+    "single_wavelength": single_wavelength,
+    "band": band,
+    "csv": lambda: {name: sweep_csv(argv) for name, argv in SWEEPS.items()},
+    "polsim": lambda: {name: polsim_run(argv) for name, argv in POLSIM.items()},
+}
 
 
-def main() -> int:
-    PATH.parent.mkdir(exist_ok=True)
-    PATH.write_text(json.dumps(corpus(), indent=1) + "\n", encoding="utf-8")
+def main(names: list[str]) -> int:
+    if not names or not set(names) <= SECTIONS.keys():
+        print(f"usage: python tests/make_corpus.py SECTION...; the sections are "
+              f"{', '.join(SECTIONS)}", file=sys.stderr)
+        return 1
+    stored = json.loads(PATH.read_text(encoding="utf-8"))
+    for name in names:
+        stored[name] = SECTIONS[name]()
+    PATH.write_text(json.dumps(stored, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
