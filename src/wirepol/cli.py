@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import re
+import shlex
 import sys
 
 import numpy as np
@@ -79,8 +80,9 @@ def _lines(path) -> list:
 
 
 def _path(text) -> str:
-    if not text:    # else an empty path would act as no flag at all
-        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    # '' would act as no flag at all, and a line break would end a CSV's '#' line
+    if text.splitlines() != [text]:
+        raise argparse.ArgumentTypeError(f"expected a file path on one line, got {text!r}")
     return text
 
 
@@ -94,7 +96,7 @@ def _parse_band(text) -> BandFilter:
 
 # Attributes of a parsed command that choose nothing it computes, by
 # dest; --threads is accepted and ignored.
-NOT_CHOICES = frozenset(("command", "func", "_argv", "output", "config", "threads"))
+NOT_CHOICES = frozenset(("command", "func", "output", "config", "threads"))
 
 
 def _given(args) -> dict:
@@ -108,6 +110,17 @@ def _given(args) -> dict:
 
 def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
+
+
+def _command_line(args) -> str:
+    """The command that re-creates this run's output: each choice read, as
+    --flag=value in the parser's order (that of vars(args)), then --output."""
+    tokens = ["wirepol", args.command]
+    for dest, value in _given(args).items():
+        if isinstance(value, BandFilter):
+            value = f"{value.lambda_lo_um}:{value.lambda_hi_um}"
+        tokens.append(_flag(dest) if value is True else f"{_flag(dest)}={value}")
+    return shlex.join([*tokens, f"--output={args.output}"])
 
 
 def _reject_unread(kind: str, given: dict) -> None:
@@ -296,7 +309,7 @@ def _cmd_sweep(args) -> int:
     for x in grid:
         values = values_at(x)
         rows.append((float(x), *(values[h] for h in header[1:])))
-    _write_csv(args.output, [f"command: {' '.join(args._argv)}",
+    _write_csv(args.output, [f"command: {_command_line(args)}",
                              f"wirepol {__version__}", meta], header, rows)
     return 0
 
@@ -344,7 +357,7 @@ def _cmd_compare(args) -> int:
     for row in [header, *rows]:
         print(",".join(map(str, row)))
     if args.output:
-        _write_csv(args.output, [f"command: {' '.join(args._argv)}",
+        _write_csv(args.output, [f"command: {_command_line(args)}",
                                  f"model T = {model.temperature_k:g} K"], header, rows)
     return 0
 
@@ -523,12 +536,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_with_config(parser, argv))
-        # --threads N or --threads=N is accepted and ignored; keep it out of
-        # the recorded command line, so that outputs never depend on it
-        args._argv = ["wirepol"] + [
-            token for i, token in enumerate(argv)
-            if token.partition("=")[0] != "--threads"
-            and not (i and argv[i - 1] == "--threads")]
         return args.func(args)
     except _UsageError as exc:
         print(f"wirepol: error: {exc}", file=sys.stderr)

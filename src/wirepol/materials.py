@@ -125,15 +125,17 @@ def refraction_index(eps: complex) -> complex:
 # The kind of each field of the database, of its records and of their terms.
 # A number is a JSON int or float, never a bool; sigma0 may also be null.
 _NUMBER, _FLAG, _TEXT, _ARRAY = "a finite number > 0", "true or false", "a string", "an array"
+_LINE = "a string on one line"    # the element, which a CSV's '#' line prints
 _KINDS = {
     _NUMBER: lambda v: type(v) in (int, float) and 0 < v <= sys.float_info.max,
     _NUMBER + " or null": lambda v: v is None or _KINDS[_NUMBER](v),
     _FLAG: lambda v: type(v) is bool,
     _TEXT: lambda v: type(v) is str,
+    _LINE: lambda v: type(v) is str and v.splitlines() in ([], [v]),
     _ARRAY: lambda v: type(v) is list,
     "an object": lambda v: type(v) is dict,
 }
-_RECORD_FIELDS = {"element": _TEXT, "temperature_K": _NUMBER, "bound_terms": _ARRAY,
+_RECORD_FIELDS = {"element": _LINE, "temperature_K": _NUMBER, "bound_terms": _ARRAY,
                   "free_terms": _ARRAY, "sigma0": _NUMBER + " or null", "note": _TEXT}
 _BOUND_FIELDS = {"K0": _NUMBER, "lambda_s": _NUMBER, "delta": _NUMBER, "estimated": _FLAG}
 _FREE_FIELDS = {"sigma": _NUMBER, "lambda_r": _NUMBER, "tentative": _FLAG, "estimated": _FLAG}

@@ -60,9 +60,10 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateInputError, DomainError, RangeError
 from .special_functions import bessel_j_log_derivative, hankel1_log_derivative
 
-# Largest partial-wave order of any sum; order_ceiling keeps
-# the sums below it up to x ~ 49 600 (d ~ 7.9 mm at lambda = 0.5 um).
+# Largest partial-wave order of any sum, and the largest size parameter,
+# whose order_ceiling is MAX_ORDER (d ~ 7.9 mm at lambda = 0.5 um).
 MAX_ORDER = 50_000
+MAX_SIZE_PARAMETER = 49_612.0
 # Smallest |n| of an absorbing wire.  Below it n xD_m ~ m cancels in its
 # imaginary part, and the emissivities' relative error grows as eps/|n|^2:
 # 2.7e-13 at |n| = 0.03 over x in [1e-3, 1e3], 1.6e-9 at 1.4e-4.
@@ -87,14 +88,11 @@ class PolarizedEmissivity:
 def order_ceiling(x: float) -> int:
     """Highest partial-wave order of the sum at size parameter x, where the
     sum stops: Wiscombe's x + 4x^(1/3) with a wide margin.  The index n
-    does not enter.  Raises RangeError unless 0 < x <= MAX_ORDER."""
-    if not 0.0 < x <= MAX_ORDER:    # nan and k a underflowed to 0 too; no inf in int()
-        beyond = ": order exceeds ceiling" if x > MAX_ORDER else ""
-        raise RangeError(f"size parameter x={x} outside 0 < x <= {MAX_ORDER}{beyond}")
-    m = int(math.ceil(x)) + int(math.ceil(10.0 * x ** (1.0 / 3.0))) + 20
-    if m > MAX_ORDER:
-        raise RangeError(f"order |m|={m} exceeds ceiling {MAX_ORDER}")
-    return m
+    does not enter.  Raises RangeError unless 0 < x <= MAX_SIZE_PARAMETER."""
+    if not 0.0 < x <= MAX_SIZE_PARAMETER:    # nan and k a underflowed to 0 too
+        raise RangeError(f"size parameter x={x} outside 0 < x <= {MAX_SIZE_PARAMETER:g} "
+                         f"(above it the order exceeds ceiling {MAX_ORDER})")
+    return math.ceil(x) + math.ceil(10.0 * x ** (1.0 / 3.0)) + 20
 
 
 def _check_inputs(k: float, a: float, n: complex) -> None:

@@ -11,13 +11,17 @@ then asserts.  Criteria:
 4. interior maximum of the band average near 3-4 micron diameter
 5. partial-wave result matches the specular thick-wire limit
 6. structural property checks across all modules
-7. byte-determinism of CSV sweeps, including under threading
+7. byte-determinism of CSV sweeps, under --threads and in fresh
+   interpreters with other hash seeds and working directories
 """
 
 import math
+import os
+import subprocess
 import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -213,7 +217,19 @@ def test_criterion_7_sweep_determinism(tmp_path, capfd, report):
         assert cli_main(args + extra) == 0
         capfd.readouterr()
         blobs.append(path.read_bytes())
+    # the same sweep in two fresh interpreters, each with its own hash seed
+    # and working directory; the output path stays absolute
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("1", "2"):
+        cwd = tmp_path / f"seed{seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        path.unlink()
+        subprocess.run([sys.executable, "-m", "wirepol.cli", *args], cwd=cwd, env=env,
+                       check=True, capture_output=True, timeout=120)
+        blobs.append(path.read_bytes())
     ok = all(b == blobs[0] for b in blobs)
-    report(7, ok, f"4 runs ({len(blobs[0])} bytes each), threads 1/1/3/8, "
+    report(7, ok, f"6 runs ({len(blobs[0])} bytes each): in process at threads "
+                  f"1/1/3/8, and in fresh interpreters at hash seeds 1/2; "
                   f"byte-identical: {ok}")
     assert ok

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import time
 
 import numpy as np
@@ -1016,12 +1017,14 @@ def refused_inputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "banana.cfg").write_text("variable = banana\nlo = 1\nhi = 2\nwavelength-um = 0.5\n")
     (tmp_path / "typo.cfg").write_text("temperature = 300\nradius-um = 1\nwavelength-um = 0.5\n")
+    (tmp_path / "nokv.cfg").write_text("radius-um 1\n")
     raw = bundled_table()
     records = raw["records"]
     tables = {"records": {**raw, "records": 5},
               "nm": {**raw, "units": {"wavelengths": "nm", "conductivities": "S/cm"}},
               "twice": {**raw, "records": records + records[-1:]},
-              "mixed": {**raw, "records": [{**records[0], "element": "Au"}, *records[1:]]}}
+              "mixed": {**raw, "records": [{**records[0], "element": "Au"}, *records[1:]]},
+              "el": {**raw, "records": [{**r, "element": "W\nfake"} for r in records]}}
     for name, k0 in (("nan", math.nan), ("bool", True)):
         tables[name] = bundled_table()
         tables[name]["records"][0]["bound_terms"][0]["K0"] = k0    # the 298 K record
@@ -1030,32 +1033,46 @@ def refused_inputs(tmp_path, monkeypatch):
     return sorted(os.listdir())
 
 
+# the reason that some of the refusals below must give
+REFUSALS = {
+    "point --config nokv.cfg --wavelength-um 0.5": "nokv.cfg:1: expected key = value",
+    "sweep --preset figure1 --points 2 --material-db el.json -o f.csv":
+        "element must be a string on one line",
+}
+
+
 # Exit 1: material list reads no --temp-k; a --config value outside its
 # flag's choices; polsim needs --p-true; material show tags tentative terms
-# and takes no --include-tentative; a --config key must name an option.
+# and takes no --include-tentative; a --config key must name an option; a
+# --config line must hold '='; a file path must be one line.
 # Exit 2: a material parameter that is not finite and > 0, or not of its
 # JSON type, and a record list that is not an array; a table with two
-# records at 2400 K, one that mixes elements, and one that declares units
-# other than micron and ohm^-1 m^-1.
+# records at 2400 K, one that mixes elements, one that declares units
+# other than micron and ohm^-1 m^-1, and an element that is not one line.
 @pytest.mark.parametrize("code, command", [
     (1, "material list --temp-k 300"),
     (1, "sweep --config banana.cfg -o b.csv"),
     (1, "polsim --seed 1"),
     (1, "material show --include-tentative"),
     (1, "point --config typo.cfg"),
+    (1, "point --config nokv.cfg --wavelength-um 0.5"),
+    (1, "sweep --preset figure1 --points 2 -o 'a\nb.csv'"),
+    (1, "sweep --preset figure1 --points 2 -o 'a\u2028b.csv'"),
     (2, "material show --temp-k 298 --material-db nan.json"),
     (2, "material show --temp-k 298 --material-db bool.json"),
     (2, "material show --temp-k 298 --material-db records.json"),
     (2, "material list --material-db twice.json"),
     (2, "material list --material-db mixed.json"),
     (2, "point --radius-um 1 --wavelength-um 0.5 --material-db nm.json"),
+    (2, "sweep --preset figure1 --points 2 --material-db el.json -o f.csv"),
 ])
 def test_refused_command(capsys, refused_inputs, code, command):
     # at once, with one line on stderr, nothing on stdout and no file written
     start = time.perf_counter()
-    rc, out, err = run(capsys, *command.split())
+    rc, out, err = run(capsys, *shlex.split(command))
     assert time.perf_counter() - start < 20
     assert rc == code and out == ""
     assert err.count("\n") == 1
     assert err.startswith("wirepol: error:" if code == 1 else "wirepol:")
+    assert REFUSALS.get(command, "") in err
     assert sorted(os.listdir()) == refused_inputs

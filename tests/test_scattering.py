@@ -20,6 +20,7 @@ from wirepol.errors import (ConvergenceError, DegenerateInputError, DomainError,
                             RangeError, WirepolError)
 from wirepol.scattering import (
     MAX_ORDER,
+    MAX_SIZE_PARAMETER,
     MIN_INDEX_MODULUS,
     emissivity_pair,
     order_ceiling,
@@ -181,7 +182,10 @@ def test_order_ceiling_raises_above_max_order():
     # 2000 um at 0.5 um needs about 25 400 orders; 0.2 m would need 2.5e6
     k = 2 * math.pi / 0.5
     assert order_ceiling(k * 2000.0) <= MAX_ORDER
-    for x in (float(MAX_ORDER), k * 2e5, math.inf):
+    # the largest size parameter reaches the ceiling; past it, one message
+    assert order_ceiling(MAX_SIZE_PARAMETER) == MAX_ORDER
+    for x in (math.nextafter(MAX_SIZE_PARAMETER, math.inf), 49700.0, float(MAX_ORDER),
+              k * 2e5, math.inf):
         with pytest.raises(RangeError, match="exceeds ceiling"):
             order_ceiling(x)
     with pytest.raises(RangeError, match="exceeds ceiling"):
@@ -190,8 +194,8 @@ def test_order_ceiling_raises_above_max_order():
 
 @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
 def test_order_ceiling_refuses_sizes_outside_its_range(x):
-    # k a can underflow to 0; the message names the range, not the ceiling
-    with pytest.raises(RangeError, match=f"outside 0 < x <= {MAX_ORDER}$"):
+    # k a can underflow to 0; the one message names the range first
+    with pytest.raises(RangeError, match=f"x={x} outside 0 < x <= {MAX_SIZE_PARAMETER:g} "):
         order_ceiling(x)
 
 
@@ -584,4 +588,4 @@ def test_terms_match_per_order_loop(a):
     assert pair.terms_used == m_max + 1
     tail = max(*ref_te[-3:], *ref_tm[-3:])
     assert pair.truncation_error_estimate == pytest.approx(
-        tail / (sum_te + sum_tm), rel=1e-12)
+        tail / (sum_te + sum_tm), rel=1e-12, abs=0.0)
